@@ -1,16 +1,22 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, product-graph BFS, and hash joins.
+// slot-vector shuffles, product-graph BFS, and hash joins; and for the
+// text writers: N-Triples, workload XML, and the four translators.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <ostream>
+#include <streambuf>
 
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
 #include "engine/relation.h"
 #include "graph/generator.h"
+#include "graph/graph_io.h"
+#include "translate/translator.h"
 #include "util/zipf.h"
+#include "workload/query_generator.h"
 
 namespace {
 
@@ -81,6 +87,88 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Discards everything written to it, counting the bytes.
+class NullBuf : public std::streambuf {
+ public:
+  int64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += n;
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    ++bytes_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  int64_t bytes_ = 0;
+};
+
+void BM_NTriplesFormat(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = GenerateGraph(config).ValueOrDie();
+  NullBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    Status st = WriteNTriples(graph, config.schema, &out);
+    benchmark::DoNotOptimize(st.ok());
+  }
+  state.SetBytesProcessed(buf.bytes());
+}
+BENCHMARK(BM_NTriplesFormat)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The generate workload's query mix: every shape and selectivity
+/// class, recursion probability 0.3.
+Workload MixedWorkload(const GraphSchema& schema, int64_t queries) {
+  WorkloadConfiguration w;
+  w.num_queries = static_cast<size_t>(queries);
+  w.shapes = {QueryShape::kChain, QueryShape::kStar, QueryShape::kCycle,
+              QueryShape::kStarChain};
+  w.recursion_probability = 0.3;
+  return QueryGenerator(&schema).Generate(w).ValueOrDie();
+}
+
+void BM_WorkloadToXml(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(1000, 7);
+  Workload workload = MixedWorkload(config.schema, state.range(0));
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    bytes += static_cast<int64_t>(workload.ToXml(config.schema).size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_WorkloadToXml)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Translate(benchmark::State& state, QueryLanguage lang) {
+  GraphConfiguration config = MakeBibConfig(1000, 7);
+  Workload workload = MixedWorkload(config.schema, 1000);
+  TranslateOptions options;
+  options.count_distinct = true;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    for (const GeneratedQuery& gq : workload.queries) {
+      Result<std::string> text =
+          TranslateQuery(gq.query, config.schema, lang, options);
+      bytes += text.ok() ? static_cast<int64_t>(text.ValueOrDie().size()) : 0;
+    }
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(workload.queries.size()));
+}
+BENCHMARK_CAPTURE(BM_Translate, sparql, QueryLanguage::kSparql)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Translate, cypher, QueryLanguage::kOpenCypher)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Translate, sql, QueryLanguage::kSql)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Translate, datalog, QueryLanguage::kDatalog)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/distribution.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/string_util.h"
 #include "util/zipf.h"
@@ -95,23 +94,23 @@ Status DistributionSpec::Validate() const {
 }
 
 std::string DistributionSpec::ToString() const {
-  std::ostringstream os;
-  os << DistributionTypeName(type);
+  std::string out = DistributionTypeName(type);
   switch (type) {
     case DistributionType::kNonSpecified:
       break;
     case DistributionType::kUniform:
-      os << '[' << static_cast<int64_t>(param1) << ','
-         << static_cast<int64_t>(param2) << ']';
+      StrAppend(&out, '[', static_cast<int64_t>(param1), ',',
+                static_cast<int64_t>(param2), ']');
       break;
     case DistributionType::kGaussian:
-      os << '(' << FormatDouble(param1) << ',' << FormatDouble(param2) << ')';
+      StrAppend(&out, '(', FormatDouble(param1), ',', FormatDouble(param2),
+                ')');
       break;
     case DistributionType::kZipfian:
-      os << '(' << FormatDouble(param1) << ')';
+      StrAppend(&out, '(', FormatDouble(param1), ')');
       break;
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

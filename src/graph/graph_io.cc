@@ -11,41 +11,67 @@ namespace {
 constexpr char kNodePrefix[] = "<http://gmark/n";
 constexpr char kPredPrefix[] = "<http://gmark/p/";
 constexpr char kTypePredicate[] = "<http://gmark/type>";
+constexpr std::string_view kCsvHeader = "source,predicate,target\n";
+
+// Per predicate, the text between two ids: StrCat(before, name, after).
+std::vector<std::string> PredicateInfixes(const GraphSchema& schema,
+                                          std::string_view before,
+                                          std::string_view after) {
+  std::vector<std::string> infixes;
+  infixes.reserve(schema.predicate_count());
+  for (PredicateId p = 0; p < schema.predicate_count(); ++p) {
+    infixes.push_back(StrCat(before, schema.PredicateName(p), after));
+  }
+  return infixes;
+}
+
+// Stream every edge of the indexed graph into the sink, predicate by
+// predicate.
+void AppendEdges(const Graph& graph, EdgeSink* sink) {
+  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
+    graph.ForEachEdge(
+        p, [sink, p](NodeId src, NodeId trg) { sink->Append(src, p, trg); });
+  }
+}
 }  // namespace
 
-NTriplesSink::NTriplesSink(std::ostream* out, const GraphSchema* schema)
-    : out_(out), schema_(schema) {}
+LineSink::LineSink(std::ostream* out, std::string prefix,
+                   std::vector<std::string> infixes, std::string suffix)
+    : out_(out),
+      prefix_(std::move(prefix)),
+      infixes_(std::move(infixes)),
+      suffix_(std::move(suffix)) {}
 
-void NTriplesSink::Append(NodeId source, PredicateId predicate,
-                          NodeId target) {
-  (*out_) << kNodePrefix << source << "> " << kPredPrefix
-          << schema_->PredicateName(predicate) << "> " << kNodePrefix
-          << target << "> .\n";
+void LineSink::Append(NodeId source, PredicateId predicate, NodeId target) {
+  line_.assign(prefix_);
+  StrAppend(&line_, source, infixes_[predicate], target, suffix_);
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++count_;
 }
+
+NTriplesSink::NTriplesSink(std::ostream* out, const GraphSchema* schema)
+    : LineSink(out, kNodePrefix,
+               PredicateInfixes(*schema, StrCat("> ", kPredPrefix),
+                                StrCat("> ", kNodePrefix)),
+               "> .\n") {}
 
 CsvSink::CsvSink(std::ostream* out, const GraphSchema* schema)
-    : out_(out), schema_(schema) {
-  (*out_) << "source,predicate,target\n";
-}
-
-void CsvSink::Append(NodeId source, PredicateId predicate, NodeId target) {
-  (*out_) << source << ',' << schema_->PredicateName(predicate) << ','
-          << target << '\n';
-  ++count_;
+    : LineSink(out, "", PredicateInfixes(*schema, ",", ","), "\n") {
+  out->write(kCsvHeader.data(),
+             static_cast<std::streamsize>(kCsvHeader.size()));
 }
 
 Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
                      std::ostream* out, bool include_node_types) {
   NTriplesSink sink(out, &schema);
-  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
-    graph.ForEachEdge(
-        p, [&sink, p](NodeId src, NodeId trg) { sink.Append(src, p, trg); });
-  }
+  AppendEdges(graph, &sink);
   if (include_node_types) {
+    std::string line;
     for (NodeId v = 0; v < static_cast<NodeId>(graph.num_nodes()); ++v) {
-      (*out) << kNodePrefix << v << "> " << kTypePredicate << " \""
-             << schema.TypeName(graph.TypeOf(v)) << "\" .\n";
+      line.assign(kNodePrefix);
+      StrAppend(&line, v, "> ", kTypePredicate, " \"",
+                schema.TypeName(graph.TypeOf(v)), "\" .\n");
+      out->write(line.data(), static_cast<std::streamsize>(line.size()));
     }
   }
   if (!*out) return Status::IOError("stream write failed");
@@ -55,10 +81,7 @@ Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
 Status WriteCsv(const Graph& graph, const GraphSchema& schema,
                 std::ostream* out) {
   CsvSink sink(out, &schema);
-  for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
-    graph.ForEachEdge(
-        p, [&sink, p](NodeId src, NodeId trg) { sink.Append(src, p, trg); });
-  }
+  AppendEdges(graph, &sink);
   if (!*out) return Status::IOError("stream write failed");
   return Status::OK();
 }

@@ -16,45 +16,60 @@
 
 namespace gmark {
 
-/// \brief Sink that streams edges as N-triples, e.g.
-/// `<http://gmark/n12> <http://gmark/p/authors> <http://gmark/n7> .`
-class NTriplesSink : public EdgeSink {
+/// \brief Base of the text sinks. Each edge becomes one line
+/// `<prefix><source><infix><target><suffix>`, where the infix is fixed
+/// per predicate when the sink is built. Ids are formatted with
+/// std::to_chars, so the bytes never depend on the stream's locale or
+/// format flags. Each line reaches the stream in one `write` and the
+/// sink buffers nothing itself, so the stream holds every line as soon
+/// as Append returns. Stream errors are the caller's to check (e.g. via
+/// WriteCsv or by testing the stream after a drain); the sink itself
+/// only counts what it emitted.
+class LineSink : public EdgeSink {
  public:
-  /// \brief `schema` supplies predicate names; must outlive the sink.
-  NTriplesSink(std::ostream* out, const GraphSchema* schema);
   void Append(NodeId source, PredicateId predicate, NodeId target) override;
   size_t count() const override { return count_; }
 
+ protected:
+  LineSink(std::ostream* out, std::string prefix,
+           std::vector<std::string> infixes, std::string suffix);
+
  private:
   std::ostream* out_;
-  const GraphSchema* schema_;
+  std::string prefix_;
+  std::vector<std::string> infixes_;
+  std::string suffix_;
+  std::string line_;  // Reused for every line.
   size_t count_ = 0;
+};
+
+/// \brief Sink that streams edges as N-triples, e.g.
+/// `<http://gmark/n12> <http://gmark/p/authors> <http://gmark/n7> .`
+class NTriplesSink : public LineSink {
+ public:
+  /// \brief `schema` supplies the predicate names, read here.
+  NTriplesSink(std::ostream* out, const GraphSchema* schema);
 };
 
 /// \brief Sink that streams edges as `source,predicate,target` CSV rows
-/// with a header, using predicate names. Stream errors are the caller's
-/// to check (e.g. via WriteCsv or by testing the stream after a drain);
-/// the sink itself only counts what it emitted.
-class CsvSink : public EdgeSink {
+/// with a header, using predicate names.
+class CsvSink : public LineSink {
  public:
   CsvSink(std::ostream* out, const GraphSchema* schema);
-  void Append(NodeId source, PredicateId predicate, NodeId target) override;
-  size_t count() const override { return count_; }
-
- private:
-  std::ostream* out_;
-  const GraphSchema* schema_;
-  size_t count_ = 0;
 };
 
-/// \brief Write an indexed graph as N-triples, including one
-/// `<node> <http://gmark/type> "<typename>" .` triple per node.
+/// \brief Write an indexed graph as N-triples, plus one
+/// `<node> <http://gmark/type> "<typename>" .` triple per node when
+/// `include_node_types`, failing with IOError if the stream goes bad.
+/// As with the sinks, the bytes do not depend on the stream's locale or
+/// format flags.
 Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
                      std::ostream* out, bool include_node_types = false);
 
 /// \brief Write an indexed graph as a CSV edge list (header row plus one
 /// `source,predicate,target` row per edge), failing with IOError if the
-/// stream goes bad.
+/// stream goes bad. The bytes do not depend on the stream's locale or
+/// format flags.
 Status WriteCsv(const Graph& graph, const GraphSchema& schema,
                 std::ostream* out);
 

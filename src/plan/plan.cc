@@ -1,8 +1,7 @@
 #include "plan/plan.h"
 
-#include <sstream>
-
 #include "obs/eval_profile.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -21,20 +20,17 @@ QueryPlan QueryPlan::Identity(const Query& query) {
 }
 
 std::string QueryPlan::ToString() const {
-  std::ostringstream os;
+  std::string out;
   for (size_t r = 0; r < rules.size(); ++r) {
-    if (r > 0) os << ' ';
-    os << 'r' << r << '[';
+    StrAppend(&out, r > 0 ? " r" : "r", r, '[');
     for (size_t i = 0; i < rules[r].steps.size(); ++i) {
       const PlanStep& s = rules[r].steps[i];
-      if (i > 0) os << ' ';
-      os << '#' << s.conjunct << (s.backward ? '<' : '>');
-      if (s.seed_backward) os << '~';
+      StrAppend(&out, i > 0 ? " #" : "#", s.conjunct, s.backward ? '<' : '>',
+                s.seed_backward ? "~" : "");
     }
-    os << ']';
-    if (rules[r].chain_backward) os << "R";
+    out += rules[r].chain_backward ? "]R" : "]";
   }
-  return os.str();
+  return out;
 }
 
 Conjunct EffectiveConjunct(const Conjunct& conjunct, const PlanStep& step) {

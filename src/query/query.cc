@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
+
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -20,24 +21,18 @@ size_t RegularExpression::min_path_length() const {
 }
 
 std::string RegularExpression::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
-  os << '(';
+  std::string out = "(";
   for (size_t d = 0; d < disjuncts.size(); ++d) {
-    if (d > 0) os << " + ";
-    if (disjuncts[d].empty()) {
-      os << "eps";
-      continue;
-    }
+    if (d > 0) out += " + ";
+    if (disjuncts[d].empty()) out += "eps";
     for (size_t i = 0; i < disjuncts[d].size(); ++i) {
-      if (i > 0) os << " . ";
       const Symbol& s = disjuncts[d][i];
-      os << schema.PredicateName(s.predicate);
-      if (s.inverse) os << "^-";
+      StrAppend(&out, i > 0 ? " . " : "", schema.PredicateName(s.predicate),
+                s.inverse ? "^-" : "");
     }
   }
-  os << ')';
-  if (star) os << '*';
-  return os.str();
+  out += star ? ")*" : ")";
+  return out;
 }
 
 RegularExpression ReverseRegex(const RegularExpression& expr) {
@@ -56,31 +51,26 @@ RegularExpression ReverseRegex(const RegularExpression& expr) {
 }
 
 std::string Conjunct::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
-  os << "(?x" << source << ", " << expr.ToString(schema) << ", ?x" << target
-     << ")";
-  return os.str();
+  return StrCat("(?x", source, ", ", expr.ToString(schema), ", ?x", target,
+                ")");
 }
 
 std::string QueryRule::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
-  os << '(';
+  std::string out = "(";
   for (size_t i = 0; i < head.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "?x" << head[i];
+    StrAppend(&out, i > 0 ? ", " : "", "?x", head[i]);
   }
-  os << ") <- ";
+  out += ") <- ";
   for (size_t i = 0; i < body.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << body[i].ToString(schema);
+    StrAppend(&out, i > 0 ? ", " : "", body[i].ToString(schema));
   }
-  return os.str();
+  return out;
 }
 
 std::string Query::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
-  for (const auto& rule : rules) os << rule.ToString(schema) << "\n";
-  return os.str();
+  std::string out;
+  for (const auto& rule : rules) StrAppend(&out, rule.ToString(schema), "\n");
+  return out;
 }
 
 Status Query::Validate(const GraphSchema& schema) const {

@@ -1,13 +1,11 @@
 #include "query/workload_config.h"
 
-#include <sstream>
+#include "util/string_util.h"
 
 namespace gmark {
 
 std::string IntRange::ToString() const {
-  std::ostringstream os;
-  os << '[' << min << ',' << max << ']';
-  return os.str();
+  return StrCat('[', min, ',', max, ']');
 }
 
 Status IntRange::Validate(const std::string& what, int min_allowed) const {

@@ -5,10 +5,10 @@
 // branches (capped), since openCypher alternation `[:a|b]` only covers
 // single relationships.
 
-#include <sstream>
 #include <vector>
 
 #include "translate/translator_impl.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -33,19 +33,11 @@ std::string StarredRelationship(const RegularExpression& expr,
       break;  // first symbol only
     }
   }
-  std::string out = "-[:";
-  if (labels.empty()) {
-    // Nothing expressible survives; emit an impossible label so the
-    // query still parses (the paper's G returns empty answers here).
-    out += "__gmark_unsupported__";
-  } else {
-    for (size_t i = 0; i < labels.size(); ++i) {
-      if (i > 0) out += '|';
-      out += labels[i];
-    }
-  }
-  out += "*0..]->";
-  return out;
+  // When nothing expressible survives, an impossible label keeps the
+  // query parseable (the paper's G returns empty answers here).
+  return StrCat("-[:",
+                labels.empty() ? "__gmark_unsupported__" : Join(labels, "|"),
+                "*0..]->");
 }
 
 }  // namespace
@@ -79,15 +71,14 @@ Result<std::string> CypherTranslator::Translate(
         rem /= branch_sizes[i];
       }
 
-      std::ostringstream match;
+      std::string text = "MATCH ";
       int anon = 0;
-      match << "MATCH ";
       for (size_t ci = 0; ci < rule.body.size(); ++ci) {
         const Conjunct& c = rule.body[ci];
-        if (ci > 0) match << ", ";
-        match << "(" << TranslateVarName(rule, r, c.source) << ")";
+        if (ci > 0) text += ", ";
+        StrAppend(&text, '(', TranslateVarName(rule, r, c.source), ')');
         if (c.expr.star) {
-          match << StarredRelationship(c.expr, schema);
+          text += StarredRelationship(c.expr, schema);
         } else {
           const PathExpr& path = c.expr.disjuncts[choice[ci]];
           if (path.empty()) {
@@ -95,47 +86,36 @@ Result<std::string> CypherTranslator::Translate(
           }
           for (size_t si = 0; si < path.size(); ++si) {
             const Symbol& s = path[si];
-            if (si > 0) {
-              match << "(_a" << anon++ << ")";
-            }
-            if (s.inverse) {
-              match << "<-[:" << schema.PredicateName(s.predicate) << "]-";
-            } else {
-              match << "-[:" << schema.PredicateName(s.predicate) << "]->";
-            }
+            if (si > 0) StrAppend(&text, "(_a", anon++, ')');
+            StrAppend(&text, s.inverse ? "<-[:" : "-[:",
+                      schema.PredicateName(s.predicate),
+                      s.inverse ? "]-" : "]->");
           }
         }
-        match << "(" << TranslateVarName(rule, r, c.target) << ")";
+        StrAppend(&text, '(', TranslateVarName(rule, r, c.target), ')');
       }
 
-      std::ostringstream ret;
       if (rule.head.empty()) {
-        ret << "RETURN count(*) > 0 AS nonempty";
+        text += "\nRETURN count(*) > 0 AS nonempty";
       } else {
-        ret << "RETURN DISTINCT ";
+        text += "\nRETURN DISTINCT ";
         for (size_t i = 0; i < rule.head.size(); ++i) {
-          if (i > 0) ret << ", ";
-          ret << TranslateVarName(rule, r, rule.head[i]) << " AS h" << i;
+          if (i > 0) text += ", ";
+          StrAppend(&text, TranslateVarName(rule, r, rule.head[i]), " AS h",
+                    i);
         }
       }
-      rule_queries.push_back(match.str() + "\n" + ret.str());
+      rule_queries.push_back(std::move(text));
     }
   }
 
-  std::ostringstream os;
-  for (size_t i = 0; i < rule_queries.size(); ++i) {
-    if (i > 0) os << "\nUNION\n";
-    os << rule_queries[i];
-  }
-  os << "\n";
+  std::string out = Join(rule_queries, "\nUNION\n");
+  out += '\n';
   if (options.count_distinct && query.arity() > 0) {
     // Wrap with the measurement aggregate via a CALL subquery.
-    std::string inner = os.str();
-    std::ostringstream wrapped;
-    wrapped << "CALL {\n" << inner << "}\nRETURN count(*) AS cnt\n";
-    return wrapped.str();
+    return StrCat("CALL {\n", out, "}\nRETURN count(*) AS cnt\n");
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

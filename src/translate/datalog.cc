@@ -2,9 +2,8 @@
 // programs (paper §2). Base relations: one binary predicate per edge
 // label, plus node(X) for the reflexive base of Kleene stars.
 
-#include <sstream>
-
 #include "translate/translator_impl.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -13,33 +12,31 @@ namespace {
 std::string DatalogVar(const QueryRule& rule, size_t rule_index, VarId v) {
   // Datalog variables must start with an uppercase letter.
   for (size_t i = 0; i < rule.head.size(); ++i) {
-    if (rule.head[i] == v) return "H" + std::to_string(i);
+    if (rule.head[i] == v) return StrCat('H', i);
   }
-  return "R" + std::to_string(rule_index) + "X" + std::to_string(v);
+  return StrCat('R', rule_index, 'X', v);
 }
 
-/// Body atoms for one disjunct path from X to Y.
-Result<std::string> PathBody(const PathExpr& path, const GraphSchema& schema,
-                             const std::string& x, const std::string& y,
-                             const std::string& tmp_prefix) {
+/// Body atoms for one disjunct path from X to Y, through T<d>_0, ...
+Status AppendPathBody(std::string* out, const PathExpr& path,
+                      const GraphSchema& schema, size_t d) {
   if (path.empty()) {
     return Status::Unsupported("epsilon path in Datalog translation");
   }
-  std::ostringstream os;
-  std::string prev = x;
+  std::string prev = "X";
   for (size_t i = 0; i < path.size(); ++i) {
-    std::string next =
-        (i + 1 == path.size()) ? y : tmp_prefix + std::to_string(i);
-    if (i > 0) os << ", ";
-    const std::string& label = schema.PredicateName(path[i].predicate);
-    if (path[i].inverse) {
-      os << label << "(" << next << ", " << prev << ")";
-    } else {
-      os << label << "(" << prev << ", " << next << ")";
-    }
-    prev = next;
+    std::string next = i + 1 == path.size() ? "Y" : StrCat('T', d, '_', i);
+    const bool inv = path[i].inverse;
+    StrAppend(out, i > 0 ? ", " : "", schema.PredicateName(path[i].predicate),
+              '(', inv ? next : prev, ", ", inv ? prev : next, ')');
+    prev = std::move(next);
   }
-  return os.str();
+  return Status::OK();
+}
+
+// `n` comma-separated head variables H0, H1, ...
+void AppendHeadVars(std::string* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) StrAppend(out, i > 0 ? ", " : "", 'H', i);
 }
 
 }  // namespace
@@ -47,67 +44,52 @@ Result<std::string> PathBody(const PathExpr& path, const GraphSchema& schema,
 Result<std::string> DatalogTranslator::Translate(
     const Query& query, const GraphSchema& schema,
     const TranslateOptions& options) const {
-  std::ostringstream os;
   const std::string q = query.name.empty() ? "q" : query.name;
-  std::ostringstream program;
+  std::string out = StrCat("% gMark Datalog program for ", q, "\n");
 
   for (size_t r = 0; r < query.rules.size(); ++r) {
     const QueryRule& rule = query.rules[r];
     // Helper predicates, one per conjunct.
     for (size_t ci = 0; ci < rule.body.size(); ++ci) {
       const Conjunct& c = rule.body[ci];
-      std::string base = q + "_r" + std::to_string(r) + "_c" +
-                         std::to_string(ci) + "_base";
-      std::string pred = q + "_r" + std::to_string(r) + "_c" +
-                         std::to_string(ci);
+      const std::string pred = StrCat(q, "_r", r, "_c", ci);
+      const std::string base = pred + "_base";
       for (size_t d = 0; d < c.expr.disjuncts.size(); ++d) {
-        GMARK_ASSIGN_OR_RETURN(
-            std::string body,
-            PathBody(c.expr.disjuncts[d], schema, "X", "Y",
-                     "T" + std::to_string(d) + "_"));
-        program << base << "(X, Y) :- " << body << ".\n";
+        StrAppend(&out, base, "(X, Y) :- ");
+        GMARK_RETURN_NOT_OK(
+            AppendPathBody(&out, c.expr.disjuncts[d], schema, d));
+        out += ".\n";
       }
       if (c.expr.star) {
-        program << pred << "(X, X) :- node(X).\n";
-        program << pred << "(X, Y) :- " << pred << "(X, Z), " << base
-                << "(Z, Y).\n";
+        StrAppend(&out, pred, "(X, X) :- node(X).\n", pred, "(X, Y) :- ",
+                  pred, "(X, Z), ", base, "(Z, Y).\n");
       } else {
-        program << pred << "(X, Y) :- " << base << "(X, Y).\n";
+        StrAppend(&out, pred, "(X, Y) :- ", base, "(X, Y).\n");
       }
     }
     // The rule itself.
-    program << q << "(";
+    StrAppend(&out, q, '(');
     for (size_t i = 0; i < rule.head.size(); ++i) {
-      if (i > 0) program << ", ";
-      program << DatalogVar(rule, r, rule.head[i]);
+      StrAppend(&out, i > 0 ? ", " : "", DatalogVar(rule, r, rule.head[i]));
     }
-    program << ") :- ";
+    out += ") :- ";
     for (size_t ci = 0; ci < rule.body.size(); ++ci) {
       const Conjunct& c = rule.body[ci];
-      if (ci > 0) program << ", ";
-      program << q << "_r" << r << "_c" << ci << "("
-              << DatalogVar(rule, r, c.source) << ", "
-              << DatalogVar(rule, r, c.target) << ")";
+      StrAppend(&out, ci > 0 ? ", " : "", q, "_r", r, "_c", ci, '(',
+                DatalogVar(rule, r, c.source), ", ",
+                DatalogVar(rule, r, c.target), ')');
     }
-    program << ".\n";
+    out += ".\n";
   }
 
-  os << "% gMark Datalog program for " << q << "\n" << program.str();
   if (options.count_distinct && query.arity() > 0) {
-    os << "% measurement aggregate\n"
-       << q << "_count(count<";
-    for (size_t i = 0; i < query.arity(); ++i) {
-      if (i > 0) os << ", ";
-      os << "H" << i;
-    }
-    os << ">) :- " << q << "(";
-    for (size_t i = 0; i < query.arity(); ++i) {
-      if (i > 0) os << ", ";
-      os << "H" << i;
-    }
-    os << ").\n";
+    StrAppend(&out, "% measurement aggregate\n", q, "_count(count<");
+    AppendHeadVars(&out, query.arity());
+    StrAppend(&out, ">) :- ", q, '(');
+    AppendHeadVars(&out, query.arity());
+    out += ").\n";
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

@@ -1,46 +1,37 @@
 // SPARQL 1.1 translation: UCRPQs map directly onto property paths
 // (regular path queries are exactly SPARQL property paths, paper §1).
 
-#include <sstream>
-
 #include "translate/translator_impl.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
 namespace {
 
-std::string Iri(const GraphSchema& schema, const Symbol& s) {
-  std::string out;
-  if (s.inverse) out += '^';
-  out += "<http://gmark/p/" + schema.PredicateName(s.predicate) + ">";
-  return out;
-}
-
-Result<std::string> PathToPropertyPath(const PathExpr& path,
-                                       const GraphSchema& schema) {
+Status AppendPropertyPath(std::string* out, const PathExpr& path,
+                          const GraphSchema& schema) {
   if (path.empty()) {
     return Status::Unsupported("empty path (epsilon) in SPARQL translation");
   }
-  std::string out;
   for (size_t i = 0; i < path.size(); ++i) {
-    if (i > 0) out += '/';
-    out += Iri(schema, path[i]);
+    if (i > 0) out->push_back('/');
+    if (path[i].inverse) out->push_back('^');
+    StrAppend(out, "<http://gmark/p/", schema.PredicateName(path[i].predicate),
+              '>');
   }
-  return out;
+  return Status::OK();
 }
 
-Result<std::string> RegexToPropertyPath(const RegularExpression& expr,
-                                        const GraphSchema& schema) {
-  std::string out = "(";
+Status AppendRegex(std::string* out, const RegularExpression& expr,
+                   const GraphSchema& schema) {
+  out->push_back('(');
   for (size_t d = 0; d < expr.disjuncts.size(); ++d) {
-    if (d > 0) out += '|';
-    GMARK_ASSIGN_OR_RETURN(std::string p,
-                           PathToPropertyPath(expr.disjuncts[d], schema));
-    out += p;
+    if (d > 0) out->push_back('|');
+    GMARK_RETURN_NOT_OK(AppendPropertyPath(out, expr.disjuncts[d], schema));
   }
-  out += ")";
-  if (expr.star) out += '*';
-  return out;
+  out->push_back(')');
+  if (expr.star) out->push_back('*');
+  return Status::OK();
 }
 
 }  // namespace
@@ -51,40 +42,35 @@ Result<std::string> SparqlTranslator::Translate(
   const size_t arity = query.arity();
 
   // Body (shared by the plain and count(distinct) forms).
-  std::ostringstream body;
-  body << "WHERE {\n";
+  std::string body = "WHERE {\n";
   const bool need_union = query.rules.size() > 1;
   for (size_t r = 0; r < query.rules.size(); ++r) {
-    if (r > 0) body << "  UNION\n";
-    if (need_union) body << "  {\n";
+    if (r > 0) body += "  UNION\n";
+    if (need_union) body += "  {\n";
     for (const Conjunct& c : query.rules[r].body) {
-      GMARK_ASSIGN_OR_RETURN(std::string path,
-                             RegexToPropertyPath(c.expr, schema));
-      body << (need_union ? "    " : "  ") << "?"
-           << TranslateVarName(query.rules[r], r, c.source) << " " << path
-           << " ?" << TranslateVarName(query.rules[r], r, c.target) << " .\n";
+      StrAppend(&body, need_union ? "    " : "  ", '?',
+                TranslateVarName(query.rules[r], r, c.source), ' ');
+      GMARK_RETURN_NOT_OK(AppendRegex(&body, c.expr, schema));
+      StrAppend(&body, " ?", TranslateVarName(query.rules[r], r, c.target),
+                " .\n");
     }
-    if (need_union) body << "  }\n";
+    if (need_union) body += "  }\n";
   }
-  body << "}";
+  body += '}';
 
-  std::ostringstream head_vars;
+  std::string head_vars;
   for (size_t i = 0; i < arity; ++i) {
-    if (i > 0) head_vars << ' ';
-    head_vars << "?h" << i;
+    if (i > 0) head_vars += ' ';
+    StrAppend(&head_vars, "?h", i);
   }
 
-  std::ostringstream os;
-  if (arity == 0) {
-    os << "ASK " << body.str() << "\n";
-  } else if (options.count_distinct) {
+  if (arity == 0) return StrCat("ASK ", body, "\n");
+  if (options.count_distinct) {
     // The paper's measurement aggregate: count(distinct <head vector>).
-    os << "SELECT (COUNT(*) AS ?cnt) WHERE {\n  SELECT DISTINCT "
-       << head_vars.str() << " " << body.str() << "\n}\n";
-  } else {
-    os << "SELECT DISTINCT " << head_vars.str() << " " << body.str() << "\n";
+    return StrCat("SELECT (COUNT(*) AS ?cnt) WHERE {\n  SELECT DISTINCT ",
+                  head_vars, " ", body, "\n}\n");
   }
-  return os.str();
+  return StrCat("SELECT DISTINCT ", head_vars, " ", body, "\n");
 }
 
 }  // namespace gmark

@@ -4,40 +4,44 @@
 // node(id BIGINT).
 
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "translate/translator_impl.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
 namespace {
 
 /// SELECT producing one disjunct path as a (src, trg) relation.
-Result<std::string> PathSelect(const PathExpr& path,
-                               const GraphSchema& schema) {
+Status AppendPathSelect(std::string* out, const PathExpr& path,
+                        const GraphSchema& schema) {
   if (path.empty()) {
     return Status::Unsupported("epsilon path in SQL translation");
   }
-  std::ostringstream from, where;
-  std::string first_col, last_col;
+  // Alias e<i> joins its start column to the previous alias's end column.
+  auto start = [&path](size_t i) { return path[i].inverse ? ".trg" : ".src"; };
+  auto end = [&path](size_t i) { return path[i].inverse ? ".src" : ".trg"; };
+  const size_t last = path.size() - 1;
+  StrAppend(out, "SELECT e0", start(0), " AS src, e", last, end(last),
+            " AS trg FROM ");
   for (size_t i = 0; i < path.size(); ++i) {
-    std::string alias = "e" + std::to_string(i);
-    if (i > 0) from << ", ";
-    from << "edge " << alias;
-    std::string start = path[i].inverse ? alias + ".trg" : alias + ".src";
-    std::string end = path[i].inverse ? alias + ".src" : alias + ".trg";
-    if (i > 0) where << " AND ";
-    where << alias << ".label = '"
-          << schema.PredicateName(path[i].predicate) << "'";
-    if (i > 0) where << " AND " << last_col << " = " << start;
-    if (i == 0) first_col = start;
-    last_col = end;
+    StrAppend(out, i > 0 ? ", " : "", "edge e", i);
   }
-  std::ostringstream os;
-  os << "SELECT " << first_col << " AS src, " << last_col
-     << " AS trg FROM " << from.str() << " WHERE " << where.str();
-  return os.str();
+  out->append(" WHERE ");
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (i > 0) out->append(" AND ");
+    StrAppend(out, 'e', i, ".label = '",
+              schema.PredicateName(path[i].predicate), '\'');
+    if (i > 0) {
+      StrAppend(out, " AND e", i - 1, end(i - 1), " = e", i, start(i));
+    }
+  }
+  return Status::OK();
+}
+
+std::string CteName(size_t rule, size_t conj, const char* kind) {
+  return StrCat("q_r", rule, "_c", conj, '_', kind);
 }
 
 }  // namespace
@@ -45,95 +49,80 @@ Result<std::string> PathSelect(const PathExpr& path,
 Result<std::string> SqlTranslator::Translate(
     const Query& query, const GraphSchema& schema,
     const TranslateOptions& options) const {
-  std::ostringstream ctes;
-  bool any_cte = false;
-  auto cte_name = [&](size_t rule, size_t conj, const char* kind) {
-    return "q_r" + std::to_string(rule) + "_c" + std::to_string(conj) + "_" +
-           kind;
-  };
-
+  std::string out;
   // One base CTE (disjunct union) per conjunct; a closure CTE on top of
   // it when the conjunct is starred.
   for (size_t r = 0; r < query.rules.size(); ++r) {
     const QueryRule& rule = query.rules[r];
     for (size_t ci = 0; ci < rule.body.size(); ++ci) {
       const Conjunct& c = rule.body[ci];
-      std::ostringstream base;
+      StrAppend(&out, out.empty() ? "WITH RECURSIVE\n  " : ",\n  ",
+                CteName(r, ci, "base"), "(src, trg) AS (\n    ");
       for (size_t d = 0; d < c.expr.disjuncts.size(); ++d) {
-        if (d > 0) base << "\n    UNION\n    ";
-        GMARK_ASSIGN_OR_RETURN(std::string sel,
-                               PathSelect(c.expr.disjuncts[d], schema));
-        base << sel;
+        if (d > 0) out += "\n    UNION\n    ";
+        GMARK_RETURN_NOT_OK(
+            AppendPathSelect(&out, c.expr.disjuncts[d], schema));
       }
-      if (any_cte) ctes << ",\n";
-      any_cte = true;
-      ctes << "  " << cte_name(r, ci, "base") << "(src, trg) AS (\n    "
-           << base.str() << "\n  )";
+      out += "\n  )";
       if (c.expr.star) {
         // Linear recursion: the closure references itself exactly once.
-        ctes << ",\n  " << cte_name(r, ci, "path") << "(src, trg) AS (\n"
-             << "    SELECT id AS src, id AS trg FROM node\n"
-             << "    UNION\n"
-             << "    SELECT p.src, b.trg FROM " << cte_name(r, ci, "path")
-             << " p JOIN " << cte_name(r, ci, "base")
-             << " b ON p.trg = b.src\n  )";
+        const std::string path = CteName(r, ci, "path");
+        StrAppend(&out, ",\n  ", path,
+                  "(src, trg) AS (\n"
+                  "    SELECT id AS src, id AS trg FROM node\n"
+                  "    UNION\n"
+                  "    SELECT p.src, b.trg FROM ",
+                  path, " p JOIN ", CteName(r, ci, "base"),
+                  " b ON p.trg = b.src\n  )");
       }
     }
   }
+  if (!out.empty()) out += '\n';
 
+  const bool count = options.count_distinct && query.arity() > 0;
+  if (count) out += "SELECT COUNT(*) AS cnt FROM (\n";
   // Rule bodies: join the conjunct relations on shared variables.
-  std::vector<std::string> rule_selects;
   for (size_t r = 0; r < query.rules.size(); ++r) {
     const QueryRule& rule = query.rules[r];
-    std::ostringstream from, where;
-    std::map<VarId, std::string> var_col;
-    bool first_cond = true;
+    if (r > 0) out += "\nUNION\n";
+    // Column j<ci>.src / .trg first binding each variable.
+    std::map<VarId, std::pair<size_t, const char*>> var_col;
+    std::string where;
     for (size_t ci = 0; ci < rule.body.size(); ++ci) {
       const Conjunct& c = rule.body[ci];
-      std::string alias = "j" + std::to_string(ci);
-      if (ci > 0) from << ", ";
-      from << cte_name(r, ci, c.expr.star ? "path" : "base") << " " << alias;
-      for (auto [var, col] : {std::pair<VarId, std::string>{
-                                  c.source, alias + ".src"},
-                              {c.target, alias + ".trg"}}) {
-        auto it = var_col.find(var);
-        if (it == var_col.end()) {
-          var_col.emplace(var, col);
-        } else {
-          where << (first_cond ? "" : " AND ") << it->second << " = " << col;
-          first_cond = false;
+      for (auto [var, col] : {std::pair{c.source, ".src"},
+                              std::pair{c.target, ".trg"}}) {
+        auto [it, fresh] = var_col.try_emplace(var, ci, col);
+        if (!fresh) {
+          StrAppend(&where, where.empty() ? "" : " AND ", 'j',
+                    it->second.first, it->second.second, " = j", ci, col);
         }
       }
     }
-    std::ostringstream select;
     if (rule.head.empty()) {
-      select << "SELECT DISTINCT 1 AS nonempty";
+      out += "SELECT DISTINCT 1 AS nonempty";
     } else {
-      select << "SELECT DISTINCT ";
+      out += "SELECT DISTINCT ";
       for (size_t i = 0; i < rule.head.size(); ++i) {
-        if (i > 0) select << ", ";
-        select << var_col[rule.head[i]] << " AS h" << i;
+        if (i > 0) out += ", ";
+        // A head variable unbound in the body (which Validate rejects)
+        // renders without a column.
+        if (auto it = var_col.find(rule.head[i]); it != var_col.end()) {
+          StrAppend(&out, 'j', it->second.first, it->second.second);
+        }
+        StrAppend(&out, " AS h", i);
       }
     }
-    select << " FROM " << from.str();
-    if (!first_cond) select << " WHERE " << where.str();
-    rule_selects.push_back(select.str());
+    out += " FROM ";
+    for (size_t ci = 0; ci < rule.body.size(); ++ci) {
+      StrAppend(&out, ci > 0 ? ", " : "",
+                CteName(r, ci, rule.body[ci].expr.star ? "path" : "base"),
+                " j", ci);
+    }
+    if (!where.empty()) StrAppend(&out, " WHERE ", where);
   }
-
-  std::ostringstream body;
-  for (size_t i = 0; i < rule_selects.size(); ++i) {
-    if (i > 0) body << "\nUNION\n";
-    body << rule_selects[i];
-  }
-
-  std::ostringstream os;
-  if (any_cte) os << "WITH RECURSIVE\n" << ctes.str() << "\n";
-  if (options.count_distinct && query.arity() > 0) {
-    os << "SELECT COUNT(*) AS cnt FROM (\n" << body.str() << "\n) q;\n";
-  } else {
-    os << body.str() << ";\n";
-  }
-  return os.str();
+  out += count ? "\n) q;\n" : ";\n";
+  return out;
 }
 
 }  // namespace gmark

@@ -1,6 +1,7 @@
 #include "translate/translator.h"
 
 #include "translate/translator_impl.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -22,9 +23,9 @@ std::vector<QueryLanguage> AllQueryLanguages() {
 std::string TranslateVarName(const QueryRule& rule, size_t rule_index,
                              VarId v) {
   for (size_t i = 0; i < rule.head.size(); ++i) {
-    if (rule.head[i] == v) return "h" + std::to_string(i);
+    if (rule.head[i] == v) return StrCat('h', i);
   }
-  return "r" + std::to_string(rule_index) + "x" + std::to_string(v);
+  return StrCat('r', rule_index, 'x', v);
 }
 
 std::unique_ptr<QueryTranslator> MakeTranslator(QueryLanguage lang) {

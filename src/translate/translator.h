@@ -10,6 +10,10 @@
 //    legitimately differ.
 //  * The SQL translation uses the standard linear-recursion encoding of
 //    transitive closure.
+//
+// Every translator builds its text by appending to a string and formats
+// numbers itself, so the output does not depend on the global locale or
+// on any stream's locale or format flags.
 
 #ifndef GMARK_TRANSLATE_TRANSLATOR_H_
 #define GMARK_TRANSLATE_TRANSLATOR_H_

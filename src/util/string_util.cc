@@ -1,9 +1,9 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <sstream>
 
 namespace gmark {
 
@@ -71,10 +71,15 @@ Result<double> ParseDouble(std::string_view s) {
 }
 
 std::string FormatDouble(double v, int precision) {
-  std::ostringstream os;
-  os.precision(precision);
-  os << v;
-  return os.str();
+  // The general format is printf's %g, which `<<` also uses, minus the
+  // stream's locale. %g never prints more than `precision` significant
+  // digits plus sign, point, four leading zeros and an exponent.
+  std::string out(static_cast<size_t>(std::max(precision, 1)) + 16, '\0');
+  const std::to_chars_result r =
+      std::to_chars(out.data(), out.data() + out.size(), v,
+                    std::chars_format::general, precision);
+  out.resize(static_cast<size_t>(r.ptr - out.data()));
+  return out;
 }
 
 }  // namespace gmark

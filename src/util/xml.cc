@@ -1,7 +1,6 @@
 #include "util/xml.h"
 
 #include <cctype>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -41,45 +40,60 @@ std::vector<const XmlNode*> XmlNode::FindChildren(
   return out;
 }
 
+namespace {
+
+void AppendEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '&': out->append("&amp;"); break;
+      case '<': out->append("&lt;"); break;
+      case '>': out->append("&gt;"); break;
+      case '"': out->append("&quot;"); break;
+      case '\'': out->append("&apos;"); break;
+      default: out->push_back(c);
+    }
+  }
+}
+
+}  // namespace
+
 std::string XmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
+  AppendEscaped(&out, s);
   return out;
 }
 
 std::string XmlNode::ToString(int indent) const {
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::ostringstream os;
-  os << pad << '<' << name_;
+  std::string out;
+  AppendTo(&out, indent);
+  return out;
+}
+
+void XmlNode::AppendTo(std::string* out, int indent) const {
+  const size_t pad = static_cast<size_t>(indent) * 2;
+  out->append(pad, ' ');
+  StrAppend(out, '<', name_);
   for (const auto& [k, v] : attrs_) {
-    os << ' ' << k << "=\"" << XmlEscape(v) << '"';
+    StrAppend(out, ' ', k, "=\"");
+    AppendEscaped(out, v);
+    out->push_back('"');
   }
-  std::string trimmed = Trim(text_);
+  const std::string trimmed = Trim(text_);
   if (children_.empty() && trimmed.empty()) {
-    os << "/>\n";
-    return os.str();
+    out->append("/>\n");
+    return;
   }
-  os << '>';
+  out->push_back('>');
   if (!trimmed.empty()) {
-    os << XmlEscape(trimmed);
-    if (!children_.empty()) os << '\n';
+    AppendEscaped(out, trimmed);
+    if (!children_.empty()) out->push_back('\n');
   } else {
-    os << '\n';
+    out->push_back('\n');
   }
-  for (const auto& c : children_) os << c.ToString(indent + 1);
-  if (!children_.empty()) os << pad;
-  os << "</" << name_ << ">\n";
-  return os.str();
+  for (const auto& c : children_) c.AppendTo(out, indent + 1);
+  if (!children_.empty()) out->append(pad, ' ');
+  StrAppend(out, "</", name_, ">\n");
 }
 
 namespace {

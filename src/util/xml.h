@@ -52,6 +52,8 @@ class XmlNode {
   std::string ToString(int indent = 0) const;
 
  private:
+  void AppendTo(std::string* out, int indent) const;
+
   std::string name_;
   std::string text_;
   std::map<std::string, std::string> attrs_;

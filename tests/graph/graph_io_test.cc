@@ -53,6 +53,37 @@ TEST(GraphIoTest, WriteCsvReportsStreamFailure) {
   EXPECT_TRUE(st.IsIOError()) << st;
 }
 
+TEST(GraphIoTest, WriteNTriplesReportsStreamFailure) {
+  GraphConfiguration config = MakeBibConfig(500, 3);
+  Graph g = GenerateGraph(config).ValueOrDie();
+  for (bool types : {false, true}) {
+    std::ostringstream out;
+    out.setstate(std::ios::badbit);
+    Status st = WriteNTriples(g, config.schema, &out, types);
+    EXPECT_TRUE(st.IsIOError()) << st;
+  }
+}
+
+TEST(GraphIoTest, NodeIdExtremesAreFormattedExactly) {
+  GraphConfiguration config = MakeBibConfig(100);
+  std::ostringstream nt, csv;
+  NTriplesSink nt_sink(&nt, &config.schema);
+  nt_sink.Append(0, 0, UINT64_MAX);
+  nt_sink.Append(UINT64_MAX, 1, 0);
+  EXPECT_EQ(nt.str(),
+            "<http://gmark/n0> <http://gmark/p/authors> "
+            "<http://gmark/n18446744073709551615> .\n"
+            "<http://gmark/n18446744073709551615> "
+            "<http://gmark/p/publishedIn> <http://gmark/n0> .\n");
+  CsvSink csv_sink(&csv, &config.schema);
+  csv_sink.Append(UINT64_MAX, 0, 0);
+  csv_sink.Append(0, 1, UINT64_MAX);
+  EXPECT_EQ(csv.str(),
+            "source,predicate,target\n"
+            "18446744073709551615,authors,0\n"
+            "0,publishedIn,18446744073709551615\n");
+}
+
 TEST(GraphIoTest, NTriplesRoundTripPreservesEdges) {
   GraphConfiguration config = MakeBibConfig(500, 3);
   Graph g = GenerateGraph(config).ValueOrDie();
@@ -90,6 +121,9 @@ TEST(GraphIoTest, RoundTripSurvivesMultiWordTypeNames) {
   // A type name containing a space splits its type triple into more
   // than four tokens; the reader must skip type triples before the
   // token-count shape check or it rejects files the writer produced.
+  // A 1000-character predicate checks that no line is cut at a fixed
+  // buffer size.
+  const std::string cites(1000, 'c');
   GraphConfiguration config;
   config.num_nodes = 40;
   config.seed = 5;
@@ -97,9 +131,9 @@ TEST(GraphIoTest, RoundTripSurvivesMultiWordTypeNames) {
   ASSERT_TRUE(s.AddType("white paper", OccurrenceConstraint::Fixed(20)).ok());
   ASSERT_TRUE(
       s.AddType("review board", OccurrenceConstraint::Fixed(20)).ok());
-  ASSERT_TRUE(s.AddPredicate("cites").ok());
+  ASSERT_TRUE(s.AddPredicate(cites).ok());
   ASSERT_TRUE(s.AddEdgeConstraintByName(
-                   "white paper", "cites", "review board",
+                   "white paper", cites, "review board",
                    DistributionSpec::NonSpecified(),
                    DistributionSpec::Uniform(1, 3))
                   .ok());
@@ -110,10 +144,18 @@ TEST(GraphIoTest, RoundTripSurvivesMultiWordTypeNames) {
       WriteNTriples(g, config.schema, &out, /*include_node_types=*/true)
           .ok());
   ASSERT_NE(out.str().find("\"white paper\""), std::string::npos);
+  ASSERT_NE(out.str().find("<http://gmark/p/" + cites + "> "),
+            std::string::npos);
   std::istringstream in(out.str());
   auto edges = ReadNTriples(&in, config.schema);
   ASSERT_TRUE(edges.ok()) << edges.status();
-  EXPECT_EQ(edges->size(), g.num_edges());
+  std::vector<Edge> written;
+  for (PredicateId p = 0; p < g.predicate_count(); ++p) {
+    g.ForEachEdge(p, [&](NodeId src, NodeId trg) {
+      written.push_back(Edge{src, p, trg});
+    });
+  }
+  EXPECT_EQ(*edges, written);
 }
 
 TEST(GraphIoTest, ReadSkipsCommentsAndBlankLines) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/graph_config.h"
@@ -97,6 +98,22 @@ TEST(PlanTest, IdentityPlanPreservesWrittenOrder) {
     EXPECT_FALSE(step.seed_backward);
     EXPECT_EQ(step.est_rows, -1.0);
   }
+}
+
+TEST(PlanTest, ToStringForm) {
+  QueryPlan plan;
+  plan.rules.resize(2);
+  plan.rules[0].steps.resize(3);
+  for (auto [i, conjunct, backward] :
+       {std::tuple{0, 2u, true}, {1, 0u, false}, {2, 11u, true}}) {
+    plan.rules[0].steps[i].conjunct = conjunct;
+    plan.rules[0].steps[i].backward = backward;
+  }
+  plan.rules[0].steps[0].seed_backward = true;
+  plan.rules[1].steps.resize(1);
+  plan.rules[1].chain_backward = true;
+  EXPECT_EQ(plan.ToString(), "r0[#2<~ #0> #11<] r1[#0>]R");
+  EXPECT_EQ(QueryPlan{}.ToString(), "");
 }
 
 TEST(PlanTest, ReverseRegexFlipsSymbolsAndKeepsStar) {

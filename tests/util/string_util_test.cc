@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+
 namespace gmark {
 namespace {
 
@@ -63,6 +68,30 @@ TEST(StringUtilTest, ParseDoubleInvalid) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("x").ok());
   EXPECT_FALSE(ParseDouble("1.5y").ok());
+}
+
+TEST(StringUtilTest, StrCatFormatsEveryPieceKind) {
+  const std::string name = "authors";
+  EXPECT_EQ(StrCat("<n", uint64_t{18446744073709551615u}, "> ", name, ' ',
+                   std::string_view("x"), int64_t{-9223372036854775807 - 1},
+                   0, static_cast<uint32_t>(7)),
+            "<n18446744073709551615> authors x"
+            "-9223372036854775808" "0" "7");
+  std::string out = "a";
+  StrAppend(&out, 'b', -1, "");
+  EXPECT_EQ(out, "ab-1");
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesPrintfG) {
+  // FormatDouble is %g at the given precision, including precisions
+  // whose digits run past a double's 17 significant ones.
+  for (double v : {0.1, 1e-300, -123456789.125, 5e-324, 1e300, 0.0}) {
+    for (int precision : {0, 1, 6, 17, 40}) {
+      char expected[512];
+      std::snprintf(expected, sizeof(expected), "%.*g", precision, v);
+      EXPECT_EQ(FormatDouble(v, precision), expected) << precision;
+    }
+  }
 }
 
 TEST(StringUtilTest, FormatDoubleTrimsZeros) {
