@@ -47,8 +47,6 @@ TimingResult TimeQuery(const QueryEngine& engine, const Graph& graph,
   // seconds. With cold runs disabled it rides on the first warm run.
   EvalContext ctx;
   ctx.profile = &result.profile;
-  ctx.metrics = metrics;
-  ctx.tracer = GlobalTracer();
   bool profiled = false;
 
   if (protocol.cold_run) {

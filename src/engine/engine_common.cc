@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "engine/relation.h"
 #include "obs/eval_profile.h"
 #include "plan/planner.h"
+#include "util/timer.h"
 
 namespace gmark {
 
@@ -205,6 +205,86 @@ Result<ChargedPairs> EvaluateConjunctPairs(const Graph& graph,
     profile->fixpoint_rounds += rounds;
   }
   return closed;
+}
+
+Result<ChargedRelation> ExecuteRulePlan(const QueryRule& rule,
+                                        const RulePlan& plan,
+                                        const ConjunctStrategy& strategy,
+                                        BudgetTracker* budget,
+                                        EvalProfile* profile,
+                                        size_t conjunct_offset,
+                                        size_t step_offset) {
+  ChargedRelation acc;
+  for (size_t pos = 0; pos < plan.steps.size(); ++pos) {
+    const PlanStep& step = plan.steps[pos];
+    // Direction resolves here, once, for every engine: a backward step
+    // hands the strategy the endpoint-swapped, regex-reversed conjunct.
+    // Var labels travel with the endpoints, so the joins and head
+    // projection below never care about direction.
+    const Conjunct c = EffectiveConjunct(rule.body[step.conjunct], step);
+    const size_t conjunct_index = conjunct_offset + step.conjunct;
+    WallTimer conjunct_timer;
+    ChargedRelation rel;
+    {
+      GMARK_ASSIGN_OR_RETURN(ChargedPairs pairs, strategy(c, conjunct_index));
+      // The relation copy lives alongside the pair vector until the
+      // scope closes: ChargeRelation charges it for its lifetime, and
+      // the pair vector's share releases only when `pairs` dies at the
+      // end of this scope. Releasing before the copy was charged
+      // under-counted the live peak ~2x, so the §7 memory-blowup budget
+      // under-fired.
+      GMARK_ASSIGN_OR_RETURN(
+          rel, ChargeRelation(
+                   VarRelation::FromPairs(c.source, c.target, pairs.value),
+                   budget));
+    }
+    const size_t conjunct_rows = rel.value.row_count();
+    if (pos == 0) {
+      acc = std::move(rel);
+    } else {
+      // Both join inputs stay charged until the join output exists; the
+      // move-assign releases the replaced acc, and rel releases at the
+      // end of the iteration.
+      GMARK_ASSIGN_OR_RETURN(ChargedRelation joined,
+                             HashJoin(acc.value, rel.value, budget));
+      acc = std::move(joined);
+    }
+    if (profile != nullptr) {
+      ConjunctProfile& cp = profile->Conjunct(conjunct_index);
+      cp.rows += conjunct_rows;
+      cp.seconds += conjunct_timer.ElapsedSeconds();
+      profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
+    }
+    GMARK_RETURN_NOT_OK(budget->CheckTime());
+  }
+  // acc releases after the projection is built.
+  return ProjectDistinct(acc.value, rule.head, budget);
+}
+
+Result<uint64_t> ExecutePlan(const Query& query, const QueryPlan& plan,
+                             const ConjunctStrategy& strategy,
+                             BudgetTracker* budget, EvalProfile* profile) {
+  // Relations and their charges live in parallel vectors until the
+  // union is counted; the guards release on return, before the
+  // caller's profile snapshot (which records the peak, not the
+  // balance).
+  std::vector<VarRelation> per_rule;
+  std::vector<TupleCharge> per_rule_charges;
+  // Profile conjunct numbering is global across rules in WRITTEN
+  // order; plan steps map execution position back to it.
+  size_t conjunct_offset = 0;
+  size_t step_offset = 0;
+  for (size_t ri = 0; ri < query.rules.size(); ++ri) {
+    GMARK_ASSIGN_OR_RETURN(
+        ChargedRelation rel,
+        ExecuteRulePlan(query.rules[ri], plan.rules[ri], strategy, budget,
+                        profile, conjunct_offset, step_offset));
+    per_rule.push_back(std::move(rel.value));
+    per_rule_charges.push_back(std::move(rel.charge));
+    conjunct_offset += query.rules[ri].body.size();
+    step_offset += plan.rules[ri].steps.size();
+  }
+  return CountDistinctUnion(per_rule, budget);
 }
 
 QueryPlan PlanOrIdentity(const EvalOptions& opts, const Graph& graph,

@@ -1,16 +1,20 @@
-// Internal building blocks shared by the engine simulators: bulk path
-// composition (relational-style) and transitive-closure strategies
-// (naive vs semi-naive), which is exactly where the paper's P and D
-// systems differ on recursive queries.
+// Internal building blocks shared by the engine simulators: the one
+// plan executor that the P/S/D engines and the reference evaluator's
+// join path all run, and the conjunct strategies they plug into it —
+// bulk path composition (relational-style) and transitive-closure
+// strategies (naive vs semi-naive), which is exactly where the paper's
+// P and D systems differ on recursive queries.
 
 #ifndef GMARK_ENGINE_ENGINE_COMMON_H_
 #define GMARK_ENGINE_ENGINE_COMMON_H_
 
+#include <functional>
 #include <vector>
 
 #include "engine/budget.h"
 #include "engine/charge.h"
 #include "engine/eval_options.h"
+#include "engine/relation.h"
 #include "graph/graph.h"
 #include "plan/plan.h"
 #include "query/query.h"
@@ -63,18 +67,18 @@ Result<ChargedPairs> ClosureSemiNaive(const Graph& graph,
                                       BudgetTracker* budget,
                                       uint64_t* rounds = nullptr);
 
-/// \brief Closure strategy of the shared plan-step executor.
+/// \brief Closure strategy of EvaluateConjunctPairs.
 enum class ClosureKind { kNaive, kSemiNaive };
 
-/// \brief The shared plan-step executor for the materializing engines:
-/// evaluates one conjunct — already direction-resolved by
-/// EffectiveConjunct, so a backward step arrives with its endpoints
-/// swapped and its regex reversed — into charged pairs: regex base
-/// union, then the requested closure strategy when starred. The Kleene
-/// seed side follows the step direction for free: the closure operates
-/// on the (possibly reversed) base relation. Fixpoint rounds are
-/// recorded under `conjunct_index` even when the closure dies on its
-/// budget — a partial round count still explains where the time went.
+/// \brief The P and D conjunct strategy: evaluates one conjunct —
+/// already direction-resolved by EffectiveConjunct, so a backward step
+/// arrives with its endpoints swapped and its regex reversed — into
+/// charged pairs: regex base union, then the requested closure strategy
+/// when starred. The Kleene seed side follows the step direction for
+/// free: the closure operates on the (possibly reversed) base relation.
+/// Fixpoint rounds are recorded under `conjunct_index` even when the
+/// closure dies on its budget — a partial round count still explains
+/// where the time went.
 Result<ChargedPairs> EvaluateConjunctPairs(const Graph& graph,
                                            const Conjunct& conjunct,
                                            bool set_semantics,
@@ -82,6 +86,36 @@ Result<ChargedPairs> EvaluateConjunctPairs(const Graph& graph,
                                            BudgetTracker* budget,
                                            EvalProfile* profile,
                                            size_t conjunct_index);
+
+/// \brief How an engine evaluates one conjunct, the only part of plan
+/// execution that differs between engines: the conjunct arrives
+/// direction-resolved (EffectiveConjunct), `conjunct_index` is its
+/// global position in written order (for per-conjunct statistics), and
+/// the pairs come back charged for their lifetime.
+using ConjunctStrategy =
+    std::function<Result<ChargedPairs>(const Conjunct&, size_t)>;
+
+/// \brief The plan executor for one rule: runs the steps in plan order
+/// through `strategy`, joins each step's relation into the accumulator,
+/// and projects the head (distinct). Records per-conjunct and per-step
+/// rows and seconds into `profile` (may be null) and checks the
+/// deadline after every step. `conjunct_offset`/`step_offset` place
+/// this rule's profile entries in a multi-rule query. The result's rows
+/// stay charged against `budget` until it is destroyed.
+Result<ChargedRelation> ExecuteRulePlan(const QueryRule& rule,
+                                        const RulePlan& plan,
+                                        const ConjunctStrategy& strategy,
+                                        BudgetTracker* budget,
+                                        EvalProfile* profile,
+                                        size_t conjunct_offset,
+                                        size_t step_offset);
+
+/// \brief The plan executor: every rule through ExecuteRulePlan, then
+/// the distinct count of their union — |Q(G)| under the paper's
+/// count(distinct ...) semantics.
+Result<uint64_t> ExecutePlan(const Query& query, const QueryPlan& plan,
+                             const ConjunctStrategy& strategy,
+                             BudgetTracker* budget, EvalProfile* profile);
 
 /// \brief The plan an evaluation executes: the planner's, when the
 /// options carry one, else the identity plan. One call site per

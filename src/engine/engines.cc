@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "engine/automaton.h"
 #include "engine/engine_common.h"
 #include "engine/evaluator.h"
-#include "engine/relation.h"
 
 namespace gmark {
 
@@ -27,7 +25,7 @@ std::vector<EngineKind> AllEngineKinds() {
 
 namespace {
 
-/// Shared join/project/union pipeline over per-conjunct relations.
+/// The plan executor over an engine-specific conjunct strategy.
 class MaterializingEngine : public QueryEngine {
  public:
   explicit MaterializingEngine(EvalOptions opts) : opts_(opts) {}
@@ -42,74 +40,12 @@ class MaterializingEngine : public QueryEngine {
     // evaluation still reports the order/direction it was executing.
     const QueryPlan plan = PlanOrIdentity(options(), graph, query);
     RecordPlan(plan, profile);
-    // Relations and their charges live in parallel vectors until the
-    // union is counted; the guards release on scope exit, before the
-    // profile snapshot (which records the peak, not the balance).
-    std::vector<VarRelation> per_rule;
-    std::vector<TupleCharge> per_rule_charges;
-    // Profile conjunct numbering is global across rules in WRITTEN
-    // order; plan steps map execution position back to it.
-    size_t conjunct_offset = 0;
-    size_t step_offset = 0;
-    for (size_t ri = 0; ri < query.rules.size(); ++ri) {
-      const QueryRule& rule = query.rules[ri];
-      const RulePlan& rplan = plan.rules[ri];
-      ChargedRelation acc;
-      bool first = true;
-      for (size_t pos = 0; pos < rplan.steps.size(); ++pos) {
-        const PlanStep& step = rplan.steps[pos];
-        // Direction resolves here, once, for every engine: a backward
-        // step hands ConjunctPairs the endpoint-swapped, regex-reversed
-        // conjunct. Var labels travel with the endpoints, so the joins
-        // and head projection below never care about direction.
-        const Conjunct c = EffectiveConjunct(rule.body[step.conjunct], step);
-        const size_t conjunct_index = conjunct_offset + step.conjunct;
-        WallTimer conjunct_timer;
-        ChargedRelation rel;
-        {
-          GMARK_ASSIGN_OR_RETURN(
-              ChargedPairs pairs,
-              ConjunctPairs(graph, c, &budget, profile, conjunct_index));
-          // The relation copy lives alongside the pair vector until
-          // the scope closes: ChargeRelation charges it for its
-          // lifetime, and the pair vector's share releases only when
-          // `pairs` dies at the end of this scope. Releasing before
-          // the copy was charged under-counted the live peak ~2x, so
-          // the §7 memory-blowup budget under-fired (the PR 5 bug).
-          GMARK_ASSIGN_OR_RETURN(
-              rel,
-              ChargeRelation(
-                  VarRelation::FromPairs(c.source, c.target, pairs.value),
-                  &budget));
-        }
-        const size_t conjunct_rows = rel.value.row_count();
-        if (first) {
-          acc = std::move(rel);
-          first = false;
-        } else {
-          // Both join inputs stay charged until the join output exists;
-          // the move-assign releases the replaced acc, and rel releases
-          // at the end of the iteration.
-          GMARK_ASSIGN_OR_RETURN(ChargedRelation joined,
-                                 HashJoin(acc.value, rel.value, &budget));
-          acc = std::move(joined);
-        }
-        if (profile != nullptr) {
-          ConjunctProfile& cp = profile->Conjunct(conjunct_index);
-          cp.rows += conjunct_rows;
-          cp.seconds += conjunct_timer.ElapsedSeconds();
-          profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
-        }
-        GMARK_RETURN_NOT_OK(budget.CheckTime());
-      }
-      GMARK_ASSIGN_OR_RETURN(ChargedRelation projected,
-                             ProjectDistinct(acc.value, rule.head, &budget));
-      per_rule.push_back(std::move(projected.value));
-      per_rule_charges.push_back(std::move(projected.charge));
-      conjunct_offset += rule.body.size();
-      step_offset += rplan.steps.size();
-    }
-    return CountDistinctUnion(per_rule, &budget);
+    return ExecutePlan(
+        query, plan,
+        [&](const Conjunct& c, size_t conjunct_index) {
+          return ConjunctPairs(graph, c, &budget, profile, conjunct_index);
+        },
+        &budget, profile);
   }
 
  protected:
@@ -191,12 +127,10 @@ class SparqlEngine : public MaterializingEngine {
                                      BudgetTracker* budget,
                                      EvalProfile* profile,
                                      size_t /*conjunct_index*/) const override {
-    GMARK_ASSIGN_OR_RETURN(Nfa nfa, Nfa::FromRegex(c.expr));
     // The ALP per-source BFS is the one strategy with an embarrassing
     // source loop — it chunks over the executor; results stay
     // byte-identical (see evaluator.h).
-    RpqEvaluator rpq(&graph, options());
-    return rpq.MaterializePairs(nfa, budget, profile);
+    return RpqEvaluator(&graph, options()).ConjunctPairs(c, budget, profile);
   }
 };
 
@@ -231,7 +165,6 @@ class CypherEngine : public QueryEngine {
       for (PlanStep& step : plan.rules[ri].steps) {
         if (query.rules[ri].body[step.conjunct].expr.star) {
           step.backward = false;
-          step.seed_backward = false;
         }
       }
     }

@@ -1,12 +1,11 @@
 // Reusable BFS working state for the RPQ evaluator.
 //
 // The product-graph BFS needs a visited set over n*k product states and
-// an accepted set over n nodes. Allocating (and zeroing) those per call
-// costs O(n*k) before the first state pops — which dominated
-// TargetsFrom's per-seed calls and would be paid per chunk by the
-// frontier-parallel evaluator. EvalScratch owns the buffers once;
-// ResettableBitset resets in O(touched words), so reuse across sources,
-// seeds, and chunks is O(1) amortized.
+// an accepted set over n nodes. Allocating (and zeroing) those per
+// source costs O(n*k) before the first state pops, and the
+// frontier-parallel evaluator would pay it again per chunk. EvalScratch
+// owns the buffers once; ResettableBitset resets in O(touched words),
+// so reuse across sources and chunks is O(1) amortized.
 
 #ifndef GMARK_ENGINE_EVAL_SCRATCH_H_
 #define GMARK_ENGINE_EVAL_SCRATCH_H_
@@ -58,9 +57,7 @@ class ResettableBitset {
 /// sets, the DFS-order frontier stack, and the per-source target
 /// buffer. Owned by one thread at a time — the serial evaluator keeps
 /// one, the frontier-parallel evaluator keeps one per pool worker
-/// (indexed by ThreadPool::CurrentWorkerId()), and TargetsFrom callers
-/// running per-seed fixpoints pass one in to stop paying the O(n*k)
-/// allocation per seed.
+/// (indexed by ThreadPool::CurrentWorkerId()).
 struct EvalScratch {
   ResettableBitset visited;
   ResettableBitset accepted;

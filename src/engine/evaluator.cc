@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/engine_common.h"
+#include "engine/eval_scratch.h"
 #include "obs/metrics.h"
 #include "parallel/executor.h"
 #include "parallel/thread_pool.h"
@@ -13,25 +14,10 @@ namespace gmark {
 
 namespace {
 
-/// Flushes locally accumulated BFS statistics into an EvalProfile on
-/// every exit path — a query killed by its budget mid-traversal is
+/// Flushes a chunk's locally accumulated BFS statistics into its
+/// private stats shard (merged into the profile later, in chunk order)
+/// on every exit path — a query killed by its budget mid-traversal is
 /// exactly the one whose statistics must survive to explain the kill.
-struct BfsStatsFlush {
-  EvalProfile* profile;
-  const uint64_t* pops;
-  const uint64_t* peak_frontier;
-
-  ~BfsStatsFlush() {
-    if (profile == nullptr) return;
-    profile->bfs_pops += *pops;
-    if (*peak_frontier > profile->bfs_peak_frontier) {
-      profile->bfs_peak_frontier = *peak_frontier;
-    }
-  }
-};
-
-/// Chunk-local variant: flushes into the chunk's private stats shard
-/// (merged into the profile later, in chunk order) on every exit path.
 struct BfsShardFlush {
   BfsStatsShard* shard;
   const uint64_t* pops;
@@ -51,7 +37,7 @@ struct BfsShardFlush {
 /// exactly one task; read by the merging thread after Executor::Wait().
 struct SourceChunk {
   uint64_t count = 0;
-  std::vector<std::pair<NodeId, NodeId>> pairs;
+  NodePairs pairs;
   BfsStatsShard stats;
   size_t charged = 0;
 };
@@ -176,7 +162,7 @@ void RecordEvalMetrics(uint64_t sources, size_t chunks,
 /// over every tuple still charged on the caller's tracker.
 struct MergedSources {
   uint64_t count = 0;
-  std::vector<std::pair<NodeId, NodeId>> pairs;
+  NodePairs pairs;
   TupleCharge charge;
 };
 
@@ -266,7 +252,7 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
       // Free each chunk's copy as it merges: the charged tuple count
       // covers one live copy, and bounding the transient duplication to
       // a single chunk keeps the physical footprint honest to it.
-      std::vector<std::pair<NodeId, NodeId>>().swap(c.pairs);
+      NodePairs().swap(c.pairs);
     }
   }
   return merged;
@@ -287,74 +273,20 @@ Result<uint64_t> RpqEvaluator::CountPairs(const Nfa& nfa,
   return merged.count;
 }
 
-Result<Charged<std::vector<std::pair<NodeId, NodeId>>>>
-RpqEvaluator::MaterializePairs(const Nfa& nfa, BudgetTracker* budget,
-                               EvalProfile* profile) const {
+Result<ChargedPairs> RpqEvaluator::MaterializePairs(
+    const Nfa& nfa, BudgetTracker* budget, EvalProfile* profile) const {
   GMARK_ASSIGN_OR_RETURN(
       MergedSources merged,
       ForEachSource(*graph_, nfa, opts_, /*materialize=*/true, budget,
                     profile));
-  return Charged<std::vector<std::pair<NodeId, NodeId>>>(
-      std::move(merged.pairs), std::move(merged.charge));
+  return ChargedPairs(std::move(merged.pairs), std::move(merged.charge));
 }
 
-Result<Charged<std::vector<NodeId>>> RpqEvaluator::TargetsFrom(
-    NodeId source, const Nfa& nfa, BudgetTracker* budget,
-    EvalProfile* profile, EvalScratch* scratch) const {
-  const size_t n = static_cast<size_t>(graph_->num_nodes());
-  const size_t k = nfa.state_count();
-  // Per-seed callers (Kleene fixpoints) pass persistent scratch so the
-  // n*k visited set is allocated once, not per seed; the fallback keeps
-  // one-off calls simple.
-  EvalScratch local;
-  EvalScratch& s = scratch != nullptr ? *scratch : local;
-  s.Prepare(n, k);
-  ResettableBitset& visited = s.visited;
-  ResettableBitset& accepted = s.accepted;
-  std::vector<uint64_t>& stack = s.stack;
-  std::vector<NodeId> targets;
-  TupleCharge charge(budget);
-  if (nfa.AcceptsEpsilon()) {
-    accepted.TestAndSet(source);
-    // The reflexive target is a held row like any other: it was never
-    // charged before the RAII migration (a benign under-count the
-    // charge == rows-held invariant no longer tolerates).
-    GMARK_RETURN_NOT_OK(charge.Charge(1));
-    targets.push_back(source);
-  }
-  uint64_t init = static_cast<uint64_t>(source) * k + nfa.start();
-  visited.TestAndSet(init);
-  stack.push_back(init);
-  // Amortized: the per-pop clock syscall this loop used to pay
-  // dominated small traversals; the shared helper keeps enforcement
-  // within ~4096 pops of the deadline at negligible cost.
-  PeriodicTimeCheck time_check(budget);
-  uint64_t pops = 0;
-  uint64_t peak_frontier = stack.size();
-  BfsStatsFlush flush{profile, &pops, &peak_frontier};
-  while (!stack.empty()) {
-    GMARK_RETURN_NOT_OK(time_check.Check());
-    uint64_t packed = stack.back();
-    stack.pop_back();
-    ++pops;
-    NodeId u = static_cast<NodeId>(packed / k);
-    uint32_t q = static_cast<uint32_t>(packed % k);
-    if (q == nfa.accept() && !accepted.TestAndSet(u)) {
-      GMARK_RETURN_NOT_OK(charge.Charge(1));
-      targets.push_back(u);
-    }
-    for (const NfaTransition& t : nfa.TransitionsFrom(q)) {
-      auto neighbors = t.symbol.inverse
-                           ? graph_->InNeighbors(t.symbol.predicate, u)
-                           : graph_->OutNeighbors(t.symbol.predicate, u);
-      for (NodeId w : neighbors) {
-        uint64_t next = static_cast<uint64_t>(w) * k + t.to;
-        if (!visited.TestAndSet(next)) stack.push_back(next);
-      }
-    }
-    if (stack.size() > peak_frontier) peak_frontier = stack.size();
-  }
-  return Charged<std::vector<NodeId>>(std::move(targets), std::move(charge));
+Result<ChargedPairs> RpqEvaluator::ConjunctPairs(const Conjunct& conjunct,
+                                                BudgetTracker* budget,
+                                                EvalProfile* profile) const {
+  GMARK_ASSIGN_OR_RETURN(Nfa nfa, Nfa::FromRegex(conjunct.expr));
+  return MaterializePairs(nfa, budget, profile);
 }
 
 Result<ChargedRelation> ReferenceEvaluator::EvaluateRuleJoin(
@@ -363,61 +295,13 @@ Result<ChargedRelation> ReferenceEvaluator::EvaluateRuleJoin(
   EvalProfile* profile = ctx != nullptr ? ctx->profile : nullptr;
   // Callers without a plan (tests using this as an oracle) execute the
   // identity plan — the same code path, written order, forward.
-  RulePlan identity;
-  if (plan == nullptr) {
-    identity.steps.resize(rule.body.size());
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      identity.steps[i].conjunct = static_cast<uint32_t>(i);
-    }
-    plan = &identity;
-  }
-  ChargedRelation acc;
-  bool first = true;
-  for (size_t pos = 0; pos < plan->steps.size(); ++pos) {
-    const PlanStep& step = plan->steps[pos];
-    // The shared direction resolution: backward steps arrive endpoint-
-    // swapped and regex-reversed, so the NFA below IS the plan's
-    // traversal direction and the join logic never branches on it.
-    const Conjunct c = EffectiveConjunct(rule.body[step.conjunct], step);
-    const size_t ci = conjunct_offset + step.conjunct;
-    WallTimer conjunct_timer;
-    GMARK_ASSIGN_OR_RETURN(Nfa nfa, Nfa::FromRegex(c.expr));
-    ChargedRelation rel;
-    {
-      GMARK_ASSIGN_OR_RETURN(auto pairs,
-                             rpq_.MaterializePairs(nfa, budget, profile));
-      // The relation copy lives alongside the pair vector until the
-      // scope closes: ChargeRelation charges it for its lifetime, and
-      // the pair vector's share releases only when `pairs` dies at the
-      // end of this scope. Releasing before the copy was charged
-      // under-counted the live peak ~2x (the PR 5 bug).
-      GMARK_ASSIGN_OR_RETURN(
-          rel, ChargeRelation(
-                   VarRelation::FromPairs(c.source, c.target, pairs.value),
-                   budget));
-    }
-    const size_t conjunct_rows = rel.value.row_count();
-    if (first) {
-      acc = std::move(rel);
-      first = false;
-    } else {
-      // Both join inputs stay charged until the join output exists;
-      // the move-assign releases the replaced acc, and rel releases at
-      // the end of the iteration.
-      GMARK_ASSIGN_OR_RETURN(ChargedRelation joined,
-                             HashJoin(acc.value, rel.value, budget));
-      acc = std::move(joined);
-    }
-    if (profile != nullptr) {
-      ConjunctProfile& cp = profile->Conjunct(ci);
-      cp.rows += conjunct_rows;
-      cp.seconds += conjunct_timer.ElapsedSeconds();
-      profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
-    }
-  }
-  GMARK_ASSIGN_OR_RETURN(ChargedRelation projected,
-                         ProjectDistinct(acc.value, rule.head, budget));
-  return projected;  // acc releases after `projected` moves out.
+  const RulePlan identity = RulePlan::Identity(rule);
+  return ExecuteRulePlan(
+      rule, plan != nullptr ? *plan : identity,
+      [&](const Conjunct& c, size_t) {
+        return rpq_.ConjunctPairs(c, budget, profile);
+      },
+      budget, profile, conjunct_offset, step_offset);
 }
 
 Result<uint64_t> ReferenceEvaluator::CountDistinct(
@@ -475,24 +359,13 @@ Result<uint64_t> ReferenceEvaluator::CountDistinct(
     }
   }
 
-  // General path: join per rule, distinct union across rules. The
-  // relations and their charges live in parallel vectors until the
-  // union is counted; the guards release on function exit.
-  std::vector<VarRelation> per_rule;
-  std::vector<TupleCharge> per_rule_charges;
-  size_t conjunct_offset = 0;
-  size_t step_offset = 0;
-  for (size_t ri = 0; ri < query.rules.size(); ++ri) {
-    GMARK_ASSIGN_OR_RETURN(
-        ChargedRelation rel,
-        EvaluateRuleJoin(query.rules[ri], &budget, ctx, &plan.rules[ri],
-                         conjunct_offset, step_offset));
-    per_rule.push_back(std::move(rel.value));
-    per_rule_charges.push_back(std::move(rel.charge));
-    conjunct_offset += query.rules[ri].body.size();
-    step_offset += plan.rules[ri].steps.size();
-  }
-  return CountDistinctUnion(per_rule, &budget);
+  // General path: the plan executor, one BFS per conjunct.
+  return ExecutePlan(
+      query, plan,
+      [&](const Conjunct& c, size_t) {
+        return rpq_.ConjunctPairs(c, &budget, profile);
+      },
+      &budget, profile);
 }
 
 }  // namespace gmark

@@ -3,11 +3,14 @@
 //
 // Regular path queries are evaluated by breadth-first search over the
 // implicit product of the graph with the query NFA, one source node at
-// a time, with O(1) amortized state reset between sources. Binary chain
-// queries are evaluated as a single composed RPQ (sound under set
-// semantics with endpoint projection), which avoids materializing
-// intermediate join relations — essential for counting quadratic
-// queries. Non-chain shapes fall back to hash-join evaluation.
+// a time, with O(1) amortized state reset between sources; this is the
+// only product-graph BFS in the engine layer. Binary chain queries are
+// evaluated as a single composed RPQ (sound under set semantics with
+// endpoint projection), which avoids materializing intermediate join
+// relations — essential for counting quadratic queries. Every other
+// shape runs the shared plan executor (engine_common.h) with one BFS
+// per conjunct as its strategy — the S engine's strategy, so the two
+// agree on every non-chain query.
 //
 // Per-source BFS runs are independent, so when an EvalOptions carries a
 // multi-worker Executor the source loop is chunked across it: each
@@ -24,8 +27,8 @@
 
 #include "engine/automaton.h"
 #include "engine/budget.h"
+#include "engine/engine_common.h"
 #include "engine/eval_options.h"
-#include "engine/eval_scratch.h"
 #include "engine/relation.h"
 #include "graph/graph.h"
 #include "obs/eval_profile.h"
@@ -53,18 +56,16 @@ class RpqEvaluator {
 
   /// \brief Materialize all accepted pairs (set semantics), charged
   /// against `budget` for the lifetime of the returned vector.
-  Result<Charged<std::vector<std::pair<NodeId, NodeId>>>> MaterializePairs(
-      const Nfa& nfa, BudgetTracker* budget,
-      EvalProfile* profile = nullptr) const;
+  Result<ChargedPairs> MaterializePairs(const Nfa& nfa,
+                                        BudgetTracker* budget,
+                                        EvalProfile* profile = nullptr) const;
 
-  /// \brief Distinct targets reachable from one source, charged against
-  /// `budget` for the lifetime of the returned vector. `scratch`, when
-  /// given, supplies the visited/accepted sets — per-seed callers
-  /// (Kleene fixpoints) reuse one across seeds to avoid the O(n*k)
-  /// allocation per call; null allocates locally.
-  Result<Charged<std::vector<NodeId>>> TargetsFrom(
-      NodeId source, const Nfa& nfa, BudgetTracker* budget,
-      EvalProfile* profile = nullptr, EvalScratch* scratch = nullptr) const;
+  /// \brief The conjunct strategy of the S engine and of the reference
+  /// evaluator's join path: compile the (direction-resolved) conjunct
+  /// to an NFA and MaterializePairs it.
+  Result<ChargedPairs> ConjunctPairs(const Conjunct& conjunct,
+                                     BudgetTracker* budget,
+                                     EvalProfile* profile = nullptr) const;
 
   const Graph& graph() const { return *graph_; }
   const EvalOptions& options() const { return opts_; }
@@ -89,12 +90,13 @@ class ReferenceEvaluator {
       EvalContext* ctx = nullptr) const;
 
   /// \brief Evaluate one rule into a relation over its head variables
-  /// (join-based; used for non-chain shapes and by tests as an
-  /// independent oracle for the chain fast path). The result's rows are
-  /// charged against `budget` until the ChargedRelation is destroyed.
-  /// `plan`, when given, supplies conjunct order and per-step direction
-  /// (null executes the identity plan); `conjunct_offset`/`step_offset`
-  /// place this rule's profile entries in a multi-rule query.
+  /// through the plan executor (ExecuteRulePlan) — the path non-chain
+  /// shapes take, and an independent oracle for the chain fast path in
+  /// tests. The result's rows are charged against `budget` until the
+  /// ChargedRelation is destroyed. `plan`, when given, supplies
+  /// conjunct order and per-step direction (null executes the identity
+  /// plan); `conjunct_offset`/`step_offset` place this rule's profile
+  /// entries in a multi-rule query.
   Result<ChargedRelation> EvaluateRuleJoin(const QueryRule& rule,
                                            BudgetTracker* budget,
                                            EvalContext* ctx = nullptr,

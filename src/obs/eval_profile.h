@@ -1,12 +1,12 @@
 // Per-query evaluation profiles: where a query's time and memory went.
 //
 // An EvalContext rides through QueryEngine::Evaluate (and the reference
-// evaluator) as an optional pointer; engines that receive one fill its
-// EvalProfile with per-conjunct rows/seconds, BFS pop and frontier
+// evaluator) as an optional pointer. It carries one EvalProfile, which
+// engines fill with per-conjunct rows/seconds, BFS pop and frontier
 // statistics, fixpoint round counts, and the BudgetTracker's
-// peak/scanned/headroom numbers. A null context costs the engines one
-// pointer test per recording site — evaluation output never depends on
-// whether a profile is attached.
+// peak/scanned/headroom numbers. A null context or profile costs the
+// engines one pointer test per recording site — evaluation output never
+// depends on whether a profile is attached.
 
 #ifndef GMARK_OBS_EVAL_PROFILE_H_
 #define GMARK_OBS_EVAL_PROFILE_H_
@@ -18,8 +18,6 @@
 namespace gmark {
 
 class BudgetTracker;
-class MetricRegistry;
-class Tracer;
 struct ResourceBudget;
 
 /// \brief Observed cost of one body conjunct.
@@ -122,11 +120,9 @@ struct EvalProfile {
 };
 
 /// \brief Optional observability context threaded through evaluation.
-/// All pointers may be null; engines must work identically without one.
+/// The profile may be null; engines must work identically without one.
 struct EvalContext {
   EvalProfile* profile = nullptr;
-  MetricRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
 };
 
 /// \brief RAII: snapshots a BudgetTracker into a profile on scope exit,

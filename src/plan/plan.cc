@@ -5,16 +5,19 @@
 
 namespace gmark {
 
+RulePlan RulePlan::Identity(const QueryRule& rule) {
+  RulePlan plan;
+  plan.steps.resize(rule.body.size());
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    plan.steps[i].conjunct = static_cast<uint32_t>(i);
+  }
+  return plan;
+}
+
 QueryPlan QueryPlan::Identity(const Query& query) {
   QueryPlan plan;
-  plan.planned = false;
-  plan.rules.resize(query.rules.size());
-  for (size_t r = 0; r < query.rules.size(); ++r) {
-    RulePlan& rp = plan.rules[r];
-    rp.steps.resize(query.rules[r].body.size());
-    for (size_t i = 0; i < rp.steps.size(); ++i) {
-      rp.steps[i].conjunct = static_cast<uint32_t>(i);
-    }
+  for (const QueryRule& rule : query.rules) {
+    plan.rules.push_back(RulePlan::Identity(rule));
   }
   return plan;
 }
@@ -25,8 +28,8 @@ std::string QueryPlan::ToString() const {
     StrAppend(&out, r > 0 ? " r" : "r", r, '[');
     for (size_t i = 0; i < rules[r].steps.size(); ++i) {
       const PlanStep& s = rules[r].steps[i];
-      StrAppend(&out, i > 0 ? " #" : "#", s.conjunct, s.backward ? '<' : '>',
-                s.seed_backward ? "~" : "");
+      StrAppend(&out, i > 0 ? " #" : "#", s.conjunct,
+                s.backward ? "<~" : ">");
     }
     out += rules[r].chain_backward ? "]R" : "]";
   }
@@ -55,7 +58,7 @@ void RecordPlan(const QueryPlan& plan, EvalProfile* profile) {
       out.conjunct = s.conjunct;
       out.position = static_cast<uint32_t>(pos);
       out.backward = s.backward;
-      out.seed_backward = s.seed_backward;
+      out.seed_backward = s.backward;
       out.est_rows = s.est_rows;
       profile->plan_steps.push_back(out);
     }

@@ -1,12 +1,12 @@
 // The QueryPlan IR — the plan half of the plan/execute split.
 //
-// A plan annotates a Query with the three decisions the engines used to
-// hard-code: the order conjuncts execute in, which CSR direction each
-// conjunct traverses, and which side seeds a Kleene-star fixpoint. The
-// unplanned path is the identity plan (written order, forward, source
-// side), so every engine runs exactly one execution code path whether
-// planning is on or off — byte-identity between the two modes is a
-// property of the steps, not of a separate legacy branch.
+// A plan annotates a Query with the decisions the engines used to
+// hard-code: the order conjuncts execute in and which CSR direction each
+// conjunct traverses — for a Kleene star, that is also the side that
+// seeds the fixpoint. The unplanned path is the identity plan (written
+// order, forward), so every engine runs exactly one execution code path
+// whether planning is on or off — byte-identity between the two modes
+// is a property of the steps, not of a separate legacy branch.
 //
 // Plans are plain data: building one never touches a graph instance,
 // and executing one never consults the planner again. Determinism: a
@@ -34,12 +34,9 @@ struct PlanStep {
   /// endpoints and reverses the regex; the produced relation is
   /// identical up to row order because reversal is a bijection on
   /// matching paths).
+  /// For a Kleene-star step this is also the fixpoint's seed side: the
+  /// closure runs over the (possibly reversed) base relation.
   bool backward = false;
-  /// Seed side for the outermost Kleene star: true seeds the fixpoint
-  /// from the target side. Always equal to `backward` today (the seed
-  /// side IS the traversal direction for a star step); kept separate in
-  /// the IR so a future executor can decouple them.
-  bool seed_backward = false;
   double est_rows = -1.0;  ///< Planner row estimate; -1 in identity plans.
   double est_cost = -1.0;  ///< Planner direction cost; -1 in identity plans.
 
@@ -54,6 +51,9 @@ struct RulePlan {
   /// reorder conjuncts, but it can run the reversed chain).
   bool chain_backward = false;
 
+  /// \brief Written order, every step forward.
+  static RulePlan Identity(const QueryRule& rule);
+
   bool operator==(const RulePlan&) const = default;
 };
 
@@ -62,8 +62,8 @@ struct QueryPlan {
   std::vector<RulePlan> rules;
   bool planned = false;  ///< False for identity plans.
 
-  /// \brief The identity plan: written order, forward traversal,
-  /// source-side seeds. Executing it reproduces pre-plan behavior.
+  /// \brief The identity plan: written order, forward traversal.
+  /// Executing it reproduces pre-plan behavior.
   static QueryPlan Identity(const Query& query);
 
   /// \brief Compact rendering for logs and bench tables, e.g.

@@ -72,13 +72,11 @@ QueryPlan Planner::PlanQuery(const Query& query,
         // A star step's direction IS its seed side: the fixpoint grows
         // from whichever endpoint has fewer nodes carrying a matching
         // edge. Strict < keeps forward on ties (identity-friendly).
-        step.seed_backward = est[i].backward_seeds < est[i].forward_seeds;
-        step.backward = step.seed_backward;
+        step.backward = est[i].backward_seeds < est[i].forward_seeds;
         step.est_cost =
             step.backward ? est[i].backward_seeds : est[i].forward_seeds;
       } else {
         step.backward = est[i].backward_cost < est[i].forward_cost;
-        step.seed_backward = step.backward;
         step.est_cost =
             step.backward ? est[i].backward_cost : est[i].forward_cost;
       }

@@ -10,8 +10,9 @@
 //      break toward the lower written index.
 //   2. Traversal direction — forward or backward CSR per conjunct,
 //      whichever side's intermediate frontiers are estimated smaller.
-//   3. Kleene seed side — star steps seed their fixpoint from the
-//      endpoint with fewer nodes carrying a matching edge.
+//   3. Kleene seed side — a star step's direction is its seed side:
+//      the fixpoint grows from the endpoint with fewer nodes carrying
+//      a matching edge.
 // Chain-shaped bodies additionally get a whole-chain direction for the
 // reference evaluator's single-automaton fast path.
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/use_cases.h"
 #include "graph/generator.h"
 #include "workload/presets.h"
@@ -259,7 +262,7 @@ TEST(EvaluatorTest, TupleChargesFollowRelationLifetimes) {
   EXPECT_EQ(tracker.over_releases(), 0u);
 }
 
-TEST(RpqEvaluatorTest, TargetsFromSingleSource) {
+TEST(RpqEvaluatorTest, MaterializePairsSingleSource) {
   Graph g = HandGraph();
   RpqEvaluator rpq(&g);
   RegularExpression star;
@@ -267,10 +270,16 @@ TEST(RpqEvaluatorTest, TargetsFromSingleSource) {
   star.star = true;
   Nfa nfa = Nfa::FromRegex(star).ValueOrDie();
   BudgetTracker budget(ResourceBudget::Unlimited());
-  auto targets = rpq.TargetsFrom(4, nfa, &budget).ValueOrDie();
+  auto pairs = rpq.MaterializePairs(nfa, &budget).ValueOrDie();
+  std::vector<NodeId> from_four;
+  for (const auto& [s, t] : pairs.value) {
+    if (s == 4) from_four.push_back(t);
+  }
+  std::sort(from_four.begin(), from_four.end());
   // 4 reaches itself (epsilon) plus 0,1,2,3.
-  EXPECT_EQ(targets.value.size(), 5u);
-  EXPECT_EQ(targets.charge.count(), 5u);
+  EXPECT_EQ(from_four, (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(pairs.charge.count(), pairs.value.size());
+  EXPECT_EQ(budget.tuples_used(), pairs.value.size());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/use_cases.h"
@@ -485,6 +487,144 @@ TEST_F(PlannedEvalTest, ReferenceEvaluatorAgreesUnderPlanning) {
             expected);
   EXPECT_TRUE(profile.planned);
   EXPECT_EQ(profile.plan_steps.size(), query_.rules[0].body.size());
+}
+
+
+// ---------------------------------------------------------------------------
+// The reference evaluator's join path and the S engine execute the same
+// plan with the same conjunct strategy (per-source BFS per conjunct), so
+// on every shape the chain fast path cannot take they must agree with
+// each other — count, budget peak, BFS statistics, per-conjunct and
+// per-plan-step rows — at every thread count, planned or not. Killed
+// runs must die the same way and unwind completely.
+
+// Everything one evaluation leaves behind that must not depend on the
+// evaluator or the thread count.
+struct JoinPathRun {
+  Status status;
+  uint64_t count = 0;
+  EvalProfile profile;
+};
+
+JoinPathRun RunJoinPath(bool reference, const Graph& graph,
+                        const Query& query, const ResourceBudget& budget,
+                        const EvalOptions& opts) {
+  JoinPathRun run;
+  EvalContext ctx;
+  ctx.profile = &run.profile;
+  Result<uint64_t> result =
+      reference ? ReferenceEvaluator(&graph, opts)
+                      .CountDistinct(query, budget, &ctx)
+                : MakeEngine(EngineKind::kSparql, opts)
+                      ->Evaluate(graph, query, budget, &ctx);
+  run.status = result.status();
+  if (result.ok()) run.count = result.ValueOrDie();
+  return run;
+}
+
+TEST_F(PlannedEvalTest, ReferenceJoinPathMatchesSparqlEngineAcrossThreads) {
+  const GraphSchema& schema = config_.schema;
+  const PredicateId authors = schema.PredicateIdOf("authors").ValueOrDie();
+  const PredicateId published_in =
+      schema.PredicateIdOf("publishedIn").ValueOrDie();
+  const PredicateId extended_to =
+      schema.PredicateIdOf("extendedTo").ValueOrDie();
+  auto atom = [](Symbol s) { return RegularExpression::Atom(s); };
+  RegularExpression coauthor;  // researcher -> researcher
+  coauthor.disjuncts = {{Symbol::Fwd(authors), Symbol::Inv(authors)}};
+  RegularExpression copaper = coauthor;  // paper -> paper, starred
+  copaper.disjuncts = {{Symbol::Inv(authors), Symbol::Fwd(authors)}};
+  copaper.star = true;
+
+  // Star-shaped body: ?1 is the source of two conjuncts.
+  QueryRule star;
+  star.body = {Conjunct{0, 1, atom(Symbol::Fwd(authors))},
+               Conjunct{1, 2, atom(Symbol::Fwd(published_in))},
+               Conjunct{1, 3, atom(Symbol::Fwd(extended_to))}};
+  star.head = {0, 2};
+  // Cycle: a coauthor triangle has no chain head.
+  QueryRule cycle;
+  cycle.body = {Conjunct{0, 1, coauthor}, Conjunct{1, 2, coauthor},
+                Conjunct{2, 0, coauthor}};
+  cycle.head = {0, 1};
+  // Two chain rules: unions never take the single-rule fast path.
+  QueryRule venue;
+  venue.body = {Conjunct{0, 1, atom(Symbol::Fwd(authors))},
+                Conjunct{1, 2, atom(Symbol::Fwd(published_in))}};
+  venue.head = {0, 2};
+  QueryRule journal = venue;
+  journal.body[1].expr = atom(Symbol::Fwd(extended_to));
+  // A Kleene-star conjunct inside a star-shaped body.
+  QueryRule closure;
+  closure.body = {Conjunct{0, 1, atom(Symbol::Fwd(authors))},
+                  Conjunct{1, 2, copaper},
+                  Conjunct{1, 3, atom(Symbol::Fwd(published_in))}};
+  closure.head = {0, 2};
+
+  std::vector<std::pair<const char*, Query>> queries(4);
+  queries[0] = {"star", Query{}};
+  queries[0].second.rules = {star};
+  queries[1] = {"cycle", Query{}};
+  queries[1].second.rules = {cycle};
+  queries[2] = {"union", Query{}};
+  queries[2].second.rules = {venue, journal};
+  queries[3] = {"closure", Query{}};
+  queries[3].second.rules = {closure};
+
+  for (const auto& [name, query] : queries) {
+    for (bool plan_on : {false, true}) {
+      EvalOptions serial_opts;
+      if (plan_on) serial_opts.planner = &planner_;
+      // The serial reference run is the oracle for this plan mode.
+      const JoinPathRun oracle =
+          RunJoinPath(true, graph_, query, ResourceBudget::Unlimited(),
+                      serial_opts);
+      ASSERT_TRUE(oracle.status.ok()) << name << ": " << oracle.status;
+      ASSERT_GT(oracle.count, 0u) << name;
+      const size_t ceiling = oracle.profile.peak_tuples / 2;
+      ASSERT_GT(ceiling, 0u) << name;
+      const ResourceBudget tight = ResourceBudget::Limited(1e9, ceiling);
+
+      for (int threads : kThreadCounts) {
+        Executor executor(threads);
+        EvalOptions opts = serial_opts;
+        opts.executor = &executor;
+        for (bool reference : {true, false}) {
+          const std::string where =
+              std::string(name) + (plan_on ? " planned" : " unplanned") +
+              (reference ? " reference" : " S") + " at " +
+              std::to_string(threads) + " threads";
+          const JoinPathRun run = RunJoinPath(
+              reference, graph_, query, ResourceBudget::Unlimited(), opts);
+          ASSERT_TRUE(run.status.ok()) << where << ": " << run.status;
+          EXPECT_EQ(run.count, oracle.count) << where;
+          const EvalProfile& p = run.profile;
+          EXPECT_EQ(p.peak_tuples, oracle.profile.peak_tuples) << where;
+          EXPECT_EQ(p.bfs_pops, oracle.profile.bfs_pops) << where;
+          EXPECT_EQ(p.bfs_peak_frontier, oracle.profile.bfs_peak_frontier)
+              << where;
+          EXPECT_EQ(p.over_releases, 0u) << where;
+          EXPECT_EQ(p.plan_steps, oracle.profile.plan_steps) << where;
+          ASSERT_EQ(p.conjuncts.size(), oracle.profile.conjuncts.size())
+              << where;
+          for (size_t i = 0; i < p.conjuncts.size(); ++i) {
+            EXPECT_EQ(p.conjuncts[i].rows, oracle.profile.conjuncts[i].rows)
+                << where << " conjunct " << i;
+          }
+
+          const JoinPathRun killed =
+              RunJoinPath(reference, graph_, query, tight, opts);
+          EXPECT_TRUE(killed.status.IsResourceExhausted())
+              << where << ": " << killed.status;
+          EXPECT_EQ(killed.profile.over_releases, 0u) << where;
+          EXPECT_GT(killed.profile.peak_tuples, ceiling) << where;
+          EXPECT_EQ(killed.profile.plan_steps.size(),
+                    oracle.profile.plan_steps.size())
+              << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

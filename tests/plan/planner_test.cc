@@ -95,7 +95,6 @@ TEST(PlanTest, IdentityPlanPreservesWrittenOrder) {
     const PlanStep& step = plan.rules[0].steps[i];
     EXPECT_EQ(step.conjunct, i);
     EXPECT_FALSE(step.backward);
-    EXPECT_FALSE(step.seed_backward);
     EXPECT_EQ(step.est_rows, -1.0);
   }
 }
@@ -109,10 +108,9 @@ TEST(PlanTest, ToStringForm) {
     plan.rules[0].steps[i].conjunct = conjunct;
     plan.rules[0].steps[i].backward = backward;
   }
-  plan.rules[0].steps[0].seed_backward = true;
   plan.rules[1].steps.resize(1);
   plan.rules[1].chain_backward = true;
-  EXPECT_EQ(plan.ToString(), "r0[#2<~ #0> #11<] r1[#0>]R");
+  EXPECT_EQ(plan.ToString(), "r0[#2<~ #0> #11<~] r1[#0>]R");
   EXPECT_EQ(QueryPlan{}.ToString(), "");
 }
 
@@ -228,7 +226,6 @@ TEST_F(PlannerTest, PicksBackwardWhenTargetSideIsSparser) {
       layout_);
   ASSERT_EQ(plan.rules[0].steps.size(), 1u);
   EXPECT_TRUE(plan.rules[0].steps[0].backward);
-  EXPECT_TRUE(plan.rules[0].steps[0].seed_backward);
 }
 
 TEST_F(PlannerTest, KeepsForwardWhenSourceSideIsSparser) {
@@ -238,7 +235,6 @@ TEST_F(PlannerTest, KeepsForwardWhenSourceSideIsSparser) {
       layout_);
   ASSERT_EQ(plan.rules[0].steps.size(), 1u);
   EXPECT_FALSE(plan.rules[0].steps[0].backward);
-  EXPECT_FALSE(plan.rules[0].steps[0].seed_backward);
 }
 
 TEST_F(PlannerTest, StarSeedsFromTheSparserSide) {
@@ -247,14 +243,12 @@ TEST_F(PlannerTest, StarSeedsFromTheSparserSide) {
   // wide*: 1000 forward seeds vs 100 backward seeds -> seed backward.
   QueryPlan plan =
       planner_.PlanQuery(SingleConjunctQuery(star), layout_);
-  EXPECT_TRUE(plan.rules[0].steps[0].seed_backward);
   EXPECT_TRUE(plan.rules[0].steps[0].backward);
 
   RegularExpression up_star = RegularExpression::Atom(Symbol::Fwd(kUp));
   up_star.star = true;
   // up*: 10 forward seeds vs ~40 backward -> keep the source side.
   plan = planner_.PlanQuery(SingleConjunctQuery(up_star), layout_);
-  EXPECT_FALSE(plan.rules[0].steps[0].seed_backward);
   EXPECT_FALSE(plan.rules[0].steps[0].backward);
 }
 

@@ -1,5 +1,5 @@
 // Fixture: the plan-step executor shape (src/engine/engine_common.cc's
-// EvaluateConjunctPairs caller) done right — steps iterate a vector in
+// ExecuteRulePlan) done right — steps iterate a vector in
 // plan order (never an unordered container), every Status/Result is
 // consumed, and tuples flow through the RAII charge layer only; the
 // raw tracker protocol never appears outside engine/charge.h. Must
