@@ -1,6 +1,8 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, product-graph BFS, and hash joins; and for the
+// slot-vector shuffles, product-graph BFS, regex-to-NFA compilation, and
+// the relational kernels (hash join, distinct projection, distinct
+// union, path composition, naive and semi-naive closure); and for the
 // text writers: N-Triples, workload XML, and the four translators.
 
 #include <benchmark/benchmark.h>
@@ -10,6 +12,7 @@
 #include <streambuf>
 
 #include "core/use_cases.h"
+#include "engine/engine_common.h"
 #include "engine/evaluator.h"
 #include "engine/relation.h"
 #include "graph/generator.h"
@@ -88,6 +91,101 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+/// `n` random rows of `width` columns, each drawn from [0, range].
+VarRelation RandomRelation(std::vector<VarId> vars, int64_t n,
+                           int64_t range, uint64_t seed) {
+  RandomEngine rng(seed);
+  VarRelation rel(std::move(vars));
+  std::vector<NodeId> row(rel.width());
+  for (int64_t i = 0; i < n; ++i) {
+    for (NodeId& v : row) v = static_cast<NodeId>(rng.UniformInt(0, range));
+    rel.AppendRow(row);
+  }
+  return rel;
+}
+
+void BM_ProjectDistinct(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  // Width 3 onto 2 columns: about half the projected rows repeat.
+  VarRelation rel = RandomRelation({0, 1, 2}, n, n / 64, 3);
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto projected = ProjectDistinct(rel, {2, 0}, &budget);
+    benchmark::DoNotOptimize(projected.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ProjectDistinct)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CountDistinctUnion(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  // Two overlapping rules' heads.
+  std::vector<VarRelation> rels{RandomRelation({0, 1}, n, n / 8, 3),
+                                RandomRelation({0, 1}, n, n / 8, 5)};
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    benchmark::DoNotOptimize(CountDistinctUnion(rels, &budget).ValueOr(0));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_CountDistinctUnion)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Co-authorship, authors . authors^-: one predicate, hub-heavy.
+RegularExpression CoAuthors() {
+  RegularExpression co;
+  co.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)}};
+  return co;
+}
+
+void BM_ComposePathPairs(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = GenerateGraph(config).ValueOrDie();
+  const bool set_semantics = state.range(1) != 0;
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto pairs = ComposePathPairs(graph, CoAuthors().disjuncts[0],
+                                  set_semantics, &budget);
+    benchmark::DoNotOptimize(pairs.ok());
+  }
+}
+BENCHMARK(BM_ComposePathPairs)->ArgNames({"n", "set"})
+    ->Args({20000, 0})->Args({20000, 1})->Unit(benchmark::kMillisecond);
+
+/// (authors . authors^-)*: Bib's one self-chaining shape, the Rec
+/// preset's closure.
+void BM_Closure(benchmark::State& state, bool naive) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = GenerateGraph(config).ValueOrDie();
+  BudgetTracker base_budget(ResourceBudget::Unlimited());
+  NodePairs base =
+      RegexBasePairs(graph, CoAuthors(), true, &base_budget).ValueOrDie().value;
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto closed = naive ? ClosureNaive(graph, base, &budget)
+                        : ClosureSemiNaive(graph, base, &budget);
+    benchmark::DoNotOptimize(closed.ok());
+  }
+}
+BENCHMARK_CAPTURE(BM_Closure, naive, true)->Arg(500)->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Closure, semi_naive, false)->Arg(500)->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_NfaFromRegex(benchmark::State& state) {
+  // A Rec-style expression: three disjuncts, inverses, a star.
+  RegularExpression expr;
+  expr.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)},
+                    {Symbol::Fwd(1), Symbol::Fwd(2), Symbol::Inv(2)},
+                    {Symbol::Inv(3)}};
+  expr.star = true;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Nfa::FromRegex(expr).ok());
+  }
+}
+BENCHMARK(BM_NfaFromRegex);
 
 /// Discards everything written to it, counting the bytes.
 class NullBuf : public std::streambuf {

@@ -1,8 +1,8 @@
 #include "engine/engine_common.h"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "engine/flat_table.h"
 #include "obs/eval_profile.h"
 #include "plan/planner.h"
 #include "util/timer.h"
@@ -11,9 +11,103 @@ namespace gmark {
 
 namespace {
 
-/// Pack a pair for hashing; node ids fit comfortably in 32 bits at the
-/// graph sizes the engines run on.
-uint64_t PackPair(NodeId a, NodeId b) { return (a << 32) | (b & 0xffffffff); }
+uint64_t PairHash(const std::pair<NodeId, NodeId>& p) {
+  return HashColumn(HashColumn(kRowHashSeed, p.first), p.second);
+}
+
+/// Append (x, y) to `pairs` and charge it, unless `seen`, which holds
+/// the row ids of `pairs`, already has it.
+Status AppendIfNew(NodeId x, NodeId y, NodePairs* pairs, FlatRowTable* seen,
+                   TupleCharge* charge) {
+  GMARK_RETURN_NOT_OK(CheckRowLimit(pairs->size()));
+  const std::pair<NodeId, NodeId> pair{x, y};
+  const uint32_t found = seen->FindOrInsert(
+      PairHash(pair), static_cast<uint32_t>(pairs->size()),
+      [&](uint32_t r) { return (*pairs)[r] == pair; },
+      [&](uint32_t r) { return PairHash((*pairs)[r]); });
+  if (found != FlatRowTable::kNone) return Status::OK();
+  GMARK_RETURN_NOT_OK(charge->Charge(1));
+  pairs->push_back(pair);
+  return Status::OK();
+}
+
+/// The relation a closure accumulates, in discovery order: every
+/// reflexive pair, then what the rounds append. Both closure strategies
+/// run their rounds over it; they differ only in which rows a round
+/// rescans.
+class ClosureBuilder {
+ public:
+  /// Index `base` by source (a stable counting sort, so the targets of
+  /// a source keep base order) and seed the reflexive pairs, charged at
+  /// once.
+  static Result<ClosureBuilder> Start(const Graph& graph,
+                                      const NodePairs& base,
+                                      BudgetTracker* budget) {
+    const NodeId n = static_cast<NodeId>(graph.num_nodes());
+    GMARK_RETURN_NOT_OK(CheckRowLimit(static_cast<size_t>(n)));
+    ClosureBuilder c(budget);
+    c.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+    for (const auto& [s, t] : base) {
+      if (s >= n || t >= n) {
+        return Status::InvalidArgument("closure base pair outside the graph");
+      }
+      ++c.offsets_[s + 1];
+    }
+    for (size_t v = 1; v < c.offsets_.size(); ++v) {
+      c.offsets_[v] += c.offsets_[v - 1];
+    }
+    c.targets_.resize(base.size());
+    std::vector<size_t> next(c.offsets_.begin(), c.offsets_.end() - 1);
+    for (const auto& [s, t] : base) c.targets_[next[s]++] = t;
+
+    c.pairs_.reserve(static_cast<size_t>(n) + base.size());
+    for (NodeId v = 0; v < n; ++v) {
+      c.known_.FindOrInsert(
+          PairHash({v, v}), static_cast<uint32_t>(v),
+          [](uint32_t) { return false; },  // reflexive pairs are distinct
+          [&](uint32_t r) { return PairHash(c.pairs_[r]); });
+      c.pairs_.emplace_back(v, v);
+    }
+    GMARK_RETURN_NOT_OK(c.charge_.Charge(c.pairs_.size()));
+    return c;
+  }
+
+  size_t size() const { return pairs_.size(); }
+
+  /// Append (and charge) (x, y) unless already present.
+  Status Add(NodeId x, NodeId y) {
+    return AppendIfNew(x, y, &pairs_, &known_, &charge_);
+  }
+
+  /// One round: join rows [begin, end) with the base, appending every
+  /// new pair behind them.
+  Status JoinBase(size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const auto [x, mid] = pairs_[i];
+      for (size_t k = offsets_[mid]; k < offsets_[mid + 1]; ++k) {
+        GMARK_RETURN_NOT_OK(clock_.Check());
+        GMARK_RETURN_NOT_OK(Add(x, targets_[k]));
+      }
+    }
+    return Status::OK();
+  }
+
+  ChargedPairs Finish() && {
+    return ChargedPairs(std::move(pairs_), std::move(charge_));
+  }
+
+ private:
+  explicit ClosureBuilder(BudgetTracker* budget)
+      : charge_(budget), clock_(budget) {}
+
+  // Base targets of source s: targets_[offsets_[s], offsets_[s + 1]).
+  std::vector<size_t> offsets_;
+  std::vector<NodeId> targets_;
+  NodePairs pairs_;
+  FlatRowTable known_;  // ids of rows in pairs_
+  TupleCharge charge_;
+  PeriodicTimeCheck clock_;
+};
 
 }  // namespace
 
@@ -45,20 +139,25 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
   NodePairs current = SymbolPairs(graph, path[0]);
   TupleCharge charge(budget);
   GMARK_RETURN_NOT_OK(charge.Charge(current.size()));
+  PeriodicTimeCheck clock(budget);
   for (size_t i = 1; i < path.size(); ++i) {
     GMARK_RETURN_NOT_OK(budget->CheckTime());
     const Symbol& sym = path[i];
     NodePairs next;
     TupleCharge next_charge(budget);
-    std::unordered_set<uint64_t> seen;
+    FlatRowTable seen;  // ids of rows in `next`, set semantics only
     for (const auto& [x, mid] : current) {
       auto neighbors = sym.inverse
                            ? graph.InNeighbors(sym.predicate, mid)
                            : graph.OutNeighbors(sym.predicate, mid);
       for (NodeId w : neighbors) {
-        if (set_semantics && !seen.insert(PackPair(x, w)).second) continue;
-        GMARK_RETURN_NOT_OK(next_charge.Charge(1));
-        next.emplace_back(x, w);
+        GMARK_RETURN_NOT_OK(clock.Check());
+        if (set_semantics) {
+          GMARK_RETURN_NOT_OK(AppendIfNew(x, w, &next, &seen, &next_charge));
+        } else {
+          GMARK_RETURN_NOT_OK(next_charge.Charge(1));
+          next.emplace_back(x, w);
+        }
       }
     }
     // Both step relations are live until here; the move-assign below
@@ -92,94 +191,40 @@ Result<ChargedPairs> RegexBasePairs(const Graph& graph,
 
 Result<ChargedPairs> ClosureNaive(const Graph& graph, const NodePairs& base,
                                   BudgetTracker* budget, uint64_t* rounds) {
-  const NodeId n = static_cast<NodeId>(graph.num_nodes());
-  std::unordered_set<uint64_t> known;
-  NodePairs result;
-  TupleCharge charge(budget);
-  result.reserve(static_cast<size_t>(n) + base.size());
-  for (NodeId v = 0; v < n; ++v) {
-    known.insert(PackPair(v, v));
-    result.emplace_back(v, v);
-  }
-  GMARK_RETURN_NOT_OK(charge.Charge(result.size()));
-
-  // Index the base relation by source for the join.
-  std::unordered_multimap<NodeId, NodeId> base_by_src;
-  base_by_src.reserve(base.size());
-  for (const auto& [s, t] : base) base_by_src.emplace(s, t);
-
-  bool grew = true;
-  while (grew) {
-    grew = false;
+  GMARK_ASSIGN_OR_RETURN(ClosureBuilder closure,
+                         ClosureBuilder::Start(graph, base, budget));
+  for (bool grew = true; grew;) {
     if (rounds != nullptr) ++*rounds;
     GMARK_RETURN_NOT_OK(budget->CheckTime());
     // Naive: rescan the ENTIRE accumulated relation every round.
-    budget->ChargeScan(result.size());
-    NodePairs additions;
-    for (const auto& [x, mid] : result) {
-      auto range = base_by_src.equal_range(mid);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (known.insert(PackPair(x, it->second)).second) {
-          GMARK_RETURN_NOT_OK(charge.Charge(1));
-          additions.emplace_back(x, it->second);
-        }
-      }
-    }
-    if (!additions.empty()) {
-      grew = true;
-      result.insert(result.end(), additions.begin(), additions.end());
-    }
+    const size_t end = closure.size();
+    budget->ChargeScan(end);
+    GMARK_RETURN_NOT_OK(closure.JoinBase(0, end));
+    grew = closure.size() > end;
   }
-  return ChargedPairs(std::move(result), std::move(charge));
+  return std::move(closure).Finish();
 }
 
 Result<ChargedPairs> ClosureSemiNaive(const Graph& graph,
                                       const NodePairs& base,
                                       BudgetTracker* budget,
                                       uint64_t* rounds) {
-  const NodeId n = static_cast<NodeId>(graph.num_nodes());
-  std::unordered_set<uint64_t> known;
-  NodePairs result;
-  TupleCharge charge(budget);
-  result.reserve(static_cast<size_t>(n) + base.size());
-  for (NodeId v = 0; v < n; ++v) {
-    known.insert(PackPair(v, v));
-    result.emplace_back(v, v);
-  }
-  GMARK_RETURN_NOT_OK(charge.Charge(result.size()));
-
-  std::unordered_multimap<NodeId, NodeId> base_by_src;
-  base_by_src.reserve(base.size());
-  for (const auto& [s, t] : base) base_by_src.emplace(s, t);
-
-  // Seed the delta with the base (paths of length exactly 1).
-  NodePairs delta;
-  for (const auto& [s, t] : base) {
-    if (known.insert(PackPair(s, t)).second) {
-      GMARK_RETURN_NOT_OK(charge.Charge(1));
-      delta.emplace_back(s, t);
-      result.emplace_back(s, t);
-    }
-  }
-  while (!delta.empty()) {
+  GMARK_ASSIGN_OR_RETURN(ClosureBuilder closure,
+                         ClosureBuilder::Start(graph, base, budget));
+  // Seed the delta with the base (paths of length exactly 1). Each
+  // round's delta is the run of pairs the previous round appended.
+  size_t delta_begin = closure.size();
+  for (const auto& [s, t] : base) GMARK_RETURN_NOT_OK(closure.Add(s, t));
+  while (delta_begin < closure.size()) {
     if (rounds != nullptr) ++*rounds;
     GMARK_RETURN_NOT_OK(budget->CheckTime());
-    NodePairs next_delta;
     // Semi-naive: only the delta is extended.
-    budget->ChargeScan(delta.size());
-    for (const auto& [x, mid] : delta) {
-      auto range = base_by_src.equal_range(mid);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (known.insert(PackPair(x, it->second)).second) {
-          GMARK_RETURN_NOT_OK(charge.Charge(1));
-          next_delta.emplace_back(x, it->second);
-          result.emplace_back(x, it->second);
-        }
-      }
-    }
-    delta = std::move(next_delta);
+    const size_t delta_end = closure.size();
+    budget->ChargeScan(delta_end - delta_begin);
+    GMARK_RETURN_NOT_OK(closure.JoinBase(delta_begin, delta_end));
+    delta_begin = delta_end;
   }
-  return ChargedPairs(std::move(result), std::move(charge));
+  return std::move(closure).Finish();
 }
 
 Result<ChargedPairs> EvaluateConjunctPairs(const Graph& graph,

@@ -1,10 +1,12 @@
 #include "engine/engines.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "engine/engine_common.h"
 #include "engine/evaluator.h"
+#include "engine/flat_table.h"
 
 namespace gmark {
 
@@ -174,7 +176,11 @@ class CypherEngine : public QueryEngine {
     // when evaluation ends (before the profile snapshot, which records
     // the peak, not the balance).
     TupleCharge charge(&budget);
-    std::unordered_set<std::string> results;
+    // The distinct head tuples of every rule, with the table holding
+    // their row ids.
+    VarRelation results(query.rules.empty() ? std::vector<VarId>{}
+                                            : query.rules[0].head);
+    FlatRowTable result_ids;
     size_t conjunct_offset = 0;
     size_t step_offset = 0;
     for (size_t ri = 0; ri < query.rules.size(); ++ri) {
@@ -188,14 +194,20 @@ class CypherEngine : public QueryEngine {
         body.push_back(EffectiveConjunct(rule.body[step.conjunct], step));
         written.push_back(step.conjunct);
       }
-      MatchState state{graph,   rule, body,    written,
-                       &budget, &charge, &results, {},
-                       {},      profile, conjunct_offset, step_offset};
+      if (rule.head.size() != results.width()) {
+        return Status::InvalidArgument("rules of unequal arity");
+      }
+      GMARK_ASSIGN_OR_RETURN(size_t var_slots, VarSlots(rule));
+      MatchState state{graph,   rule,     body,        written,
+                       &budget, &charge,  &results,    &result_ids,
+                       std::vector<std::optional<NodeId>>(var_slots),
+                       std::vector<NodeId>(rule.head.size()),
+                       {},      profile,  conjunct_offset, step_offset};
       GMARK_RETURN_NOT_OK(MatchConjunct(state, 0));
       conjunct_offset += rule.body.size();
       step_offset += plan.rules[ri].steps.size();
     }
-    return static_cast<uint64_t>(results.size());
+    return static_cast<uint64_t>(results.row_count());
   }
 
  private:
@@ -206,13 +218,28 @@ class CypherEngine : public QueryEngine {
     const std::vector<size_t>& written;  // body[i] -> written conjunct index
     BudgetTracker* budget;
     TupleCharge* charge;
-    std::unordered_set<std::string>* results;
-    std::unordered_map<VarId, NodeId> bindings;
+    VarRelation* results;      // distinct head tuples, all rules
+    FlatRowTable* result_ids;  // ids of rows in *results
+    std::vector<std::optional<NodeId>> bindings;  // by VarId
+    std::vector<NodeId> head;  // the head tuple being recorded
     std::unordered_set<uint64_t> used_edges;  // relationship isomorphism
     EvalProfile* profile;     // may be null
     size_t conjunct_offset;   // this rule's first global conjunct index
     size_t step_offset;       // this rule's first global plan-step index
   };
+
+  /// Size of a binding vector indexed by `rule`'s variable ids.
+  static Result<size_t> VarSlots(const QueryRule& rule) {
+    std::vector<VarId> vars = rule.head;
+    for (const Conjunct& c : rule.body) {
+      vars.push_back(c.source);
+      vars.push_back(c.target);
+    }
+    if (vars.empty()) return size_t{0};
+    const auto [lo, hi] = std::ranges::minmax(vars);
+    if (lo < 0) return Status::InvalidArgument("negative variable id");
+    return static_cast<size_t>(hi) + 1;
+  }
 
   static uint64_t EdgeId(const Graph& graph, PredicateId p, NodeId s,
                          NodeId t) {
@@ -220,13 +247,17 @@ class CypherEngine : public QueryEngine {
     return (static_cast<uint64_t>(p) * n + s) * n + t;
   }
 
-  static std::string HeadKey(const MatchState& state) {
-    std::string key;
-    for (VarId v : state.rule.head) {
-      key += std::to_string(state.bindings.at(v));
-      key += ',';
+  /// Add the current head tuple to the result set unless present.
+  static Status RecordHead(MatchState& state) {
+    for (size_t k = 0; k < state.head.size(); ++k) {
+      state.head[k] = Bound(state, state.rule.head[k]).value();
     }
-    return key;
+    return AppendDistinctRow(state.head, state.results, state.result_ids)
+        .status();
+  }
+
+  static std::optional<NodeId>& Bound(MatchState& state, VarId var) {
+    return state.bindings[static_cast<size_t>(var)];
   }
 
   /// Variable-length pattern labels: first non-inverse symbol of each
@@ -248,14 +279,14 @@ class CypherEngine : public QueryEngine {
 
   Status RecordOrBindTarget(MatchState& state, VarId var, NodeId node,
                             size_t conjunct_index) const {
-    auto it = state.bindings.find(var);
-    if (it != state.bindings.end()) {
-      if (it->second != node) return Status::OK();  // binding conflict
+    std::optional<NodeId>& binding = Bound(state, var);
+    if (binding.has_value()) {
+      if (*binding != node) return Status::OK();  // binding conflict
       return MatchConjunct(state, conjunct_index + 1);
     }
-    state.bindings.emplace(var, node);
+    binding = node;
     Status st = MatchConjunct(state, conjunct_index + 1);
-    state.bindings.erase(var);
+    binding.reset();
     return st;
   }
 
@@ -321,8 +352,7 @@ class CypherEngine : public QueryEngine {
     }
     if (index == state.body.size()) {
       GMARK_RETURN_NOT_OK(state.charge->Charge(1));
-      state.results->insert(HeadKey(state));
-      return Status::OK();
+      return RecordHead(state);
     }
     if (state.profile == nullptr) return DoMatchConjunct(state, index);
     // Inclusive seconds: the DFS interleaves conjuncts, so conjunct i's
@@ -338,8 +368,8 @@ class CypherEngine : public QueryEngine {
     const Conjunct& c = state.body[index];
 
     auto try_from = [&](NodeId source) -> Status {
-      bool fresh = state.bindings.find(c.source) == state.bindings.end();
-      if (fresh) state.bindings.emplace(c.source, source);
+      const bool fresh = !Bound(state, c.source).has_value();
+      if (fresh) Bound(state, c.source) = source;
       Status st;
       if (c.expr.star) {
         st = MatchVarLength(state, StarLabels(c.expr), source, c.target,
@@ -350,13 +380,12 @@ class CypherEngine : public QueryEngine {
           if (!st.ok()) break;
         }
       }
-      if (fresh) state.bindings.erase(c.source);
+      if (fresh) Bound(state, c.source).reset();
       return st;
     };
 
-    auto bound = state.bindings.find(c.source);
-    if (bound != state.bindings.end()) {
-      return try_from(bound->second);
+    if (const std::optional<NodeId> bound = Bound(state, c.source)) {
+      return try_from(*bound);
     }
     for (NodeId v = 0; v < static_cast<NodeId>(state.graph.num_nodes());
          ++v) {

@@ -1,31 +1,37 @@
 #include "engine/relation.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "engine/flat_table.h"
 
 namespace gmark {
 
 namespace {
 
-/// FNV-1a over a row of node ids.
-struct RowHasher {
-  size_t operator()(const std::vector<NodeId>& row) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (NodeId v : row) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
+/// Hash of the columns of `row` at `positions`, in that order.
+uint64_t KeyHash(std::span<const NodeId> row,
+                 const std::vector<int>& positions) {
+  uint64_t h = kRowHashSeed;
+  for (int p : positions) h = HashColumn(h, row[static_cast<size_t>(p)]);
+  return h;
+}
 
-std::vector<NodeId> KeyOf(std::span<const NodeId> row,
-                          const std::vector<int>& positions) {
-  std::vector<NodeId> key;
-  key.reserve(positions.size());
-  for (int p : positions) key.push_back(row[static_cast<size_t>(p)]);
-  return key;
+/// Hash of a whole row.
+uint64_t RowHash(std::span<const NodeId> row) {
+  uint64_t h = kRowHashSeed;
+  for (NodeId v : row) h = HashColumn(h, v);
+  return h;
+}
+
+/// Whether `x`'s columns at `x_pos` equal `y`'s at `y_pos`, pairwise.
+bool KeyEquals(std::span<const NodeId> x, const std::vector<int>& x_pos,
+               std::span<const NodeId> y, const std::vector<int>& y_pos) {
+  for (size_t k = 0; k < x_pos.size(); ++k) {
+    if (x[static_cast<size_t>(x_pos[k])] != y[static_cast<size_t>(y_pos[k])]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -64,6 +70,23 @@ Result<ChargedRelation> ChargeRelation(VarRelation rel,
   return ChargedRelation(std::move(rel), std::move(charge));
 }
 
+Result<bool> AppendDistinctRow(std::span<const NodeId> row, VarRelation* rel,
+                               FlatRowTable* seen) {
+  const size_t id = rel->row_count();
+  GMARK_RETURN_NOT_OK(CheckRowLimit(id));
+  const uint32_t found = seen->FindOrInsert(
+      RowHash(row), static_cast<uint32_t>(id),
+      [&](uint32_t r) { return std::ranges::equal(rel->row(r), row); },
+      [&](uint32_t r) { return RowHash(rel->row(r)); });
+  if (found != FlatRowTable::kNone) return false;
+  if (rel->width() == 0) {
+    rel->SetNonEmpty();
+  } else {
+    rel->AppendRow(row);
+  }
+  return true;
+}
+
 Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
                                  BudgetTracker* budget) {
   // Shared variables and their positions in both relations.
@@ -87,22 +110,54 @@ Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
   VarRelation out(out_vars);
   TupleCharge charge(budget);
 
-  // Build on b, probe with a.
-  std::unordered_map<std::vector<NodeId>, std::vector<size_t>, RowHasher>
-      index;
-  index.reserve(b.row_count());
-  for (size_t i = 0; i < b.row_count(); ++i) {
-    index[KeyOf(b.row(i), b_pos)].push_back(i);
+  // Build on b: number b's distinct keys in first-occurrence order, the
+  // table holding each key's first b row.
+  const size_t b_rows = b.row_count();
+  GMARK_RETURN_NOT_OK(CheckRowLimit(b_rows));
+  auto b_key_hash = [&](uint32_t j) { return KeyHash(b.row(j), b_pos); };
+  FlatRowTable keys;
+  std::vector<uint32_t> group_of(b_rows);
+  std::vector<uint32_t> bounds{0};  // group sizes, then group offsets
+  for (uint32_t j = 0; j < b_rows; ++j) {
+    const std::span<const NodeId> row = b.row(j);
+    const uint32_t first = keys.FindOrInsert(
+        b_key_hash(j), j,
+        [&](uint32_t r) { return KeyEquals(b.row(r), b_pos, row, b_pos); },
+        b_key_hash);
+    if (first == FlatRowTable::kNone) {
+      group_of[j] = static_cast<uint32_t>(bounds.size() - 1);
+      bounds.push_back(0);
+    } else {
+      group_of[j] = group_of[first];
+    }
+    ++bounds[group_of[j] + 1];
   }
-  std::vector<NodeId> row_buf;
+  // Counting sort: `order` lists b's rows group by group, in b order
+  // within a group; group g spans order[bounds[g], bounds[g + 1]).
+  for (size_t g = 1; g < bounds.size(); ++g) bounds[g] += bounds[g - 1];
+  std::vector<uint32_t> order(b_rows);
+  {
+    std::vector<uint32_t> next(bounds.begin(), bounds.end() - 1);
+    for (uint32_t j = 0; j < b_rows; ++j) order[next[group_of[j]]++] = j;
+  }
+
+  // Probe with a, in a order.
+  PeriodicTimeCheck clock(budget);
+  std::vector<NodeId> row_buf(out_vars.size());
   for (size_t i = 0; i < a.row_count(); ++i) {
-    GMARK_RETURN_NOT_OK(budget->CheckTime());
-    auto it = index.find(KeyOf(a.row(i), a_pos));
-    if (it == index.end()) continue;
-    for (size_t j : it->second) {
-      row_buf.assign(a.row(i).begin(), a.row(i).end());
-      for (int p : b_extra) {
-        row_buf.push_back(b.row(j)[static_cast<size_t>(p)]);
+    GMARK_RETURN_NOT_OK(clock.Check());
+    const std::span<const NodeId> row = a.row(i);
+    const uint32_t first = keys.Find(KeyHash(row, a_pos), [&](uint32_t r) {
+      return KeyEquals(b.row(r), b_pos, row, a_pos);
+    });
+    if (first == FlatRowTable::kNone) continue;
+    std::copy(row.begin(), row.end(), row_buf.begin());
+    const uint32_t g = group_of[first];
+    for (uint32_t k = bounds[g]; k < bounds[g + 1]; ++k) {
+      GMARK_RETURN_NOT_OK(clock.Check());
+      const std::span<const NodeId> match = b.row(order[k]);
+      for (size_t e = 0; e < b_extra.size(); ++e) {
+        row_buf[row.size() + e] = match[static_cast<size_t>(b_extra[e])];
       }
       GMARK_RETURN_NOT_OK(charge.Charge(1));
       out.AppendRow(row_buf);
@@ -128,14 +183,17 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
     if (rel.row_count() > 0) out.SetNonEmpty();
     return ChargedRelation(std::move(out), std::move(charge));
   }
-  std::unordered_set<std::vector<NodeId>, RowHasher> seen;
-  seen.reserve(rel.row_count());
+  FlatRowTable seen;  // ids of rows in `out`
+  PeriodicTimeCheck clock(budget);
+  std::vector<NodeId> key(positions.size());
   for (size_t i = 0; i < rel.row_count(); ++i) {
-    std::vector<NodeId> key = KeyOf(rel.row(i), positions);
-    if (seen.insert(key).second) {
-      GMARK_RETURN_NOT_OK(charge.Charge(1));
-      out.AppendRow(key);
+    GMARK_RETURN_NOT_OK(clock.Check());
+    const std::span<const NodeId> row = rel.row(i);
+    for (size_t k = 0; k < positions.size(); ++k) {
+      key[k] = row[static_cast<size_t>(positions[k])];
     }
+    GMARK_ASSIGN_OR_RETURN(bool added, AppendDistinctRow(key, &out, &seen));
+    if (added) GMARK_RETURN_NOT_OK(charge.Charge(1));
   }
   return ChargedRelation(std::move(out), std::move(charge));
 }
@@ -149,20 +207,26 @@ Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
     }
     return static_cast<uint64_t>(0);
   }
-  std::unordered_set<std::vector<NodeId>, RowHasher> seen;
-  // The distinct set's charge lives exactly as long as the set: it
+  // One distinct relation accumulates the union; the table holds ids
+  // of its rows. Its charge lives exactly as long as it does: it
   // releases when this guard unwinds, on success and failure alike.
+  VarRelation distinct(rels[0].vars());
+  FlatRowTable seen;  // ids of rows in `distinct`
   TupleCharge charge(budget);
+  PeriodicTimeCheck clock(budget);
   for (const auto& r : rels) {
+    if (r.width() != distinct.width()) {
+      return Status::InvalidArgument("union of relations of unequal width");
+    }
     for (size_t i = 0; i < r.row_count(); ++i) {
-      std::vector<NodeId> key(r.row(i).begin(), r.row(i).end());
-      if (seen.insert(std::move(key)).second) {
-        GMARK_RETURN_NOT_OK(charge.Charge(1));
-      }
+      GMARK_RETURN_NOT_OK(clock.Check());
+      GMARK_ASSIGN_OR_RETURN(bool added,
+                             AppendDistinctRow(r.row(i), &distinct, &seen));
+      if (added) GMARK_RETURN_NOT_OK(charge.Charge(1));
     }
     GMARK_RETURN_NOT_OK(budget->CheckTime());
   }
-  return static_cast<uint64_t>(seen.size());
+  return static_cast<uint64_t>(distinct.row_count());
 }
 
 void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs) {

@@ -17,6 +17,8 @@
 
 namespace gmark {
 
+class FlatRowTable;
+
 /// \brief A bag/set of tuples over an ordered list of variables,
 /// stored row-major in one flat buffer.
 class VarRelation {
@@ -71,21 +73,42 @@ using ChargedRelation = Charged<VarRelation>;
 Result<ChargedRelation> ChargeRelation(VarRelation rel,
                                        BudgetTracker* budget);
 
+/// \brief Append `row` to `rel` unless `rel` holds it already, where
+/// `seen` holds the row ids of `rel` and nothing else (flat_table.h).
+/// True when appended. ResourceExhausted when `rel` would reach
+/// 2^32 - 1 rows, the row-id limit. Charges nothing.
+Result<bool> AppendDistinctRow(std::span<const NodeId> row, VarRelation* rel,
+                               FlatRowTable* seen);
+
 /// \brief Natural hash join on the shared variables of `a` and `b`.
 /// Joins with no shared variables degenerate to a (budgeted) cross
-/// product. Output rows are charged as they are produced.
+/// product. Output schema: `a`'s variables, then `b`'s others.
+///
+/// Row order: `a` order, and within one `a` row its matches in `b`
+/// order. Charges: exactly one tuple per output row, charged as the row
+/// is produced, so a tuple ceiling kills at the same row on every run.
+/// The deadline is read through a PeriodicTimeCheck ticked once per
+/// `a` row and once per output row. ResourceExhausted when `b` holds
+/// 2^32 - 1 rows or more (the row-id limit of flat_table.h).
 Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
                                  BudgetTracker* budget);
 
-/// \brief Project onto `onto` and de-duplicate. Kept rows are charged
-/// as they are produced.
+/// \brief Project onto `onto` and de-duplicate. Columns follow `onto`.
+///
+/// Row order: first occurrence in `rel`. Charges: one tuple per kept
+/// row, as it is kept; projecting onto no variables charges nothing.
+/// ResourceExhausted when the result would reach 2^32 - 1 rows.
 Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
                                         const std::vector<VarId>& onto,
                                         BudgetTracker* budget);
 
 /// \brief Count the distinct tuples in the union of equal-width
 /// relations (the UCRPQ union semantics with a count(distinct)
-/// aggregate).
+/// aggregate). InvalidArgument when the widths differ.
+///
+/// Charges: one tuple per distinct tuple, as it is first met in `rels`
+/// order, held until the count returns. ResourceExhausted when the
+/// union would reach 2^32 - 1 distinct tuples.
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 

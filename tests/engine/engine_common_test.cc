@@ -150,6 +150,103 @@ TEST(EngineCommonTest, ClosureRespectsBudget) {
   }
 }
 
+// One predicate forming the chain 0 -> 1 -> ... -> k-1.
+Graph ChainGraph(NodeId k) {
+  GraphConfiguration config;
+  config.num_nodes = static_cast<int64_t>(k);
+  EXPECT_TRUE(config.schema
+                  .AddType("t", OccurrenceConstraint::Fixed(
+                                    static_cast<int64_t>(k)))
+                  .ok());
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i + 1 < k; ++i) edges.push_back(Edge{i, 0, i + 1});
+  return Graph::Build(layout, 1, edges).ValueOrDie();
+}
+
+struct ClosureCost {
+  size_t pairs;
+  uint64_t rounds;
+  size_t scanned;
+};
+
+ClosureCost RunClosure(const Graph& g, const NodePairs& base, bool naive) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  uint64_t rounds = 0;
+  auto closed = naive ? ClosureNaive(g, base, &budget, &rounds)
+                      : ClosureSemiNaive(g, base, &budget, &rounds);
+  EXPECT_TRUE(closed.ok());
+  return {closed->value.size(), rounds, budget.tuples_scanned()};
+}
+
+TEST(EngineCommonTest, ClosureRoundAndScanCountsArePinned) {
+  // The P-vs-D asymmetry Fig. 12 simulates, as exact counts. On a
+  // k-node chain, naive iteration runs k rounds and rescans the whole
+  // accumulated relation each time; semi-naive runs k-1 rounds over
+  // deltas of k-1, k-2, ..., 1 pairs.
+  const NodeId k = 30;
+  Graph chain = ChainGraph(k);
+  NodePairs base = SymbolPairs(chain, Symbol::Fwd(0));
+  ClosureCost naive = RunClosure(chain, base, /*naive=*/true);
+  ClosureCost semi = RunClosure(chain, base, /*naive=*/false);
+  EXPECT_EQ(naive.pairs, k * (k + 1) / 2);
+  EXPECT_EQ(semi.pairs, k * (k + 1) / 2);
+  EXPECT_EQ(naive.rounds, k);
+  EXPECT_EQ(semi.rounds, k - 1);
+  EXPECT_EQ(naive.scanned, 9455u);
+  EXPECT_EQ(semi.scanned, k * (k - 1) / 2);
+
+  // A generated co-authorship closure, with diamonds and hubs.
+  GraphConfiguration config = MakeBibConfig(300, 2);
+  Graph bib = GenerateGraph(config).ValueOrDie();
+  RegularExpression co;
+  co.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)}};
+  BudgetTracker base_budget(ResourceBudget::Unlimited());
+  auto co_base = RegexBasePairs(bib, co, true, &base_budget);
+  ASSERT_TRUE(co_base.ok());
+  naive = RunClosure(bib, co_base->value, /*naive=*/true);
+  semi = RunClosure(bib, co_base->value, /*naive=*/false);
+  EXPECT_EQ(naive.pairs, semi.pairs);
+  EXPECT_EQ(naive.pairs, 14952u);
+  EXPECT_EQ(naive.rounds, 8u);
+  EXPECT_EQ(naive.scanned, 69216u);
+  EXPECT_EQ(semi.rounds, 7u);
+  EXPECT_EQ(semi.scanned, 14552u);
+}
+
+// A tuple ceiling hit inside composition or a closure: the kill is
+// reported, the attempted pair is the peak, and every charge unwinds.
+void ExpectCleanKill(const Status& status, const BudgetTracker& budget,
+                     size_t ceiling) {
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_EQ(budget.peak_tuples(), ceiling + 1);
+  EXPECT_EQ(budget.tuples_used(), 0u);
+  EXPECT_EQ(budget.over_releases(), 0u);
+}
+
+TEST(EngineCommonTest, TupleCeilingMidCompositionUnwinds) {
+  Graph chain = ChainGraph(30);
+  // a . a charges the 29 a-pairs at once, then one per composed pair:
+  // a ceiling of 40 dies on the 12th of the 28 composed pairs.
+  BudgetTracker budget(ResourceBudget::Limited(60.0, 40));
+  ExpectCleanKill(ComposePathPairs(chain, {Symbol::Fwd(0), Symbol::Fwd(0)},
+                                   /*set_semantics=*/true, &budget)
+                      .status(),
+                  budget, 40);
+}
+
+TEST(EngineCommonTest, TupleCeilingMidClosureUnwinds) {
+  Graph chain = ChainGraph(30);
+  NodePairs base = SymbolPairs(chain, Symbol::Fwd(0));
+  // 30 reflexive pairs are charged at once, then one per new pair.
+  for (bool naive : {true, false}) {
+    BudgetTracker budget(ResourceBudget::Limited(60.0, 100));
+    Status st = naive ? ClosureNaive(chain, base, &budget).status()
+                      : ClosureSemiNaive(chain, base, &budget).status();
+    ExpectCleanKill(st, budget, 100);
+  }
+}
+
 TEST(EngineCommonTest, EmptyPathRejected) {
   Graph g = PathGraph();
   BudgetTracker budget(ResourceBudget::Unlimited());

@@ -107,6 +107,131 @@ TEST(RelationTest, CountDistinctUnionNullary) {
   EXPECT_EQ(CountDistinctUnion({projected.value}, &budget).ValueOrDie(), 1u);
 }
 
+// Ids whose low 32 bits collide with small ids: a key packed into 32
+// bits per column would alias them with 0 and 0xfffffffe.
+constexpr NodeId kHigh = NodeId{1} << 40;
+constexpr NodeId kTop = ~NodeId{0} - 1;
+
+std::vector<std::vector<NodeId>> Rows(const VarRelation& rel) {
+  std::vector<std::vector<NodeId>> rows;
+  for (size_t i = 0; i < rel.row_count(); ++i) {
+    rows.emplace_back(rel.row(i).begin(), rel.row(i).end());
+  }
+  return rows;
+}
+
+TEST(RelationTest, HashJoinRowOrderOneSharedVariable) {
+  // Output order: `a` order, then `b` order within a key.
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  VarRelation a = MakeRelation({0, 1, 2}, {{1, 2, kHigh},
+                                           {3, 4, 0},
+                                           {5, 6, kHigh},
+                                           {7, 8, 9}});
+  VarRelation b = MakeRelation({2, 3, 4}, {{kHigh, 10, 11},
+                                           {0, 12, 13},
+                                           {kHigh, 14, 15},
+                                           {kTop, 16, 17}});
+  ChargedRelation joined = HashJoin(a, b, &budget).ValueOrDie();
+  EXPECT_EQ(joined.value.vars(), (std::vector<VarId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(Rows(joined.value), (std::vector<std::vector<NodeId>>{
+                                    {1, 2, kHigh, 10, 11},
+                                    {1, 2, kHigh, 14, 15},
+                                    {3, 4, 0, 12, 13},
+                                    {5, 6, kHigh, 10, 11},
+                                    {5, 6, kHigh, 14, 15}}));
+  EXPECT_EQ(joined.charge.count(), 5u);
+}
+
+TEST(RelationTest, HashJoinRowOrderTwoSharedVariables) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  VarRelation a = MakeRelation({0, 1, 2}, {{1, kTop, kHigh},
+                                           {2, 0xfffffffe, 0},
+                                           {3, kTop, kHigh},
+                                           {4, kTop, 0}});
+  VarRelation b = MakeRelation({2, 3, 1}, {{kHigh, 20, kTop},
+                                           {0, 21, 0xfffffffe},
+                                           {kHigh, 22, kTop},
+                                           {0, 23, kTop},
+                                           {kHigh, 24, 0xfffffffe}});
+  ChargedRelation joined = HashJoin(a, b, &budget).ValueOrDie();
+  EXPECT_EQ(joined.value.vars(), (std::vector<VarId>{0, 1, 2, 3}));
+  EXPECT_EQ(Rows(joined.value), (std::vector<std::vector<NodeId>>{
+                                    {1, kTop, kHigh, 20},
+                                    {1, kTop, kHigh, 22},
+                                    {2, 0xfffffffe, 0, 21},
+                                    {3, kTop, kHigh, 20},
+                                    {3, kTop, kHigh, 22},
+                                    {4, kTop, 0, 23}}));
+}
+
+TEST(RelationTest, HashJoinRowOrderNoSharedVariables) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  VarRelation a = MakeRelation({0, 1, 2}, {{1, 2, 3}, {kHigh, kTop, 0}});
+  VarRelation b = MakeRelation({3, 4, 5}, {{7, 8, 9}, {0, 0, 0}, {7, 8, 9}});
+  ChargedRelation joined = HashJoin(a, b, &budget).ValueOrDie();
+  EXPECT_EQ(Rows(joined.value), (std::vector<std::vector<NodeId>>{
+                                    {1, 2, 3, 7, 8, 9},
+                                    {1, 2, 3, 0, 0, 0},
+                                    {1, 2, 3, 7, 8, 9},
+                                    {kHigh, kTop, 0, 7, 8, 9},
+                                    {kHigh, kTop, 0, 0, 0, 0},
+                                    {kHigh, kTop, 0, 7, 8, 9}}));
+}
+
+TEST(RelationTest, ProjectDistinctKeepsFirstOccurrenceOrder) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  VarRelation r = MakeRelation({0, 1, 2, 3}, {{kHigh, 1, 2, 3},
+                                              {0, 1, 2, 4},
+                                              {kHigh, 1, 2, 5},
+                                              {kTop, 0xfffffffe, 2, 6},
+                                              {0, 1, 2, 7},
+                                              {0xfffffffe, kTop, 2, 8}});
+  ChargedRelation p = ProjectDistinct(r, {2, 0, 1}, &budget).ValueOrDie();
+  EXPECT_EQ(Rows(p.value), (std::vector<std::vector<NodeId>>{
+                               {2, kHigh, 1},
+                               {2, 0, 1},
+                               {2, kTop, 0xfffffffe},
+                               {2, 0xfffffffe, kTop}}));
+  EXPECT_EQ(p.charge.count(), 4u);
+}
+
+TEST(RelationTest, CountDistinctUnionDoesNotAliasWideIds) {
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  VarRelation a = MakeRelation({0, 1}, {{kHigh, 0}, {0, 0}, {kTop, 1}});
+  VarRelation b = MakeRelation({0, 1}, {{0xfffffffe, 1}, {kHigh, 0}});
+  EXPECT_EQ(CountDistinctUnion({a, b}, &budget).ValueOrDie(), 4u);
+  EXPECT_EQ(budget.tuples_used(), 0u);
+  EXPECT_EQ(budget.peak_tuples(), 4u);
+}
+
+// A tuple ceiling hit inside a kernel: the kernel reports the kill, the
+// attempted row is the peak, and every charge unwinds.
+void ExpectCleanKill(const Status& status, const BudgetTracker& budget,
+                     size_t ceiling) {
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_EQ(budget.peak_tuples(), ceiling + 1);
+  EXPECT_EQ(budget.tuples_used(), 0u);
+  EXPECT_EQ(budget.over_releases(), 0u);
+}
+
+TEST(RelationTest, TupleCeilingMidJoinUnwinds) {
+  VarRelation a = MakeRelation({0, 1}, {{1, 5}, {2, 5}, {3, 5}, {4, 6}});
+  VarRelation b = MakeRelation({1, 2}, {{5, 7}, {5, 8}, {6, 9}});
+  BudgetTracker budget(ResourceBudget::Limited(60.0, 4));
+  ExpectCleanKill(HashJoin(a, b, &budget).status(), budget, 4);
+}
+
+TEST(RelationTest, TupleCeilingMidDistinctUnwinds) {
+  VarRelation r = MakeRelation({0, 1}, {{1, 2}, {1, 2}, {3, 4}, {5, 6},
+                                        {3, 4}, {7, 8}, {9, 10}});
+  BudgetTracker budget(ResourceBudget::Limited(60.0, 3));
+  ExpectCleanKill(ProjectDistinct(r, {0, 1}, &budget).status(), budget, 3);
+  VarRelation s = MakeRelation({0, 1}, {{9, 10}, {11, 12}});
+  BudgetTracker union_budget(ResourceBudget::Limited(60.0, 5));
+  ExpectCleanKill(CountDistinctUnion({r, s}, &union_budget).status(),
+                  union_budget, 5);
+}
+
 TEST(RelationTest, DedupPairsSortsAndUniques) {
   std::vector<std::pair<NodeId, NodeId>> pairs{{3, 4}, {1, 2}, {3, 4},
                                                {1, 2}, {0, 0}};
