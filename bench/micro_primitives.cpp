@@ -2,8 +2,9 @@
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
 // slot-vector shuffles, product-graph BFS, regex-to-NFA compilation, and
 // the relational kernels (hash join, distinct projection, distinct
-// union, path composition, naive and semi-naive closure); and for the
-// text writers: N-Triples, workload XML, and the four translators.
+// union, path composition, disjunct union, naive and semi-naive
+// closure); and for the text writers: N-Triples, workload XML, and the
+// four translators.
 
 #include <benchmark/benchmark.h>
 
@@ -152,6 +153,29 @@ void BM_ComposePathPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComposePathPairs)->ArgNames({"n", "set"})
+    ->Args({20000, 0})->Args({20000, 1})->Unit(benchmark::kMillisecond);
+
+/// authors^- . authors + publishedIn . publishedIn^-: papers sharing an
+/// author or a conference. Two overlapping disjuncts, one inverse-first,
+/// so the source-by-source union has work to do.
+void BM_RegexBasePairs(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = GenerateGraph(config).ValueOrDie();
+  const PredicateId authors =
+      config.schema.PredicateIdOf("authors").ValueOrDie();
+  const PredicateId published_in =
+      config.schema.PredicateIdOf("publishedIn").ValueOrDie();
+  RegularExpression expr;
+  expr.disjuncts = {{Symbol::Inv(authors), Symbol::Fwd(authors)},
+                    {Symbol::Fwd(published_in), Symbol::Inv(published_in)}};
+  const bool set_semantics = state.range(1) != 0;
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    auto pairs = RegexBasePairs(graph, expr, set_semantics, &budget);
+    benchmark::DoNotOptimize(pairs.ok());
+  }
+}
+BENCHMARK(BM_RegexBasePairs)->ArgNames({"n", "set"})
     ->Args({20000, 0})->Args({20000, 1})->Unit(benchmark::kMillisecond);
 
 /// (authors . authors^-)*: Bib's one self-chaining shape, the Rec

@@ -211,7 +211,8 @@ class BudgetTracker {
 ///   3. A failing task calls ReportFailure(task_index, status); the
 ///      lowest task index wins, so the reported error is deterministic
 ///      even though which tasks observe the shared ceiling first is
-///      not.
+///      not. From then on failed() reads true: tasks poll it to skip
+///      or stop work whose result the failed section discards.
 ///   4. After Executor::Wait(), the owner calls Fold() exactly once:
 ///      per-worker scanned/over-release counters and the outstanding
 ///      tuple balances are folded into the base IN WORKER ORDER, the
@@ -266,12 +267,17 @@ class ConcurrentBudgetScope {
   /// LOWEST task index is the one first_failure() reports, making the
   /// reported error independent of scheduling.
   void ReportFailure(size_t task_index, Status status) EXCLUDES(mu_) {
+    failed_.store(true, std::memory_order_relaxed);
     MutexLock lock(mu_);
     if (task_index < failure_index_) {
       failure_index_ = task_index;
       failure_ = std::move(status);
     }
   }
+
+  /// \brief Whether any task has reported a failure yet. Thread-safe
+  /// and cheap enough to poll per unit of work.
+  bool failed() const { return failed_.load(std::memory_order_relaxed); }
 
   /// \brief The winning failure (OK when every task succeeded). Call
   /// after the section quiesced (Executor::Wait()).
@@ -313,6 +319,12 @@ class ConcurrentBudgetScope {
   SharedBudgetState shared_;
   std::vector<std::unique_ptr<BudgetTracker>> workers_;
   bool folded_ = false;
+  // SAFETY: a relaxed multi-writer flag, set by ReportFailure and only
+  // ever polled. It orders no other memory: the failure itself is
+  // published under mu_, and the section's results and accounting are
+  // read after Executor::Wait(). A task that reads it late merely does
+  // work the failed section discards; it never decides a result.
+  std::atomic<bool> failed_{false};
   mutable Mutex mu_;
   size_t failure_index_ GUARDED_BY(mu_) =
       std::numeric_limits<size_t>::max();

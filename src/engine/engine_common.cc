@@ -1,7 +1,9 @@
 #include "engine/engine_common.h"
 
 #include <algorithm>
+#include <span>
 
+#include "engine/eval_scratch.h"
 #include "engine/flat_table.h"
 #include "obs/eval_profile.h"
 #include "plan/planner.h"
@@ -15,20 +17,12 @@ uint64_t PairHash(const std::pair<NodeId, NodeId>& p) {
   return HashColumn(HashColumn(kRowHashSeed, p.first), p.second);
 }
 
-/// Append (x, y) to `pairs` and charge it, unless `seen`, which holds
-/// the row ids of `pairs`, already has it.
-Status AppendIfNew(NodeId x, NodeId y, NodePairs* pairs, FlatRowTable* seen,
-                   TupleCharge* charge) {
-  GMARK_RETURN_NOT_OK(CheckRowLimit(pairs->size()));
-  const std::pair<NodeId, NodeId> pair{x, y};
-  const uint32_t found = seen->FindOrInsert(
-      PairHash(pair), static_cast<uint32_t>(pairs->size()),
-      [&](uint32_t r) { return (*pairs)[r] == pair; },
-      [&](uint32_t r) { return PairHash((*pairs)[r]); });
-  if (found != FlatRowTable::kNone) return Status::OK();
-  GMARK_RETURN_NOT_OK(charge->Charge(1));
-  pairs->push_back(pair);
-  return Status::OK();
+/// The neighbors of `v` along `symbol`: its out-neighbors, or its
+/// in-neighbors for an inverse symbol.
+std::span<const NodeId> Neighbors(const Graph& graph, const Symbol& symbol,
+                                  NodeId v) {
+  return symbol.inverse ? graph.InNeighbors(symbol.predicate, v)
+                        : graph.OutNeighbors(symbol.predicate, v);
 }
 
 /// The relation a closure accumulates, in discovery order: every
@@ -76,7 +70,16 @@ class ClosureBuilder {
 
   /// Append (and charge) (x, y) unless already present.
   Status Add(NodeId x, NodeId y) {
-    return AppendIfNew(x, y, &pairs_, &known_, &charge_);
+    GMARK_RETURN_NOT_OK(CheckRowLimit(pairs_.size()));
+    const std::pair<NodeId, NodeId> pair{x, y};
+    const uint32_t found = known_.FindOrInsert(
+        PairHash(pair), static_cast<uint32_t>(pairs_.size()),
+        [&](uint32_t r) { return pairs_[r] == pair; },
+        [&](uint32_t r) { return PairHash(pairs_[r]); });
+    if (found != FlatRowTable::kNone) return Status::OK();
+    GMARK_RETURN_NOT_OK(charge_.Charge(1));
+    pairs_.push_back(pair);
+    return Status::OK();
   }
 
   /// One round: join rows [begin, end) with the base, appending every
@@ -109,22 +112,36 @@ class ClosureBuilder {
   PeriodicTimeCheck clock_;
 };
 
+/// Adds the wall time of its scope to one conjunct's profile seconds
+/// on every exit path (a no-op without a profile).
+class ConjunctSecondsGuard {
+ public:
+  ConjunctSecondsGuard(EvalProfile* profile, size_t conjunct_index)
+      : profile_(profile), conjunct_index_(conjunct_index) {}
+  ConjunctSecondsGuard(const ConjunctSecondsGuard&) = delete;
+  ConjunctSecondsGuard& operator=(const ConjunctSecondsGuard&) = delete;
+  ~ConjunctSecondsGuard() {
+    if (profile_ == nullptr) return;
+    profile_->Conjunct(conjunct_index_).seconds += timer_.ElapsedSeconds();
+  }
+
+ private:
+  EvalProfile* profile_;
+  size_t conjunct_index_;
+  WallTimer timer_;
+};
+
 }  // namespace
 
 NodePairs SymbolPairs(const Graph& graph, const Symbol& symbol) {
-  // Scan the forward CSR in place — no intermediate edge vector, and
-  // inverse symbols swap roles as they materialize instead of paying a
-  // second pass.
+  // Scan the CSR of the symbol's own direction in place, source by
+  // source: no intermediate edge vector, and an inverse symbol comes out
+  // grouped by its own source like a forward one.
   NodePairs pairs;
   pairs.reserve(graph.EdgeCount(symbol.predicate));
-  if (symbol.inverse) {
-    graph.ForEachEdge(symbol.predicate, [&pairs](NodeId s, NodeId t) {
-      pairs.emplace_back(t, s);
-    });
-  } else {
-    graph.ForEachEdge(symbol.predicate, [&pairs](NodeId s, NodeId t) {
-      pairs.emplace_back(s, t);
-    });
+  const NodeId n = static_cast<NodeId>(graph.num_nodes());
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId w : Neighbors(graph, symbol, v)) pairs.emplace_back(v, w);
   }
   return pairs;
 }
@@ -140,21 +157,33 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
   TupleCharge charge(budget);
   GMARK_RETURN_NOT_OK(charge.Charge(current.size()));
   PeriodicTimeCheck clock(budget);
+  // Targets already produced for the current source (set semantics).
+  ResettableBitset seen;
+  if (set_semantics) seen.EnsureBits(static_cast<size_t>(graph.num_nodes()));
   for (size_t i = 1; i < path.size(); ++i) {
     GMARK_RETURN_NOT_OK(budget->CheckTime());
     const Symbol& sym = path[i];
     NodePairs next;
     TupleCharge next_charge(budget);
-    FlatRowTable seen;  // ids of rows in `next`, set semantics only
-    for (const auto& [x, mid] : current) {
-      auto neighbors = sym.inverse
-                           ? graph.InNeighbors(sym.predicate, mid)
-                           : graph.OutNeighbors(sym.predicate, mid);
-      for (NodeId w : neighbors) {
-        GMARK_RETURN_NOT_OK(clock.Check());
-        if (set_semantics) {
-          GMARK_RETURN_NOT_OK(AppendIfNew(x, w, &next, &seen, &next_charge));
-        } else {
+    if (set_semantics) {
+      // `current` is grouped by source, so each group's targets are
+      // deduplicated on their own and the bitset resets between groups.
+      for (size_t row = 0; row < current.size();) {
+        const NodeId x = current[row].first;
+        for (; row < current.size() && current[row].first == x; ++row) {
+          for (NodeId w : Neighbors(graph, sym, current[row].second)) {
+            GMARK_RETURN_NOT_OK(clock.Check());
+            if (seen.TestAndSet(w)) continue;
+            GMARK_RETURN_NOT_OK(next_charge.Charge(1));
+            next.emplace_back(x, w);
+          }
+        }
+        seen.Reset();
+      }
+    } else {
+      for (const auto& [x, mid] : current) {
+        for (NodeId w : Neighbors(graph, sym, mid)) {
+          GMARK_RETURN_NOT_OK(clock.Check());
           GMARK_RETURN_NOT_OK(next_charge.Charge(1));
           next.emplace_back(x, w);
         }
@@ -173,17 +202,51 @@ Result<ChargedPairs> RegexBasePairs(const Graph& graph,
                                     const RegularExpression& expr,
                                     bool set_semantics,
                                     BudgetTracker* budget) {
-  NodePairs base;
+  std::vector<NodePairs> parts;
+  parts.reserve(expr.disjuncts.size());
+  size_t rows = 0;
   for (const PathExpr& path : expr.disjuncts) {
     GMARK_ASSIGN_OR_RETURN(
         ChargedPairs part,
         ComposePathPairs(graph, path, set_semantics, budget));
-    base.insert(base.end(), part.value.begin(), part.value.end());
-    // part's guard releases its charge here; the accumulating union is
-    // charged once below, after deduplication.
+    rows += part.value.size();
+    parts.push_back(std::move(part.value));
+    // part's guard releases its charge here; the union is charged once
+    // below, after deduplication.
   }
   // UNION (not UNION ALL): disjunction is set-oriented in every dialect.
-  DedupPairs(&base);
+  // Every part is grouped by source, ascending, so one walk over the
+  // sources merges them: per source, the distinct targets of all parts,
+  // sorted.
+  NodePairs base;
+  base.reserve(rows);
+  std::vector<size_t> cursor(parts.size(), 0);
+  ResettableBitset seen(static_cast<size_t>(graph.num_nodes()));
+  std::vector<NodeId> targets;
+  for (;;) {
+    bool more = false;
+    NodeId x = 0;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      if (cursor[p] == parts[p].size()) continue;
+      const NodeId s = parts[p][cursor[p]].first;
+      if (!more || s < x) x = s;
+      more = true;
+    }
+    if (!more) break;
+    targets.clear();
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const NodePairs& part = parts[p];
+      size_t& row = cursor[p];
+      for (; row < part.size() && part[row].first == x; ++row) {
+        if (!seen.TestAndSet(part[row].second)) {
+          targets.push_back(part[row].second);
+        }
+      }
+    }
+    seen.Reset();
+    std::sort(targets.begin(), targets.end());
+    for (NodeId t : targets) base.emplace_back(x, t);
+  }
   TupleCharge charge(budget);
   GMARK_RETURN_NOT_OK(charge.Charge(base.size()));
   return ChargedPairs(std::move(base), std::move(charge));
@@ -268,9 +331,12 @@ Result<ChargedRelation> ExecuteRulePlan(const QueryRule& rule,
     // projection below never care about direction.
     const Conjunct c = EffectiveConjunct(rule.body[step.conjunct], step);
     const size_t conjunct_index = conjunct_offset + step.conjunct;
-    WallTimer conjunct_timer;
     ChargedRelation rel;
     {
+      // The step's time ends once its relation is charged, before the
+      // join, and is booked on the error path too: a killed step's
+      // seconds are step time, not join time.
+      ConjunctSecondsGuard step_time(profile, conjunct_index);
       GMARK_ASSIGN_OR_RETURN(ChargedPairs pairs, strategy(c, conjunct_index));
       // The relation copy lives alongside the pair vector until the
       // scope closes: ChargeRelation charges it for its lifetime, and
@@ -295,9 +361,7 @@ Result<ChargedRelation> ExecuteRulePlan(const QueryRule& rule,
       acc = std::move(joined);
     }
     if (profile != nullptr) {
-      ConjunctProfile& cp = profile->Conjunct(conjunct_index);
-      cp.rows += conjunct_rows;
-      cp.seconds += conjunct_timer.ElapsedSeconds();
+      profile->Conjunct(conjunct_index).rows += conjunct_rows;
       profile->RecordPlanStepRows(step_offset + pos, conjunct_rows);
     }
     GMARK_RETURN_NOT_OK(budget->CheckTime());

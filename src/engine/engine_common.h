@@ -31,13 +31,25 @@ using NodePairs = std::vector<std::pair<NodeId, NodeId>>;
 using ChargedPairs = Charged<NodePairs>;
 
 /// \brief All edges matching one symbol, as (source, target) pairs
-/// (inverse symbols swap the roles).
+/// (inverse symbols swap the roles), read from the CSR of the symbol's
+/// own direction.
+///
+/// Order: grouped by source, sources ascending; within a source, the
+/// CSR's neighbor order.
 NodePairs SymbolPairs(const Graph& graph, const Symbol& symbol);
 
 /// \brief Relational evaluation of one concatenation path: start from
 /// the first symbol's edge relation and compose stepwise through the
 /// adjacency index. With `set_semantics` each step deduplicates (a
 /// Datalog relation); without, bag semantics mirror a SQL join pipeline.
+///
+/// Order: grouped by source, sources ascending; within a source, the
+/// order in which the step first reached each target.
+///
+/// Charges: the first relation at once, then one tuple per produced
+/// row; a step's relation stays charged until its successor is fully
+/// charged. Set semantics deduplicate one source's targets at a time,
+/// with no table over the whole step relation.
 Result<ChargedPairs> ComposePathPairs(const Graph& graph,
                                       const PathExpr& path,
                                       bool set_semantics,
@@ -45,6 +57,10 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
 
 /// \brief Union of the disjunct relations of a regular expression
 /// (without applying the star), deduplicated.
+///
+/// Order: sorted and distinct. Charges: each disjunct as
+/// ComposePathPairs charges it, released before the union is charged
+/// once, in full.
 Result<ChargedPairs> RegexBasePairs(const Graph& graph,
                                     const RegularExpression& expr,
                                     bool set_semantics,

@@ -32,28 +32,27 @@ struct BfsShardFlush {
 };
 
 /// One chunk's private output: its sources' accepted-pair count (and
-/// the pairs themselves when materializing), its BFS statistics, and
-/// the tuple charge it left parked on its worker tracker. Written by
-/// exactly one task; read by the merging thread after Executor::Wait().
+/// the pairs themselves when materializing) and its BFS statistics.
+/// Written by exactly one task; read by the merging thread after
+/// Executor::Wait().
 struct SourceChunk {
   uint64_t count = 0;
   NodePairs pairs;
   BfsStatsShard stats;
-  size_t charged = 0;
 };
 
 /// Evaluates sources [begin, end) against `nfa`, charging each source's
-/// accepted targets on `budget` (the chunk's tracker). On success the
-/// accumulated charge is disarmed into out->charged — it stays on the
-/// tracker so the cross-chunk peak reproduces the serial evaluator's —
-/// and the caller re-guards it after the budget fold. On failure the
-/// chunk's own guard releases its charge before returning; statistics
-/// reach out->stats on every exit path.
+/// accepted targets on `charge` (a guard over the chunk's tracker,
+/// `budget`), which the caller keeps or releases. `section`, when
+/// given, is polled before every source: once it has failed the chunk
+/// stops and returns OK, as the failed section discards its result.
+/// Statistics reach out->stats on every exit path.
 Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
                       const std::vector<NfaTransition>& start_transitions,
                       size_t begin, size_t end, bool materialize,
+                      const ConcurrentBudgetScope* section,
                       EvalScratch& scratch, BudgetTracker* budget,
-                      SourceChunk* out) {
+                      TupleCharge* charge, SourceChunk* out) {
   const size_t n = static_cast<size_t>(graph.num_nodes());
   const size_t k = nfa.state_count();
   const uint32_t accept = nfa.accept();
@@ -77,7 +76,6 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
     return false;
   };
 
-  TupleCharge charge(budget);
   // Amortized wall-clock enforcement inside the per-source BFS: the
   // per-source check alone would let one dense source overshoot the
   // timeout unboundedly (its whole product-graph traversal runs
@@ -91,6 +89,7 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
   BfsShardFlush flush{&out->stats, &pops, &peak_frontier};
 
   for (size_t si = begin; si < end; ++si) {
+    if (section != nullptr && section->failed()) return Status::OK();
     const NodeId source = static_cast<NodeId>(si);
     const bool starts = has_start_edge(source);
     if (!starts && !epsilon) continue;
@@ -135,12 +134,11 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
       }
     }
     out->count += targets.size();
-    GMARK_RETURN_NOT_OK(charge.Charge(targets.size()));
+    GMARK_RETURN_NOT_OK(charge->Charge(targets.size()));
     if (materialize) {
       for (NodeId t : targets) out->pairs.emplace_back(source, t);
     }
   }
-  out->charged = charge.Disarm();
   return Status::OK();
 }
 
@@ -195,14 +193,16 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
   if (workers <= 1 || num_chunks <= 1) {
     EvalScratch scratch;
     SourceChunk out;
+    TupleCharge charge(budget);
     Status st = RunSourceChunk(graph, nfa, start_transitions, 0, n,
-                               materialize, scratch, budget, &out);
+                               materialize, /*section=*/nullptr, scratch,
+                               budget, &charge, &out);
     if (profile != nullptr) profile->AddBfs(out.stats);
     RecordEvalMetrics(n, num_chunks, out.stats);
     GMARK_RETURN_NOT_OK(st);
     merged.count = out.count;
     merged.pairs = std::move(out.pairs);
-    merged.charge = TupleCharge::Assume(budget, out.charged);
+    merged.charge = std::move(charge);
     return merged;
   }
 
@@ -210,19 +210,38 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
   // worker it lands on (ThreadPool::CurrentWorkerId(): pool workers are
   // 1..workers, so the scope holds workers+1 trackers) and reuses that
   // worker's scratch. Chunks are independent, so results depend only on
-  // the [begin, end) partition — never on scheduling.
+  // the [begin, end) partition — never on scheduling. A chunk that
+  // returns OK disarms its charge onto its worker tracker, so the
+  // cross-chunk peak reproduces the serial evaluator's; the fold below
+  // re-guards it.
+  //
+  // Once any chunk fails the section's result is decided, so chunks
+  // that have not started skip their sources and running ones stop
+  // before their next source, reporting nothing: no chunk climbs back
+  // to the ceiling a failing chunk just hit. Their parked charges
+  // release with the section's. Success paths never see the flag.
   ConcurrentBudgetScope scope(budget, workers + 1);
   std::vector<SourceChunk> chunks(num_chunks);
   std::vector<EvalScratch> scratch(static_cast<size_t>(workers) + 1);
   for (size_t ci = 0; ci < num_chunks; ++ci) {
     opts.executor->Submit([&, ci, chunk] {
+      if (scope.failed()) return;
       const int wid = ThreadPool::CurrentWorkerId();
       const size_t begin = ci * chunk;
       const size_t end = std::min(n, begin + chunk);
+      BudgetTracker* tracker = &scope.worker(wid);
+      TupleCharge charge(tracker);
       Status st = RunSourceChunk(graph, nfa, start_transitions, begin, end,
-                                 materialize, scratch[static_cast<size_t>(wid)],
-                                 &scope.worker(wid), &chunks[ci]);
-      if (!st.ok()) scope.ReportFailure(ci, std::move(st));
+                                 materialize, &scope,
+                                 scratch[static_cast<size_t>(wid)], tracker,
+                                 &charge, &chunks[ci]);
+      // Report before `charge` releases, so the headroom the release
+      // frees is not taken by a chunk that has not seen the failure.
+      if (!st.ok()) {
+        scope.ReportFailure(ci, std::move(st));
+      } else {
+        charge.Disarm();
+      }
     });
   }
   opts.executor->Wait();

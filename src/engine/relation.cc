@@ -229,9 +229,4 @@ Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
   return static_cast<uint64_t>(distinct.row_count());
 }
 
-void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs) {
-  std::sort(pairs->begin(), pairs->end());
-  pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
-}
-
 }  // namespace gmark

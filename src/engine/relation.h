@@ -112,9 +112,6 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 
-/// \brief Set-semantics pair deduplication in place.
-void DedupPairs(std::vector<std::pair<NodeId, NodeId>>* pairs);
-
 }  // namespace gmark
 
 #endif  // GMARK_ENGINE_RELATION_H_

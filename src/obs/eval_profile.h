@@ -27,7 +27,9 @@ struct ConjunctProfile {
   uint64_t rows = 0;
   /// Wall seconds spent producing the conjunct. Inclusive of deeper
   /// conjuncts for the DFS engine (its recursion interleaves them);
-  /// exclusive for the materializing engines.
+  /// exclusive for the materializing engines: the conjunct relation up
+  /// to its charge, not the join it feeds, and also when the budget
+  /// kills the step.
   double seconds = 0.0;
   /// Fixpoint rounds this conjunct's Kleene closure ran (0 if no star).
   uint64_t fixpoint_rounds = 0;

@@ -273,6 +273,67 @@ TEST(ParallelEvalTest, TimeKilledPathsAgreeAcrossThreads) {
   }
 }
 
+// A directed ring over predicate a: from every node, a* reaches all n
+// nodes, so every source costs the same BFS and charges n tuples.
+Graph RingGraph(int64_t n) {
+  GraphConfiguration config;
+  config.num_nodes = n;
+  EXPECT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(n)).ok());
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
+    edges.push_back(Edge{i, 0, (i + 1) % static_cast<NodeId>(n)});
+  }
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  return Graph::Build(std::move(layout), 1, std::move(edges)).ValueOrDie();
+}
+
+TEST(ParallelEvalTest, KilledParallelRunStopsItsOtherChunks) {
+  // A ceiling of four sources' targets: the serial run dies on its
+  // fifth source. Once one chunk dies, chunks that have not started
+  // must not start and running ones must stop before their next source,
+  // so the parallel run's BFS work stays within a small multiple of the
+  // serial run's (at most four sources held, plus about one source in
+  // flight per thread), not the whole graph's.
+  const int64_t n = 400;
+  Graph g = RingGraph(n);
+  Nfa nfa = Nfa::FromRegex(StarA()).ValueOrDie();
+  const ResourceBudget tight =
+      ResourceBudget::Limited(1e9, static_cast<size_t>(4 * n));
+
+  RpqEvaluator serial(&g);
+  BudgetTracker serial_budget(tight);
+  EvalProfile serial_profile;
+  ASSERT_TRUE(serial.CountPairs(nfa, &serial_budget, &serial_profile)
+                  .status()
+                  .IsResourceExhausted());
+  const uint64_t serial_pops = serial_profile.bfs_pops;
+  ASSERT_GT(serial_pops, 0u);
+
+  BudgetTracker unlimited(ResourceBudget::Unlimited());
+  EvalProfile full_profile;
+  ASSERT_EQ(serial.CountPairs(nfa, &unlimited, &full_profile).ValueOrDie(),
+            static_cast<uint64_t>(n * n));
+  // Without the stop, each chunk could climb back to the ceiling.
+  ASSERT_GT(full_profile.bfs_pops, 20 * serial_pops);
+
+  Executor executor(8);
+  EvalOptions opts;
+  opts.executor = &executor;
+  opts.chunk_sources = 1;
+  RpqEvaluator parallel(&g, opts);
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    BudgetTracker killed(tight);
+    EvalProfile profile;
+    Status st = parallel.CountPairs(nfa, &killed, &profile).status();
+    EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+    EXPECT_EQ(killed.tuples_used(), 0u);
+    EXPECT_EQ(killed.over_releases(), 0u);
+    EXPECT_GT(killed.peak_tuples(), tight.max_tuples);
+    EXPECT_LE(profile.bfs_pops, 6 * serial_pops) << "repeat " << repeat;
+  }
+}
+
 TEST(ParallelEvalTest, EnginesAgreeOnBudgetKilledStatus) {
   Graph g = DenseGraph(200);
   Query q = ChainQuery();

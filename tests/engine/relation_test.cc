@@ -232,15 +232,6 @@ TEST(RelationTest, TupleCeilingMidDistinctUnwinds) {
                   union_budget, 5);
 }
 
-TEST(RelationTest, DedupPairsSortsAndUniques) {
-  std::vector<std::pair<NodeId, NodeId>> pairs{{3, 4}, {1, 2}, {3, 4},
-                                               {1, 2}, {0, 0}};
-  DedupPairs(&pairs);
-  EXPECT_EQ(pairs.size(), 3u);
-  EXPECT_EQ(pairs[0], (std::pair<NodeId, NodeId>{0, 0}));
-  EXPECT_EQ(pairs[2], (std::pair<NodeId, NodeId>{3, 4}));
-}
-
 TEST(BudgetTest, TupleAccounting) {
   BudgetTracker budget(ResourceBudget::Limited(60.0, 10));
   EXPECT_TRUE(budget.ChargeTuples(6).ok());
