@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -45,20 +44,6 @@ inline std::vector<int> ThreadCounts(std::vector<int> defaults = {1, 2, 4,
     if (!out.empty()) return out;
   }
   return defaults;
-}
-
-/// \brief VmHWM (process peak RSS, monotone) in bytes, or 0 where /proc
-/// is unavailable.
-inline size_t PeakRssBytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      auto kb = ParseInt(Trim(line.substr(6, line.size() - 6 - 3)));
-      return kb.ok() ? static_cast<size_t>(kb.ValueOrDie()) * 1024 : 0;
-    }
-  }
-  return 0;
 }
 
 /// \brief Graph sizes: GMARK_SIZES override, else full/small defaults.

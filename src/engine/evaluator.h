@@ -17,8 +17,8 @@
 // worker reuses private EvalScratch and charges a private
 // ConcurrentBudgetScope tracker, and chunk results merge in source
 // order — counts, pairs, profiles, and budget accounting are
-// byte-identical at any thread or chunk count (the identity tests and
-// bench/eval_speedup's gate pin this).
+// byte-identical at any thread or chunk count (parallel_eval_test pins
+// this).
 
 #ifndef GMARK_ENGINE_EVALUATOR_H_
 #define GMARK_ENGINE_EVALUATOR_H_

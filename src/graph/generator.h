@@ -70,13 +70,6 @@ struct GeneratorOptions {
   /// on the calling thread. Ignored by the serial GenerateEdges path.
   int num_threads = 1;
 
-  /// Worker threads for intra-query evaluation (the frontier-parallel
-  /// RPQ evaluator; engine/eval_options.h) when the driver also runs
-  /// queries over the generated graph. Same convention as num_threads:
-  /// 0 = hardware concurrency, 1 = serial. Evaluation results are
-  /// byte-identical at any value; generation ignores this field.
-  int eval_threads = 1;
-
   /// Nodes (slot building) or edges (emission) per parallel task. The
   /// output of the parallel generator is a function of (seed,
   /// chunk_size) and is independent of num_threads; constraints smaller
@@ -106,13 +99,13 @@ struct GeneratorOptions {
   /// inline on one thread). 1 everywhere reproduces the
   /// historical one-task-per-predicate build — same bytes, group
   /// boundaries never change the output, just no intra-predicate
-  /// fan-out (the bench/csr_build ablation baseline).
+  /// fan-out (chunked_build_test's max_groups=1 reference).
   int index_max_groups = 0;
 };
 
 /// \brief Observability for one generation run (benchmarks, tests, and
-/// `gmark_cli --stats`; also what the spill bench reports as "peak edge
-/// memory").
+/// `gmark_cli --stats`; also what pipebench reports as
+/// `parallel.peak_edge_mb`).
 struct GenerateStats {
   size_t total_edges = 0;
   /// High-water mark of edge bytes resident in the staging store: the

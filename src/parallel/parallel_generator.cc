@@ -329,11 +329,6 @@ Status ParallelGenerateToSink(const GraphConfiguration& config,
   return Status::OK();
 }
 
-Status ParallelGenerateEdges(const GraphConfiguration& config, EdgeSink* sink,
-                             const GeneratorOptions& options) {
-  return ParallelGenerateToSink(config, sink, options);
-}
-
 Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
                                     const GeneratorOptions& options,
                                     GenerateStats* stats) {

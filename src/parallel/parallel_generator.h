@@ -37,18 +37,13 @@ namespace gmark {
 
 /// \brief Parallel Fig. 5: generate all edges with
 /// options.num_threads workers (0 = hardware concurrency) and stream
-/// them into `sink` in canonical order on the calling thread.
-/// Equivalent to ParallelGenerateToSink; kept as the historical name.
-Status ParallelGenerateEdges(const GraphConfiguration& config, EdgeSink* sink,
-                             const GeneratorOptions& options = {});
-
-/// \brief Streaming parallel generation: run the parallel algorithm and
-/// drain the result straight into `sink` without ever materializing the
-/// full edge set in one vector. Once the exact edge total is known
-/// (after the slot-building phase), the shards are kept in memory or
-/// spilled to per-shard temp files according to options.spill_dir /
-/// options.spill_threshold_bytes; either way the bytes reaching `sink`
-/// are identical. (GenerateStats lives in graph/generator.h.)
+/// them into `sink` in canonical order on the calling thread, without
+/// ever materializing the full edge set in one vector. Once the exact
+/// edge total is known (after the slot-building phase), the shards are
+/// kept in memory or spilled to per-shard temp files according to
+/// options.spill_dir / options.spill_threshold_bytes; either way the
+/// bytes reaching `sink` are identical. (GenerateStats lives in
+/// graph/generator.h.)
 Status ParallelGenerateToSink(const GraphConfiguration& config,
                               EdgeSink* sink,
                               const GeneratorOptions& options = {},

@@ -17,9 +17,8 @@ namespace gmark {
 /// \brief G_sel with nb_path-weighted walk sampling (§5.2.4).
 ///
 /// G_sel depends only on (schema graph, per-conjunct length range), so
-/// one instance can be built once per workload and shared by every
-/// query — rebuilding it per query was the dominant cost of controlled
-/// generation (see bench/workload_speedup.cpp).
+/// ParallelGenerateWorkload builds one instance per workload and shares
+/// it with every selectivity-controlled query.
 ///
 /// Thread-safety: after Build returns, all const methods are safe for
 /// concurrent callers. CountChains and SampleConjunctChain recompute

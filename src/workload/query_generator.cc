@@ -409,25 +409,16 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
 
 Result<GeneratedQuery> QueryGenerator::GenerateOne(
     const WorkloadConfiguration& config, QueryShape shape,
-    std::optional<QuerySelectivity> target, RandomEngine* rng) const {
-  return GenerateOne(config, shape, target, /*gsel=*/nullptr, rng);
-}
-
-Result<GeneratedQuery> QueryGenerator::GenerateOne(
-    const WorkloadConfiguration& config, QueryShape shape,
     std::optional<QuerySelectivity> target, const SelectivityGraph* gsel,
     RandomEngine* rng) const {
   const bool controlled =
       target.has_value() && shape == QueryShape::kChain;
-  // G_sel depends only on the per-conjunct path length range, so
-  // callers generating many queries build it once and pass it in;
-  // otherwise it is built here on demand — and only for controlled
-  // queries, which are the only ones that consult it.
-  std::optional<SelectivityGraph> local_gsel;
+  // G_sel depends only on the per-conjunct path length range, so the
+  // caller builds it once per workload and shares it; only controlled
+  // queries consult it.
   if (controlled && gsel == nullptr) {
-    local_gsel.emplace(
-        SelectivityGraph::Build(&graph_, config.size.path_length));
-    gsel = &*local_gsel;
+    return Status::InvalidArgument(
+        "selectivity-controlled query needs a G_sel");
   }
 
   Status last_error = Status::OK();

@@ -68,20 +68,15 @@ class QueryGenerator {
   /// the parallel path at any thread count.
   Result<Workload> Generate(const WorkloadConfiguration& config) const;
 
-  /// \brief Generate a single query with explicit shape/class. When the
-  /// query is selectivity-controlled, G_sel is built on demand (it is
-  /// never built for shapes that do not consult it).
-  Result<GeneratedQuery> GenerateOne(
-      const WorkloadConfiguration& config, QueryShape shape,
-      std::optional<QuerySelectivity> target, RandomEngine* rng) const;
-
-  /// \brief As above, against a caller-provided G_sel built with
+  /// \brief Generate a single query with explicit shape/class against a
+  /// caller-provided G_sel built with
   /// SelectivityGraph::Build(&schema_graph(), config.size.path_length).
   /// Sharing one immutable G_sel across queries is what makes workload
   /// generation parallel-friendly: this method is const and touches no
   /// mutable state, so any number of threads may call it concurrently
-  /// with distinct RandomEngines. `gsel` may be null when the query is
-  /// not selectivity-controlled (or to build one locally on demand).
+  /// with distinct RandomEngines. `gsel` may be null only when the
+  /// query is not selectivity-controlled: a controlled query (a chain
+  /// with a target class) with a null `gsel` returns InvalidArgument.
   Result<GeneratedQuery> GenerateOne(
       const WorkloadConfiguration& config, QueryShape shape,
       std::optional<QuerySelectivity> target, const SelectivityGraph* gsel,

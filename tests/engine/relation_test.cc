@@ -240,8 +240,13 @@ TEST(BudgetTest, TupleAccounting) {
   EXPECT_EQ(budget.tuples_used(), 2u);
   EXPECT_TRUE(budget.ChargeTuples(8).ok());
   EXPECT_TRUE(budget.ChargeTuples(1).IsResourceExhausted());
-  budget.ReleaseTuples(1000);  // Saturates at zero.
+  // An over-release asserts in debug builds; release builds saturate
+  // at zero and count the event.
+  EXPECT_DEBUG_DEATH(budget.ReleaseTuples(1000), "over-release");
+#ifdef NDEBUG
   EXPECT_EQ(budget.tuples_used(), 0u);
+  EXPECT_EQ(budget.over_releases(), 1u);
+#endif
 }
 
 TEST(BudgetTest, TimeoutFires) {

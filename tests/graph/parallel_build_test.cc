@@ -71,7 +71,7 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
   // pair-scatter — independently of Graph::Builder.
   VectorSink stream;
   ASSERT_TRUE(
-      ParallelGenerateEdges(config, &stream, BuildOptions(1, false)).ok());
+      ParallelGenerateToSink(config, &stream, BuildOptions(1, false)).ok());
   ASSERT_FALSE(stream.edges().empty());
 
   Graph base =

@@ -37,7 +37,7 @@ std::vector<Edge> GenerateEdgesWith(int num_threads, bool obs) {
   options.chunk_size = 512;  // force multi-chunk fan-out at 10K nodes
   VectorSink sink;
   Status st =
-      ParallelGenerateEdges(MakeBibConfig(10000, 42), &sink, options);
+      ParallelGenerateToSink(MakeBibConfig(10000, 42), &sink, options);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return sink.edges();
 }

@@ -30,7 +30,7 @@ GeneratorOptions WithThreads(int num_threads, int64_t chunk_size = 512) {
 std::vector<Edge> GenerateWith(const GraphConfiguration& config,
                                const GeneratorOptions& options) {
   VectorSink sink;
-  Status st = ParallelGenerateEdges(config, &sink, options);
+  Status st = ParallelGenerateToSink(config, &sink, options);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return sink.edges();
 }
@@ -111,7 +111,7 @@ TEST(ParallelDeterminismTest, ParallelCountMatchesSerialScale) {
   CountingSink serial;
   ASSERT_TRUE(GenerateEdges(config, &serial).ok());
   VectorSink parallel;
-  ASSERT_TRUE(ParallelGenerateEdges(config, &parallel, WithThreads(4)).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(config, &parallel, WithThreads(4)).ok());
   const double ratio = static_cast<double>(parallel.edges().size()) /
                        static_cast<double>(serial.count());
   EXPECT_NEAR(ratio, 1.0, 0.05);

@@ -104,6 +104,23 @@ TEST(ParallelWorkloadTest, ControlledChainsIdenticalAcrossThreadCounts) {
           << " threads";
     }
   }
+  // Every shipped schema, SP and WD included, with some recursion.
+  for (UseCase use_case : AllUseCases()) {
+    GraphConfiguration config = MakeUseCase(use_case, 10000);
+    WorkloadConfiguration wconfig =
+        MakePresetWorkload(WorkloadPreset::kCon, 30, 29);
+    wconfig.recursion_probability = 0.1;
+    const std::string base =
+        GenerateXml(config.schema, wconfig, WithThreads(1));
+    ASSERT_NE(base.find("<query "), std::string::npos)
+        << UseCaseName(use_case) << " generated no queries";
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(base, GenerateXml(config.schema, wconfig,
+                                  WithThreads(threads)))
+          << UseCaseName(use_case) << " changed at " << threads
+          << " threads";
+    }
+  }
 }
 
 class ShapeInvarianceTest : public ::testing::TestWithParam<QueryShape> {};
