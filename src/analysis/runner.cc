@@ -1,21 +1,18 @@
 #include "analysis/runner.h"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace gmark {
 
 std::string TimingResult::ToCell() const {
   if (!status.ok()) return "-";
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << seconds;
-  return os.str();
+  return FormatFixed(seconds, 3);
 }
 
 TimingResult TimeQuery(const QueryEngine& engine, const Graph& graph,

@@ -1,7 +1,7 @@
 #include "core/config_xml.h"
 
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -48,35 +48,59 @@ Result<DistributionSpec> ParseDistribution(const XmlNode* node) {
   return Status::Internal("unreachable distribution type");
 }
 
-void AppendDistribution(XmlNode* parent, const std::string& tag,
+// The writers below spell each element's attributes in key order and
+// close an element with neither text nor children as `<tag/>`.
+
+void AppendDistribution(std::string* out, std::string_view tag,
                         const DistributionSpec& dist) {
-  XmlNode& node = parent->AddChild(tag);
-  node.set_attr("type", DistributionTypeName(dist.type));
+  StrAppend(out, "        <", tag, ' ');
   switch (dist.type) {
     case DistributionType::kNonSpecified:
       break;
     case DistributionType::kUniform:
-      node.set_attr("min",
-                    std::to_string(static_cast<int64_t>(dist.param1)));
-      node.set_attr("max",
-                    std::to_string(static_cast<int64_t>(dist.param2)));
+      StrAppend(out, "max=\"", static_cast<int64_t>(dist.param2),
+                "\" min=\"", static_cast<int64_t>(dist.param1), "\" ");
       break;
     case DistributionType::kGaussian:
-      node.set_attr("mu", FormatDouble(dist.param1));
-      node.set_attr("sigma", FormatDouble(dist.param2));
+      StrAppend(out, "mu=\"", FormatDouble(dist.param1), "\" sigma=\"",
+                FormatDouble(dist.param2), "\" ");
       break;
     case DistributionType::kZipfian:
-      node.set_attr("s", FormatDouble(dist.param1));
+      StrAppend(out, "s=\"", FormatDouble(dist.param1), "\" ");
       break;
   }
+  StrAppend(out, "type=\"", DistributionTypeName(dist.type), "\"/>\n");
 }
 
-void AppendOccurrence(XmlNode* node, const OccurrenceConstraint& occ) {
-  if (occ.is_fixed) {
-    node->set_attr("fixed", std::to_string(occ.fixed_count));
-  } else {
-    node->set_attr("proportion", FormatDouble(occ.proportion));
+// `<tag fixed="n" name="..."/>` or `<tag name="..." proportion="p"/>`,
+// or only the name when there is no occurrence constraint.
+void AppendNamed(std::string* out, std::string_view tag,
+                 const std::string& name,
+                 const OccurrenceConstraint* occ) {
+  StrAppend(out, "      <", tag, ' ');
+  if (occ != nullptr && occ->is_fixed) {
+    StrAppend(out, "fixed=\"", occ->fixed_count, "\" ");
   }
+  out->append("name=\"");
+  AppendXmlEscaped(out, name);
+  out->push_back('"');
+  if (occ != nullptr && !occ->is_fixed) {
+    StrAppend(out, " proportion=\"", FormatDouble(occ->proportion), '"');
+  }
+  out->append("/>\n");
+}
+
+// `<list>`, one child per item, `</list>` inside <graph>, or `<list/>`.
+template <typename Items, typename AppendItem>
+void AppendSection(std::string* out, std::string_view list,
+                   const Items& items, AppendItem append_item) {
+  if (items.empty()) {
+    StrAppend(out, "    <", list, "/>\n");
+    return;
+  }
+  StrAppend(out, "    <", list, ">\n");
+  for (const auto& item : items) append_item(item);
+  StrAppend(out, "    </", list, ">\n");
 }
 
 }  // namespace
@@ -153,48 +177,46 @@ Result<GraphConfiguration> ParseGraphConfigXml(const std::string& xml) {
 }
 
 std::string GraphConfigToXml(const GraphConfiguration& config) {
-  XmlNode root("gmark");
-  XmlNode& graph = root.AddChild("graph");
-  graph.set_attr("name", config.name);
-  graph.set_attr("nodes", std::to_string(config.num_nodes));
-  graph.set_attr("seed", std::to_string(config.seed));
-
-  XmlNode& types = graph.AddChild("types");
-  for (const auto& t : config.schema.types()) {
-    XmlNode& node = types.AddChild("type");
-    node.set_attr("name", t.name);
-    AppendOccurrence(&node, t.occurrence);
-  }
-  XmlNode& preds = graph.AddChild("predicates");
-  for (const auto& p : config.schema.predicates()) {
-    XmlNode& node = preds.AddChild("predicate");
-    node.set_attr("name", p.name);
-    if (p.occurrence.has_value()) AppendOccurrence(&node, *p.occurrence);
-  }
-  XmlNode& constraints = graph.AddChild("constraints");
-  for (const auto& c : config.schema.edge_constraints()) {
-    XmlNode& node = constraints.AddChild("constraint");
-    node.set_attr("source", config.schema.TypeName(c.source_type));
-    node.set_attr("predicate", config.schema.PredicateName(c.predicate));
-    node.set_attr("target", config.schema.TypeName(c.target_type));
-    AppendDistribution(&node, "inDistribution", c.in_dist);
-    AppendDistribution(&node, "outDistribution", c.out_dist);
-  }
-  return root.ToString();
+  const GraphSchema& schema = config.schema;
+  std::string out = "<gmark>\n  <graph name=\"";
+  AppendXmlEscaped(&out, config.name);
+  StrAppend(&out, "\" nodes=\"", config.num_nodes, "\" seed=\"",
+            config.seed, "\">\n");
+  AppendSection(&out, "types", schema.types(), [&](const auto& t) {
+    AppendNamed(&out, "type", t.name, &t.occurrence);
+  });
+  AppendSection(&out, "predicates", schema.predicates(), [&](const auto& p) {
+    AppendNamed(&out, "predicate", p.name,
+                p.occurrence.has_value() ? &*p.occurrence : nullptr);
+  });
+  AppendSection(&out, "constraints", schema.edge_constraints(),
+                [&](const EdgeConstraint& c) {
+    out.append("      <constraint predicate=\"");
+    AppendXmlEscaped(&out, schema.PredicateName(c.predicate));
+    out.append("\" source=\"");
+    AppendXmlEscaped(&out, schema.TypeName(c.source_type));
+    out.append("\" target=\"");
+    AppendXmlEscaped(&out, schema.TypeName(c.target_type));
+    out.append("\">\n");
+    AppendDistribution(&out, "inDistribution", c.in_dist);
+    AppendDistribution(&out, "outDistribution", c.out_dist);
+    out.append("      </constraint>\n");
+  });
+  out.append("  </graph>\n</gmark>\n");
+  return out;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 Status WriteStringToFile(const std::string& content, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << content;
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }

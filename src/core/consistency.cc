@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+
+#include "util/string_util.h"
 
 namespace gmark {
 
 std::string ConsistencyReport::ToString() const {
-  std::ostringstream os;
+  std::string out;
   for (const auto& f : findings) {
-    os << (f.consistent ? "[ok]   " : "[WARN] ") << f.description << "\n";
+    StrAppend(&out, f.consistent ? "[ok]   " : "[WARN] ", f.description, '\n');
   }
-  return os.str();
+  return out;
 }
 
 Result<ConsistencyReport> CheckConsistency(const GraphConfiguration& config,
@@ -50,15 +51,14 @@ Result<ConsistencyReport> CheckConsistency(const GraphConfiguration& config,
       f.relative_gap = 0.0;
       f.consistent = true;
     }
-    std::ostringstream os;
-    os << "eta(" << schema.TypeName(c.source_type) << ","
-       << schema.TypeName(c.target_type) << ","
-       << schema.PredicateName(c.predicate) << ") = ("
-       << c.in_dist.ToString() << ", " << c.out_dist.ToString()
-       << "): out-side edges ~" << static_cast<int64_t>(f.expected_from_out)
-       << ", in-side edges ~" << static_cast<int64_t>(f.expected_from_in)
-       << " (gap " << static_cast<int>(f.relative_gap * 100.0) << "%)";
-    f.description = os.str();
+    f.description = StrCat(
+        "eta(", schema.TypeName(c.source_type), ',',
+        schema.TypeName(c.target_type), ',',
+        schema.PredicateName(c.predicate), ") = (", c.in_dist.ToString(),
+        ", ", c.out_dist.ToString(), "): out-side edges ~",
+        static_cast<int64_t>(f.expected_from_out), ", in-side edges ~",
+        static_cast<int64_t>(f.expected_from_in), " (gap ",
+        static_cast<int>(f.relative_gap * 100.0), "%)");
     report.all_consistent = report.all_consistent && f.consistent;
     report.findings.push_back(std::move(f));
   }

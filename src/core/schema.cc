@@ -1,17 +1,12 @@
 #include "core/schema.h"
 
-#include <sstream>
+#include "util/string_util.h"
 
 namespace gmark {
 
 std::string OccurrenceConstraint::ToString() const {
-  std::ostringstream os;
-  if (is_fixed) {
-    os << "fixed(" << fixed_count << ")";
-  } else {
-    os << proportion * 100.0 << "%";
-  }
-  return os.str();
+  if (is_fixed) return StrCat("fixed(", fixed_count, ')');
+  return FormatDouble(proportion * 100.0) + "%";
 }
 
 Result<TypeId> GraphSchema::AddType(const std::string& name,

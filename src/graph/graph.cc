@@ -99,18 +99,6 @@ Graph::Builder::Builder(NodeLayout layout, size_t predicate_count)
       predicate_count_(predicate_count),
       specs_(predicate_count) {}
 
-void Graph::Builder::SetStream(PredicateId a, EdgeStream stream,
-                               std::function<void()> release) {
-  StreamSpec spec;
-  spec.chunk_count = 1;
-  spec.stream = [s = std::move(stream)](size_t, size_t,
-                                        const EdgeBlockVisitor& visit) {
-    return s(visit);
-  };
-  spec.release = std::move(release);
-  specs_[a] = std::move(spec);
-}
-
 void Graph::Builder::SetChunkedStream(PredicateId a, StreamSpec spec) {
   specs_[a] = std::move(spec);
 }

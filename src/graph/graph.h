@@ -64,17 +64,12 @@ class Graph {
   /// \brief Receives contiguous blocks of an edge stream.
   using EdgeBlockVisitor = std::function<Status(std::span<const Edge>)>;
 
-  /// \brief A replayable stream of one predicate's edges in canonical
-  /// order: invoking it walks the whole stream through the visitor. The
-  /// builder invokes each stream exactly twice (degree-count pass, then
-  /// scatter pass), so the stream must yield identical edges both times.
-  using EdgeStream = std::function<Status(const EdgeBlockVisitor&)>;
-
   /// \brief A chunk-addressable replayable stream: invoking it replays
   /// the sub-chunks [chunk_begin, chunk_end) of one predicate's edge
   /// stream, in chunk order, through the visitor. Concatenating chunks
-  /// 0..chunk_count-1 yields the canonical stream; any chunk range must
-  /// replay identically across passes.
+  /// 0..chunk_count-1 yields the canonical stream. The builder replays
+  /// every chunk twice (degree-count pass, then scatter pass), so any
+  /// chunk range must yield identical edges across passes.
   using ChunkedEdgeStream = std::function<Status(
       size_t chunk_begin, size_t chunk_end, const EdgeBlockVisitor&)>;
 
@@ -125,15 +120,10 @@ class Graph {
 
     Builder(NodeLayout layout, size_t predicate_count);
 
-    /// \brief Register predicate `a`'s edge stream as a single chunk
-    /// (the historical API). `release` as in StreamSpec. Unregistered
-    /// predicates get empty adjacency. Streaming an edge whose
-    /// predicate is not `a`, or whose endpoints fall outside the
-    /// layout, fails the build.
-    void SetStream(PredicateId a, EdgeStream stream,
-                   std::function<void()> release = {});
-
     /// \brief Register predicate `a`'s chunk-addressable edge stream.
+    /// Unregistered predicates get empty adjacency. Streaming an edge
+    /// whose predicate is not `a`, or whose endpoints fall outside the
+    /// layout, fails the build.
     void SetChunkedStream(PredicateId a, StreamSpec spec);
 
     /// \brief Cap the chunk groups one predicate's stream is split

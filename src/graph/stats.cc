@@ -1,7 +1,8 @@
 #include "graph/stats.h"
 
 #include <cmath>
-#include <sstream>
+
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -66,18 +67,18 @@ DegreeStats InDegreeStats(const Graph& graph, PredicateId predicate,
 }
 
 std::string GraphStats::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
-  os << "nodes: " << num_nodes << ", edges: " << num_edges
-     << ", density: " << density << "\n";
+  std::string out = StrCat("nodes: ", num_nodes, ", edges: ", num_edges,
+                           ", density: ", FormatDouble(density), '\n');
   for (size_t t = 0; t < nodes_per_type.size(); ++t) {
-    os << "  type " << schema.TypeName(static_cast<TypeId>(t)) << ": "
-       << nodes_per_type[t] << " nodes\n";
+    StrAppend(&out, "  type ", schema.TypeName(static_cast<TypeId>(t)), ": ",
+              nodes_per_type[t], " nodes\n");
   }
   for (size_t p = 0; p < edges_per_predicate.size(); ++p) {
-    os << "  predicate " << schema.PredicateName(static_cast<PredicateId>(p))
-       << ": " << edges_per_predicate[p] << " edges\n";
+    StrAppend(&out, "  predicate ",
+              schema.PredicateName(static_cast<PredicateId>(p)), ": ",
+              edges_per_predicate[p], " edges\n");
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

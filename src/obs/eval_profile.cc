@@ -1,9 +1,7 @@
 #include "obs/eval_profile.h"
 
-#include <cstdio>
-#include <sstream>
-
 #include "engine/budget.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -17,75 +15,68 @@ void EvalProfile::RecordBudget(const BudgetTracker& tracker) {
 }
 
 std::string EvalProfile::ToJson() const {
-  std::ostringstream os;
-  os << "{\"conjuncts\": [";
+  auto flag = [](bool b) { return b ? "true" : "false"; };
+  std::string out = "{\"conjuncts\": [";
   bool first = true;
   for (const ConjunctProfile& c : conjuncts) {
-    char sec[32];
-    std::snprintf(sec, sizeof(sec), "%.6f", c.seconds);
-    os << (first ? "" : ", ") << "{\"rows\": " << c.rows
-       << ", \"seconds\": " << sec
-       << ", \"fixpoint_rounds\": " << c.fixpoint_rounds << "}";
+    StrAppend(&out, first ? "" : ", ", "{\"rows\": ", c.rows,
+              ", \"seconds\": ", FormatFixed(c.seconds, 6),
+              ", \"fixpoint_rounds\": ", c.fixpoint_rounds, '}');
     first = false;
   }
-  os << "], \"planned\": " << (planned ? "true" : "false")
-     << ", \"chain_backward\": " << (chain_backward ? "true" : "false")
-     << ", \"plan_steps\": [";
+  StrAppend(&out, "], \"planned\": ", flag(planned),
+            ", \"chain_backward\": ", flag(chain_backward),
+            ", \"plan_steps\": [");
   first = true;
   for (const PlanStepProfile& s : plan_steps) {
-    char est[32];
-    std::snprintf(est, sizeof(est), "%.1f", s.est_rows);
-    os << (first ? "" : ", ") << "{\"conjunct\": " << s.conjunct
-       << ", \"position\": " << s.position
-       << ", \"backward\": " << (s.backward ? "true" : "false")
-       << ", \"seed_backward\": " << (s.seed_backward ? "true" : "false")
-       << ", \"est_rows\": " << est
-       << ", \"actual_rows\": " << s.actual_rows << "}";
+    StrAppend(&out, first ? "" : ", ", "{\"conjunct\": ", s.conjunct,
+              ", \"position\": ", s.position,
+              ", \"backward\": ", flag(s.backward),
+              ", \"seed_backward\": ", flag(s.seed_backward),
+              ", \"est_rows\": ", FormatFixed(s.est_rows, 1),
+              ", \"actual_rows\": ", s.actual_rows, '}');
     first = false;
   }
-  os << "], \"bfs_pops\": " << bfs_pops
-     << ", \"bfs_peak_frontier\": " << bfs_peak_frontier
-     << ", \"fixpoint_rounds\": " << fixpoint_rounds
-     << ", \"peak_tuples\": " << peak_tuples
-     << ", \"tuples_scanned\": " << tuples_scanned
-     << ", \"tuple_headroom\": " << tuple_headroom
-     << ", \"over_releases\": " << over_releases << "}";
-  return os.str();
+  StrAppend(&out, "], \"bfs_pops\": ", bfs_pops,
+            ", \"bfs_peak_frontier\": ", bfs_peak_frontier,
+            ", \"fixpoint_rounds\": ", fixpoint_rounds,
+            ", \"peak_tuples\": ", peak_tuples,
+            ", \"tuples_scanned\": ", tuples_scanned,
+            ", \"tuple_headroom\": ", tuple_headroom,
+            ", \"over_releases\": ", over_releases, '}');
+  return out;
 }
 
 std::string EvalProfile::ToString() const {
-  std::ostringstream os;
-  os << "peak_tuples=" << peak_tuples << " scanned=" << tuples_scanned
-     << " headroom=" << tuple_headroom;
+  std::string out = StrCat("peak_tuples=", peak_tuples,
+                           " scanned=", tuples_scanned,
+                           " headroom=", tuple_headroom);
   if (bfs_pops > 0) {
-    os << " bfs_pops=" << bfs_pops << " peak_frontier=" << bfs_peak_frontier;
+    StrAppend(&out, " bfs_pops=", bfs_pops,
+              " peak_frontier=", bfs_peak_frontier);
   }
-  if (fixpoint_rounds > 0) os << " fixpoint_rounds=" << fixpoint_rounds;
-  if (over_releases > 0) os << " over_releases=" << over_releases;
-  os << " conjuncts=[";
+  if (fixpoint_rounds > 0) {
+    StrAppend(&out, " fixpoint_rounds=", fixpoint_rounds);
+  }
+  if (over_releases > 0) StrAppend(&out, " over_releases=", over_releases);
+  out.append(" conjuncts=[");
   for (size_t i = 0; i < conjuncts.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s%llu rows/%.3fs", i == 0 ? "" : " ",
-                  static_cast<unsigned long long>(conjuncts[i].rows),
-                  conjuncts[i].seconds);
-    os << buf;
+    StrAppend(&out, i == 0 ? "" : " ", conjuncts[i].rows, " rows/",
+              FormatFixed(conjuncts[i].seconds, 3), 's');
   }
-  os << "]";
+  out.push_back(']');
   if (planned) {
-    os << " plan=[";
+    out.append(" plan=[");
     for (size_t i = 0; i < plan_steps.size(); ++i) {
       const PlanStepProfile& s = plan_steps[i];
-      char buf[80];
-      std::snprintf(buf, sizeof(buf), "%s#%u%s%s est=%.1f act=%llu",
-                    i == 0 ? "" : " ", s.conjunct, s.backward ? "<" : ">",
-                    s.seed_backward ? "~" : "", s.est_rows,
-                    static_cast<unsigned long long>(s.actual_rows));
-      os << buf;
+      StrAppend(&out, i == 0 ? "" : " ", '#', s.conjunct,
+                s.backward ? "<" : ">", s.seed_backward ? "~" : "",
+                " est=", FormatFixed(s.est_rows, 1), " act=", s.actual_rows);
     }
-    os << "]";
-    if (chain_backward) os << " chain_backward";
+    out.push_back(']');
+    if (chain_backward) out.append(" chain_backward");
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

@@ -5,7 +5,6 @@
 #ifndef GMARK_OBS_JSON_UTIL_H_
 #define GMARK_OBS_JSON_UTIL_H_
 
-#include <cstdio>
 #include <string>
 
 namespace gmark {
@@ -23,9 +22,9 @@ inline std::string JsonEscape(const std::string& s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out += "\\u00";
+          out += "0123456789abcdef"[c >> 4];
+          out += "0123456789abcdef"[c & 0xf];
         } else {
           out += c;
         }

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdio>
-#include <sstream>
 
 #include "obs/json_util.h"
 #include "parallel/thread_pool.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -19,9 +18,7 @@ std::atomic<MetricRegistry*> g_metrics{nullptr};
 
 /// Pretty seconds for *_nanos counters in the human table.
 std::string HumanNanos(uint64_t nanos) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3fs", static_cast<double>(nanos) * 1e-9);
-  return buf;
+  return FormatFixed(static_cast<double>(nanos) * 1e-9, 3) + "s";
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -52,22 +49,21 @@ std::string MetricsSnapshot::ToJson() const {
     std::sort(v.begin(), v.end());
     return v;
   };
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
+  std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : sorted(counters)) {
-    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-       << "\": " << value;
+    StrAppend(&out, first ? "\n" : ",\n", "    \"", JsonEscape(name), "\": ",
+              value);
     first = false;
   }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
+  StrAppend(&out, first ? "" : "\n  ", "},\n  \"gauges\": {");
   first = true;
   for (const auto& [name, value] : sorted(gauges)) {
-    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-       << "\": " << value;
+    StrAppend(&out, first ? "\n" : ",\n", "    \"", JsonEscape(name), "\": ",
+              value);
     first = false;
   }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
+  StrAppend(&out, first ? "" : "\n  ", "},\n  \"histograms\": {");
   std::vector<const HistogramSnapshot*> hs;
   hs.reserve(histograms.size());
   for (const HistogramSnapshot& h : histograms) hs.push_back(&h);
@@ -77,22 +73,22 @@ std::string MetricsSnapshot::ToJson() const {
             });
   first = true;
   for (const HistogramSnapshot* h : hs) {
-    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(h->name)
-       << "\": {\"count\": " << h->count << ", \"sum\": " << h->sum
-       << ", \"buckets\": [";
+    StrAppend(&out, first ? "\n" : ",\n", "    \"", JsonEscape(h->name),
+              "\": {\"count\": ", h->count, ", \"sum\": ", h->sum,
+              ", \"buckets\": [");
     // Sparse bucket encoding: [bucket_index, count] pairs, non-empty
     // buckets only; bucket i>=1 covers [2^(i-1), 2^i), bucket 0 zeros.
     bool bfirst = true;
     for (size_t i = 0; i < h->buckets.size(); ++i) {
       if (h->buckets[i] == 0) continue;
-      os << (bfirst ? "" : ", ") << "[" << i << ", " << h->buckets[i] << "]";
+      StrAppend(&out, bfirst ? "" : ", ", '[', i, ", ", h->buckets[i], ']');
       bfirst = false;
     }
-    os << "]}";
+    out.append("]}");
     first = false;
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  StrAppend(&out, first ? "" : "\n  ", "}\n}\n");
+  return out;
 }
 
 std::string MetricsSnapshot::ToTable() const {
@@ -102,28 +98,26 @@ std::string MetricsSnapshot::ToTable() const {
   for (const HistogramSnapshot& h : histograms) {
     width = std::max(width, h.name.size());
   }
-  std::ostringstream os;
+  std::string out;
   auto row = [&](const std::string& name, const std::string& value) {
-    os << "  " << name;
-    for (size_t i = name.size(); i < width + 2; ++i) os << ' ';
-    os << value << "\n";
+    StrAppend(&out, "  ", name);
+    out.append(width + 2 - name.size(), ' ');
+    StrAppend(&out, value, "\n");
   };
   for (const auto& [name, value] : counters) {
-    std::string cell = std::to_string(value);
-    if (EndsWith(name, "_nanos")) cell += "  (" + HumanNanos(value) + ")";
+    std::string cell = StrCat(value);
+    if (EndsWith(name, "_nanos")) {
+      StrAppend(&cell, "  (", HumanNanos(value), ')');
+    }
     row(name, cell);
   }
-  for (const auto& [name, value] : gauges) row(name, std::to_string(value));
+  for (const auto& [name, value] : gauges) row(name, StrCat(value));
   for (const HistogramSnapshot& h : histograms) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "count=%llu mean=%.1f p50<=%llu p99<=%llu",
-                  static_cast<unsigned long long>(h.count), h.Mean(),
-                  static_cast<unsigned long long>(h.QuantileBound(0.5)),
-                  static_cast<unsigned long long>(h.QuantileBound(0.99)));
-    row(h.name, buf);
+    row(h.name, StrCat("count=", h.count, " mean=", FormatFixed(h.Mean(), 1),
+                       " p50<=", h.QuantileBound(0.5),
+                       " p99<=", h.QuantileBound(0.99)));
   }
-  return os.str();
+  return out;
 }
 
 MetricRegistry::MetricRegistry(size_t shard_count) {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 
 #include "obs/json_util.h"
 #include "parallel/thread_pool.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace gmark {
@@ -102,38 +102,38 @@ size_t Tracer::event_count() const {
 }
 
 Status Tracer::WriteChromeTrace(std::ostream& os) const {
-  os << "{\"traceEvents\": [";
+  std::string out = "{\"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& e : Snapshot()) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    char ts[64], dur[64];
     // Microseconds with nanosecond resolution kept as decimals.
-    std::snprintf(ts, sizeof(ts), "%.3f",
-                  static_cast<double>(e.ts_nanos) / 1000.0);
-    std::snprintf(dur, sizeof(dur), "%.3f",
-                  static_cast<double>(e.dur_nanos) / 1000.0);
-    os << "{\"name\": \"" << JsonEscape(e.name) << "\", \"cat\": \""
-       << JsonEscape(e.category.empty() ? "gmark" : e.category)
-       << "\", \"ph\": \"X\", \"ts\": " << ts << ", \"dur\": " << dur
-       << ", \"pid\": 1, \"tid\": " << e.tid;
+    StrAppend(&out, first ? "\n" : ",\n", "{\"name\": \"", JsonEscape(e.name),
+              "\", \"cat\": \"",
+              JsonEscape(e.category.empty() ? "gmark" : e.category),
+              "\", \"ph\": \"X\", \"ts\": ",
+              FormatFixed(static_cast<double>(e.ts_nanos) / 1000.0, 3),
+              ", \"dur\": ",
+              FormatFixed(static_cast<double>(e.dur_nanos) / 1000.0, 3),
+              ", \"pid\": 1, \"tid\": ", e.tid);
+    first = false;
     if (!e.args.empty()) {
-      os << ", \"args\": {";
+      out.append(", \"args\": {");
       bool afirst = true;
       for (const auto& [key, value] : e.args) {
-        os << (afirst ? "" : ", ") << "\"" << JsonEscape(key) << "\": ";
+        StrAppend(&out, afirst ? "" : ", ", '"', JsonEscape(key), "\": ");
         if (IsIntegerLiteral(value)) {
-          os << value;
+          out.append(value);
         } else {
-          os << "\"" << JsonEscape(value) << "\"";
+          StrAppend(&out, '"', JsonEscape(value), '"');
         }
         afirst = false;
       }
-      os << "}";
+      out.push_back('}');
     }
-    os << "}";
+    out.push_back('}');
   }
-  os << (first ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
+  StrAppend(&out, first ? "" : "\n", "], \"displayTimeUnit\": \"ms\"}\n");
+  // One unformatted write: the stream's locale and flags never apply.
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
   if (!os) return Status::IOError("trace stream write failed");
   return Status::OK();
 }

@@ -6,18 +6,74 @@ namespace gmark {
 
 namespace {
 
-void AppendRegex(XmlNode* parent, const RegularExpression& expr,
+// The writers below spell each element's attributes in key order and
+// close an element with neither text nor children as `<tag/>`.
+
+void AppendRegex(std::string* out, const RegularExpression& expr,
                  const GraphSchema& schema) {
-  XmlNode& regex = parent->AddChild("regex");
-  regex.set_attr("star", expr.star ? "true" : "false");
-  for (const auto& path : expr.disjuncts) {
-    XmlNode& disjunct = regex.AddChild("disjunct");
-    for (const Symbol& s : path) {
-      XmlNode& sym = disjunct.AddChild("symbol");
-      sym.set_attr("predicate", schema.PredicateName(s.predicate));
-      if (s.inverse) sym.set_attr("inverse", "true");
-    }
+  StrAppend(out, "          <regex star=\"", expr.star ? "true" : "false");
+  if (expr.disjuncts.empty()) {
+    out->append("\"/>\n");
+    return;
   }
+  out->append("\">\n");
+  for (const PathExpr& path : expr.disjuncts) {
+    if (path.empty()) {
+      out->append("            <disjunct/>\n");
+      continue;
+    }
+    out->append("            <disjunct>\n");
+    for (const Symbol& s : path) {
+      out->append(s.inverse ? "              <symbol inverse=\"true\" "
+                            : "              <symbol ");
+      out->append("predicate=\"");
+      AppendXmlEscaped(out, schema.PredicateName(s.predicate));
+      out->append("\"/>\n");
+    }
+    out->append("            </disjunct>\n");
+  }
+  out->append("          </regex>\n");
+}
+
+void AppendRule(std::string* out, const QueryRule& rule,
+                const GraphSchema& schema) {
+  out->append("    <rule>\n");
+  if (rule.head.empty()) {
+    out->append("      <head/>\n");
+  } else {
+    out->append("      <head>\n");
+    for (VarId v : rule.head) StrAppend(out, "        <var id=\"", v, "\"/>\n");
+    out->append("      </head>\n");
+  }
+  if (rule.body.empty()) {
+    out->append("      <body/>\n");
+  } else {
+    out->append("      <body>\n");
+    for (const Conjunct& c : rule.body) {
+      StrAppend(out, "        <conjunct source=\"", c.source, "\" target=\"",
+                c.target, "\">\n");
+      AppendRegex(out, c.expr, schema);
+      out->append("        </conjunct>\n");
+    }
+    out->append("      </body>\n");
+  }
+  out->append("    </rule>\n");
+}
+
+// `<list><item>name</item>...</list>` one level down, or `<list/>`.
+template <typename T>
+void AppendNameList(std::string* out, std::string_view list,
+                    std::string_view item, const std::vector<T>& values,
+                    const char* (*name)(T)) {
+  if (values.empty()) {
+    StrAppend(out, "  <", list, "/>\n");
+    return;
+  }
+  StrAppend(out, "  <", list, ">\n");
+  for (T v : values) {
+    StrAppend(out, "    <", item, '>', name(v), "</", item, ">\n");
+  }
+  StrAppend(out, "  </", list, ">\n");
 }
 
 Result<RegularExpression> ParseRegex(const XmlNode& regex,
@@ -39,48 +95,28 @@ Result<RegularExpression> ParseRegex(const XmlNode& regex,
   return expr;
 }
 
-XmlNode BuildWorkloadNode(const std::vector<Query>& queries,
-                          const GraphSchema& schema) {
-  XmlNode root("workload");
-  for (const Query& q : queries) {
-    XmlNode& query = root.AddChild("query");
-    query.set_attr("name", q.name);
-    query.set_attr("arity", std::to_string(q.arity()));
-    for (const QueryRule& rule : q.rules) {
-      XmlNode& rule_node = query.AddChild("rule");
-      XmlNode& head = rule_node.AddChild("head");
-      for (VarId v : rule.head) {
-        head.AddChild("var").set_attr("id", std::to_string(v));
-      }
-      XmlNode& body = rule_node.AddChild("body");
-      for (const Conjunct& c : rule.body) {
-        XmlNode& conj = body.AddChild("conjunct");
-        conj.set_attr("source", std::to_string(c.source));
-        conj.set_attr("target", std::to_string(c.target));
-        AppendRegex(&conj, c.expr, schema);
-      }
-    }
-  }
-  return root;
-}
-
 }  // namespace
+
+void AppendQueryXml(std::string* out, const Query& query,
+                    const GraphSchema& schema) {
+  StrAppend(out, "  <query arity=\"", query.arity(), "\" name=\"");
+  AppendXmlEscaped(out, query.name);
+  if (query.rules.empty()) {
+    out->append("\"/>\n");
+    return;
+  }
+  out->append("\">\n");
+  for (const QueryRule& rule : query.rules) AppendRule(out, rule, schema);
+  out->append("  </query>\n");
+}
 
 std::string QueriesToXml(const std::vector<Query>& queries,
                          const GraphSchema& schema) {
-  return BuildWorkloadNode(queries, schema).ToString();
-}
-
-std::string WorkloadToXml(const std::string& name,
-                          const std::vector<Query>& queries,
-                          const std::vector<std::string>& skipped,
-                          const GraphSchema& schema) {
-  XmlNode root = BuildWorkloadNode(queries, schema);
-  root.set_attr("name", name);
-  for (const std::string& record : skipped) {
-    root.AddChild("skipped").set_text(record);
-  }
-  return root.ToString();
+  if (queries.empty()) return "<workload/>\n";
+  std::string out = "<workload>\n";
+  for (const Query& q : queries) AppendQueryXml(&out, q, schema);
+  out.append("</workload>\n");
+  return out;
 }
 
 Result<std::vector<Query>> ParseQueriesXml(const std::string& xml,
@@ -190,33 +226,25 @@ Result<WorkloadConfiguration> ParseWorkloadConfigXml(const std::string& xml) {
 }
 
 std::string WorkloadConfigToXml(const WorkloadConfiguration& config) {
-  XmlNode root("workload");
-  root.set_attr("name", config.name);
-  root.set_attr("queries", std::to_string(config.num_queries));
-  root.set_attr("seed", std::to_string(config.seed));
-  XmlNode& arity = root.AddChild("arity");
-  arity.set_attr("min", std::to_string(config.arity.min));
-  arity.set_attr("max", std::to_string(config.arity.max));
-  XmlNode& shapes = root.AddChild("shapes");
-  for (QueryShape s : config.shapes) {
-    shapes.AddChild("shape").set_text(QueryShapeName(s));
+  std::string out = "<workload name=\"";
+  AppendXmlEscaped(&out, config.name);
+  StrAppend(&out, "\" queries=\"", config.num_queries, "\" seed=\"",
+            config.seed, "\">\n  <arity max=\"", config.arity.max,
+            "\" min=\"", config.arity.min, "\"/>\n");
+  AppendNameList(&out, "shapes", "shape", config.shapes, QueryShapeName);
+  AppendNameList(&out, "selectivities", "selectivity", config.selectivities,
+                 QuerySelectivityName);
+  StrAppend(&out, "  <recursion probability=\"",
+            FormatDouble(config.recursion_probability), "\"/>\n  <size");
+  const QuerySize& size = config.size;
+  for (const auto& [key, range] :
+       {std::pair{"conjuncts", size.conjuncts}, {"disjuncts", size.disjuncts},
+        {"length", size.path_length}, {"rules", size.rules}}) {
+    StrAppend(&out, ' ', key, "-max=\"", range.max, "\" ", key, "-min=\"",
+              range.min, '"');
   }
-  XmlNode& sels = root.AddChild("selectivities");
-  for (QuerySelectivity s : config.selectivities) {
-    sels.AddChild("selectivity").set_text(QuerySelectivityName(s));
-  }
-  XmlNode& rec = root.AddChild("recursion");
-  rec.set_attr("probability", FormatDouble(config.recursion_probability));
-  XmlNode& size = root.AddChild("size");
-  auto put_range = [&](const std::string& key, const IntRange& r) {
-    size.set_attr(key + "-min", std::to_string(r.min));
-    size.set_attr(key + "-max", std::to_string(r.max));
-  };
-  put_range("rules", config.size.rules);
-  put_range("conjuncts", config.size.conjuncts);
-  put_range("disjuncts", config.size.disjuncts);
-  put_range("length", config.size.path_length);
-  return root.ToString();
+  out.append("/>\n</workload>\n");
+  return out;
 }
 
 }  // namespace gmark

@@ -19,20 +19,15 @@ namespace gmark {
 std::string QueriesToXml(const std::vector<Query>& queries,
                          const GraphSchema& schema);
 
+/// \brief Append one query as the <query> element of a <workload>
+/// document (indented one level). QueriesToXml and Workload::ToXml are
+/// both this, once per query, between the root element's tags.
+void AppendQueryXml(std::string* out, const Query& query,
+                    const GraphSchema& schema);
+
 /// \brief Parse a <workload> XML document back into queries.
 Result<std::vector<Query>> ParseQueriesXml(const std::string& xml,
                                            const GraphSchema& schema);
-
-/// \brief Serialize a generated workload — its queries plus the skip
-/// records of requests the generator could not realize — as one
-/// <workload name="..."> document. Skip records become <skipped>
-/// children, so two generator runs render byte-identically iff they
-/// agree on every query, every query name, and every skip. This is the
-/// byte-identity surface the workload thread-invariance tests pin.
-std::string WorkloadToXml(const std::string& name,
-                          const std::vector<Query>& queries,
-                          const std::vector<std::string>& skipped,
-                          const GraphSchema& schema);
 
 /// \brief Parse a workload configuration element, e.g.
 ///

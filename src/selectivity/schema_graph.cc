@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <sstream>
+
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -195,16 +196,16 @@ Result<PathExpr> SchemaGraph::SamplePath(SchemaNodeId from, SchemaNodeId to,
 }
 
 std::string SchemaGraph::ToString(const GraphSchema& schema) const {
-  std::ostringstream os;
+  std::string out;
   for (SchemaNodeId v = 0; v < nodes_.size(); ++v) {
-    os << v << ": " << nodes_[v].ToString(schema) << "\n";
+    StrAppend(&out, v, ": ", nodes_[v].ToString(schema), '\n');
     for (const auto& e : OutEdges(v)) {
-      os << "    --" << schema.PredicateName(e.symbol.predicate)
-         << (e.symbol.inverse ? "^-" : "") << "--> " << e.to << ": "
-         << nodes_[e.to].ToString(schema) << "\n";
+      StrAppend(&out, "    --", schema.PredicateName(e.symbol.predicate),
+                e.symbol.inverse ? "^-" : "", "--> ", e.to, ": ",
+                nodes_[e.to].ToString(schema), '\n');
     }
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace gmark

@@ -82,4 +82,14 @@ std::string FormatDouble(double v, int precision) {
   return out;
 }
 
+std::string FormatFixed(double v, int digits) {
+  // DBL_MAX has 309 integer digits; add sign, point and the decimals.
+  std::string out(static_cast<size_t>(std::max(digits, 0)) + 312, '\0');
+  const std::to_chars_result r =
+      std::to_chars(out.data(), out.data() + out.size(), v,
+                    std::chars_format::fixed, digits);
+  out.resize(static_cast<size_t>(r.ptr - out.data()));
+  return out;
+}
+
 }  // namespace gmark

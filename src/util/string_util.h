@@ -68,6 +68,10 @@ Result<double> ParseDouble(std::string_view s);
 /// trimming trailing zeros ("1.5", "2", "0.001").
 std::string FormatDouble(double v, int precision = 6);
 
+/// \brief Render a double with exactly `digits` decimals ("2.500"):
+/// printf's %.Nf, minus the locale.
+std::string FormatFixed(double v, int digits);
+
 }  // namespace gmark
 
 #endif  // GMARK_UTIL_STRING_UTIL_H_

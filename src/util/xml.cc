@@ -19,11 +19,6 @@ void XmlNode::set_attr(const std::string& key, std::string value) {
   attrs_[key] = std::move(value);
 }
 
-XmlNode& XmlNode::AddChild(std::string name) {
-  children_.emplace_back(std::move(name));
-  return children_.back();
-}
-
 const XmlNode* XmlNode::FindChild(std::string_view name) const {
   for (const auto& c : children_) {
     if (c.name() == name) return &c;
@@ -40,9 +35,7 @@ std::vector<const XmlNode*> XmlNode::FindChildren(
   return out;
 }
 
-namespace {
-
-void AppendEscaped(std::string* out, std::string_view s) {
+void AppendXmlEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '&': out->append("&amp;"); break;
@@ -53,47 +46,6 @@ void AppendEscaped(std::string* out, std::string_view s) {
       default: out->push_back(c);
     }
   }
-}
-
-}  // namespace
-
-std::string XmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendEscaped(&out, s);
-  return out;
-}
-
-std::string XmlNode::ToString(int indent) const {
-  std::string out;
-  AppendTo(&out, indent);
-  return out;
-}
-
-void XmlNode::AppendTo(std::string* out, int indent) const {
-  const size_t pad = static_cast<size_t>(indent) * 2;
-  out->append(pad, ' ');
-  StrAppend(out, '<', name_);
-  for (const auto& [k, v] : attrs_) {
-    StrAppend(out, ' ', k, "=\"");
-    AppendEscaped(out, v);
-    out->push_back('"');
-  }
-  const std::string trimmed = Trim(text_);
-  if (children_.empty() && trimmed.empty()) {
-    out->append("/>\n");
-    return;
-  }
-  out->push_back('>');
-  if (!trimmed.empty()) {
-    AppendEscaped(out, trimmed);
-    if (!children_.empty()) out->push_back('\n');
-  } else {
-    out->push_back('\n');
-  }
-  for (const auto& c : children_) c.AppendTo(out, indent + 1);
-  if (!children_.empty()) out->append(pad, ' ');
-  StrAppend(out, "</", name_, ">\n");
 }
 
 namespace {

@@ -1,7 +1,13 @@
-// Minimal dependency-free XML DOM, sufficient for gMark's configuration
-// files and query-workload output (Fig. 1 of the paper). Supports
+// Minimal dependency-free XML parser, sufficient for gMark's
+// configuration and query-workload files (Fig. 1 of the paper). Supports
 // elements, attributes, character data, comments, and XML declarations;
 // it does not support namespaces, DTDs, or processing instructions.
+//
+// The DOM is for reading only. The writers (query/query_xml.cc,
+// core/config_xml.cc, Workload::ToXml) append their bytes directly, by
+// the rules a DOM printer would follow: attributes in key order, two
+// spaces of indent per depth, text trimmed, and `<tag/>` for an element
+// with neither text nor children.
 
 #ifndef GMARK_UTIL_XML_H_
 #define GMARK_UTIL_XML_H_
@@ -16,12 +22,10 @@
 
 namespace gmark {
 
-/// \brief One XML element: tag name, attributes, text, and child elements.
+/// \brief One parsed XML element: tag name, attributes, text, and child
+/// elements.
 class XmlNode {
  public:
-  XmlNode() = default;
-  explicit XmlNode(std::string name) : name_(std::move(name)) {}
-
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
@@ -34,13 +38,9 @@ class XmlNode {
   /// \brief True if the attribute is present.
   bool has_attr(const std::string& key) const;
   void set_attr(const std::string& key, std::string value);
-  const std::map<std::string, std::string>& attrs() const { return attrs_; }
 
   const std::vector<XmlNode>& children() const { return children_; }
   std::vector<XmlNode>& children() { return children_; }
-
-  /// \brief Append a child element and return a reference to it.
-  XmlNode& AddChild(std::string name);
 
   /// \brief First child with the given tag, or nullptr.
   const XmlNode* FindChild(std::string_view name) const;
@@ -48,12 +48,7 @@ class XmlNode {
   /// \brief All children with the given tag.
   std::vector<const XmlNode*> FindChildren(std::string_view name) const;
 
-  /// \brief Serialize this element (and subtree) as indented XML.
-  std::string ToString(int indent = 0) const;
-
  private:
-  void AppendTo(std::string* out, int indent) const;
-
   std::string name_;
   std::string text_;
   std::map<std::string, std::string> attrs_;
@@ -63,8 +58,9 @@ class XmlNode {
 /// \brief Parse a document; returns the root element.
 Result<XmlNode> ParseXml(std::string_view input);
 
-/// \brief Escape &, <, >, ", ' for use in XML content/attributes.
-std::string XmlEscape(std::string_view s);
+/// \brief Append `s` to `out` with &, <, >, ", ' escaped, for use in
+/// XML content and attribute values.
+void AppendXmlEscaped(std::string* out, std::string_view s);
 
 }  // namespace gmark
 

@@ -6,6 +6,8 @@
 #include <set>
 
 #include "query/query_xml.h"
+#include "util/string_util.h"
+#include "util/xml.h"
 #include "workload/parallel_workload.h"
 
 namespace gmark {
@@ -135,7 +137,28 @@ std::vector<Query> Workload::RawQueries() const {
 }
 
 std::string Workload::ToXml(const GraphSchema& schema) const {
-  return WorkloadToXml(name, RawQueries(), skipped, schema);
+  std::string out = "<workload name=\"";
+  AppendXmlEscaped(&out, name);
+  if (queries.empty() && skipped.empty()) {
+    out.append("\"/>\n");
+    return out;
+  }
+  out.append("\">\n");
+  for (const GeneratedQuery& gq : queries) {
+    AppendQueryXml(&out, gq.query, schema);
+  }
+  for (const std::string& record : skipped) {
+    const std::string text = Trim(record);
+    if (text.empty()) {
+      out.append("  <skipped/>\n");
+      continue;
+    }
+    out.append("  <skipped>");
+    AppendXmlEscaped(&out, text);
+    out.append("</skipped>\n");
+  }
+  out.append("</workload>\n");
+  return out;
 }
 
 QueryGenerator::QueryGenerator(const GraphSchema* schema)

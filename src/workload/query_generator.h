@@ -41,8 +41,12 @@ struct Workload {
   /// \brief Queries stripped of generation metadata.
   std::vector<Query> RawQueries() const;
 
-  /// \brief Canonical XML rendering (queries, names, and skip records)
-  /// — the byte-identity surface the thread-invariance tests pin.
+  /// \brief Canonical XML rendering: one <workload name="..."> document
+  /// with a <query> per query (as QueriesToXml writes them) and a
+  /// <skipped> per skip record. Two generator runs render
+  /// byte-identically iff they agree on every query, every query name,
+  /// and every skip — the byte-identity surface the thread-invariance
+  /// tests pin.
   std::string ToXml(const GraphSchema& schema) const;
 };
 

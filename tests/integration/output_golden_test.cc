@@ -1,7 +1,9 @@
 // Golden bytes of every text writer: N-Triples (sink and whole-graph),
-// CSV, the workload and configuration XML, Query::ToString, and the
-// four query translations. Each output is pinned by its byte length and
-// 64-bit FNV-1a hash, so a single changed byte in any writer fails
+// CSV, the workload and configuration XML, Query::ToString, the four
+// query translations, and the diagnostics (metrics table, profile line,
+// occurrence, graph, schema-graph and consistency reports). Each long
+// output is pinned by its byte length and 64-bit FNV-1a hash, each
+// short one verbatim, so a single changed byte in any writer fails
 // here; the format tests elsewhere only check short samples or
 // substrings. The constants must never be regenerated to make a writer
 // change pass: a writer rewrite has to reproduce them.
@@ -17,11 +19,18 @@
 #include <string_view>
 
 #include "core/config_xml.h"
+#include "core/consistency.h"
 #include "core/use_cases.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
+#include "graph/stats.h"
+#include "obs/eval_profile.h"
+#include "obs/metrics.h"
 #include "parallel/parallel_generator.h"
+#include "query/query_xml.h"
+#include "selectivity/schema_graph.h"
 #include "translate/translator.h"
+#include "workload/presets.h"
 #include "workload/query_generator.h"
 
 namespace gmark {
@@ -51,9 +60,8 @@ Fingerprint Of(std::string_view s) {
 GraphConfiguration BibInstance() { return MakeBibConfig(3000, 11); }
 GraphConfiguration LsnInstance() { return MakeLsnConfig(3000, 13); }
 
-// 500 queries over every shape and selectivity class, with recursion,
-// unions of rules, and arities 0..3 (ASK / nonempty forms included).
-Workload GoldenWorkload(const GraphSchema& schema) {
+// The configuration GoldenWorkload generates from.
+WorkloadConfiguration GoldenWorkloadConfig() {
   WorkloadConfiguration w;
   w.name = "golden";
   w.num_queries = 500;
@@ -68,7 +76,13 @@ Workload GoldenWorkload(const GraphSchema& schema) {
   w.size.conjuncts = IntRange::Between(1, 4);
   w.size.disjuncts = IntRange::Between(1, 3);
   w.size.path_length = IntRange::Between(1, 3);
-  return QueryGenerator(&schema).Generate(w).ValueOrDie();
+  return w;
+}
+
+// 500 queries over every shape and selectivity class, with recursion,
+// unions of rules, and arities 0..3 (ASK / nonempty forms included).
+Workload GoldenWorkload(const GraphSchema& schema) {
+  return QueryGenerator(&schema).Generate(GoldenWorkloadConfig()).ValueOrDie();
 }
 
 TEST(OutputGoldenTest, WorkloadReachesEveryFormattingBranch) {
@@ -159,6 +173,33 @@ TEST(OutputGoldenTest, WorkloadToXml) {
             (Fingerprint{894211u, 0x6c1f315a820ba93full}));
 }
 
+TEST(OutputGoldenTest, QueriesToXml) {
+  GraphConfiguration bib = BibInstance();
+  GraphConfiguration lsn = LsnInstance();
+  EXPECT_EQ(Of(QueriesToXml(GoldenWorkload(bib.schema).RawQueries(),
+                            bib.schema)),
+            (Fingerprint{698423u, 0xbff9d7c236b9d9e3ull}));
+  EXPECT_EQ(Of(QueriesToXml(GoldenWorkload(lsn.schema).RawQueries(),
+                            lsn.schema)),
+            (Fingerprint{892490u, 0x35406a82edba8074ull}));
+  EXPECT_EQ(QueriesToXml({}, bib.schema), "<workload/>\n");
+}
+
+TEST(OutputGoldenTest, WorkloadConfigToXml) {
+  // The golden configuration, every preset, and a name that needs
+  // escaping, concatenated.
+  WorkloadConfiguration escaped = GoldenWorkloadConfig();
+  escaped.name = "a<b>&\"c'";
+  escaped.shapes.clear();
+  escaped.recursion_probability = 0.125;
+  std::string all = WorkloadConfigToXml(GoldenWorkloadConfig()) +
+                    WorkloadConfigToXml(escaped);
+  for (WorkloadPreset preset : AllWorkloadPresets()) {
+    all += WorkloadConfigToXml(MakePresetWorkload(preset));
+  }
+  EXPECT_EQ(Of(all), (Fingerprint{2830u, 0x6b1af1b2f74a9e7cull}));
+}
+
 TEST(OutputGoldenTest, GraphConfigToXml) {
   EXPECT_EQ(Of(GraphConfigToXml(BibInstance())),
             (Fingerprint{1435u, 0xb003128da4ac9e8full}));
@@ -215,6 +256,90 @@ TEST(OutputGoldenTest, TranslateQuery) {
                               c.count_distinct)),
               c.expected);
   }
+}
+
+TEST(OutputGoldenTest, MetricsSnapshotToTable) {
+  MetricsSnapshot snap;
+  snap.counters = {{"gen.edges", 1234567},
+                   {"gen.generate_nanos", 2500000001},
+                   {"eval.queries", 0}};
+  snap.gauges = {{"gen.peak_shard_edges", 987654321}};
+  HistogramSnapshot h;
+  h.name = "query.eval_nanos";
+  h.count = 7;
+  h.sum = 123456;
+  h.buckets.assign(MetricRegistry::kHistogramBuckets, 0);
+  h.buckets[5] = 2;
+  h.buckets[15] = 4;
+  h.buckets[17] = 1;
+  snap.histograms = {h};
+  EXPECT_EQ(snap.ToTable(),
+            "  gen.edges             1234567\n"
+            "  gen.generate_nanos    2500000001  (2.500s)\n"
+            "  eval.queries          0\n"
+            "  gen.peak_shard_edges  987654321\n"
+            "  query.eval_nanos      count=7 mean=17636.6 p50<=32767 "
+            "p99<=32767\n");
+  EXPECT_EQ(MetricsSnapshot().ToTable(), "");
+}
+
+TEST(OutputGoldenTest, MetricsSnapshotToJsonEscapesNames) {
+  MetricsSnapshot snap;
+  snap.counters = {{std::string("ctl\x01\x1f\t\"\\x"), 5}};
+  EXPECT_EQ(snap.ToJson(),
+            "{\n  \"counters\": {\n    \"ctl\\u0001\\u001f\\t\\\"\\\\x\": 5"
+            "\n  },\n  \"gauges\": {},\n  \"histograms\": {}\n}\n");
+}
+
+TEST(OutputGoldenTest, EvalProfileToString) {
+  EvalProfile p;
+  p.conjuncts = {{12345, 0.0123456, 3}, {0, 1.5, 0}, {7, 12.0004, 0}};
+  p.plan_steps = {{2, 0, true, false, 1234.56, 98765},
+                  {0, 1, false, true, -1.0, 0},
+                  {1, 2, false, false, 0.04, 12}};
+  p.planned = true;
+  p.chain_backward = true;
+  p.bfs_pops = 4321;
+  p.bfs_peak_frontier = 55;
+  p.fixpoint_rounds = 3;
+  p.peak_tuples = 1000000;
+  p.tuples_scanned = 2500000;
+  p.tuple_headroom = 123;
+  p.over_releases = 2;
+  EXPECT_EQ(p.ToString(),
+            "peak_tuples=1000000 scanned=2500000 headroom=123 bfs_pops=4321 "
+            "peak_frontier=55 fixpoint_rounds=3 over_releases=2 "
+            "conjuncts=[12345 rows/0.012s 0 rows/1.500s 7 rows/12.000s] "
+            "plan=[#2< est=1234.6 act=98765 #0>~ est=-1.0 act=0 "
+            "#1> est=0.0 act=12] chain_backward");
+  EXPECT_EQ(EvalProfile().ToString(),
+            "peak_tuples=0 scanned=0 headroom=0 conjuncts=[]");
+}
+
+TEST(OutputGoldenTest, OccurrenceConstraintToString) {
+  EXPECT_EQ(OccurrenceConstraint::Fixed(1234567).ToString(), "fixed(1234567)");
+  EXPECT_EQ(OccurrenceConstraint::Proportion(0.5).ToString(), "50%");
+  EXPECT_EQ(OccurrenceConstraint::Proportion(1.0 / 3.0).ToString(), "33.3333%");
+  EXPECT_EQ(OccurrenceConstraint::Proportion(1e-9).ToString(), "1e-07%");
+}
+
+TEST(OutputGoldenTest, GraphStatsToString) {
+  GraphConfiguration config = BibInstance();
+  Graph g = GenerateGraph(config).ValueOrDie();
+  EXPECT_EQ(Of(ComputeStats(g).ToString(config.schema)),
+            (Fingerprint{306u, 0x5a34dcb9a9d1845dull}));
+}
+
+TEST(OutputGoldenTest, SchemaGraphToString) {
+  GraphConfiguration config = BibInstance();
+  EXPECT_EQ(Of(SchemaGraph::Build(config.schema).ToString(config.schema)),
+            (Fingerprint{1737u, 0xe86152ddf7702f09ull}));
+}
+
+TEST(OutputGoldenTest, ConsistencyReportToString) {
+  GraphConfiguration config = BibInstance();
+  EXPECT_EQ(Of(CheckConsistency(config).ValueOrDie().ToString()),
+            (Fingerprint{483u, 0x6834634cd03ca30cull}));
 }
 
 }  // namespace

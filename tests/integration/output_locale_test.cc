@@ -2,7 +2,9 @@
 // bytes whatever locale or format flags the stream (or the process)
 // carries. A digit-grouping numpunct facet is the classic way to break
 // this: `<http://gmark/n12,345>` is no longer an IRI, and a CSV row
-// `1,234,567,publishedIn,2` has five columns.
+// `1,234,567,publishedIn,2` has five columns, and `"peak_tuples":
+// 4,3,2,1` is no longer JSON. The diagnostics (metrics, traces,
+// profiles, reports) are held to the same rule as the artifacts.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "analysis/runner.h"
 #include "core/config_xml.h"
+#include "core/consistency.h"
 #include "core/use_cases.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
+#include "graph/stats.h"
+#include "obs/eval_profile.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "query/query_xml.h"
+#include "selectivity/schema_graph.h"
 #include "translate/translator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -66,6 +76,72 @@ class ScopedGlobalLocale {
   std::locale previous_;
 };
 
+// Metrics whose every number has at least two digits.
+MetricsSnapshot WideSnapshot() {
+  MetricsSnapshot snap;
+  snap.counters = {{"gen.total_edges", 12345},
+                   {"gen.generate_nanos", 1234567890123}};
+  snap.gauges = {{"gen.peak_shard_edges", 98765}};
+  HistogramSnapshot h;
+  h.name = "query.eval_nanos";
+  h.count = 4321;
+  h.sum = 987654321;
+  h.buckets.assign(MetricRegistry::kHistogramBuckets, 0);
+  h.buckets[12] = 4000;
+  h.buckets[20] = 321;
+  snap.histograms = {h};
+  return snap;
+}
+
+EvalProfile WideProfile() {
+  EvalProfile p;
+  p.conjuncts = {{123456, 1234.5678, 12}, {10, 0.25, 0}};
+  p.plan_steps = {{11, 10, true, true, 12345.6, 654321},
+                  {10, 11, false, false, -1.0, 10}};
+  p.planned = true;
+  p.chain_backward = true;
+  p.bfs_pops = 4321;
+  p.bfs_peak_frontier = 1234;
+  p.fixpoint_rounds = 12;
+  p.peak_tuples = 4321;
+  p.tuples_scanned = 123456789;
+  p.tuple_headroom = 99999;
+  p.over_releases = 10;
+  return p;
+}
+
+// Every diagnostic writer on fixed inputs. The trace goes into
+// `trace_out`, a stream made like the artifacts' ones; the other
+// writers return strings, so only the global locale can reach them.
+std::string RenderDiagnostics(const GraphConfiguration& config,
+                              const Graph& graph,
+                              const std::vector<Query>& queries,
+                              std::ostream* trace_out) {
+  const GraphSchema& schema = config.schema;
+  std::string all = WideSnapshot().ToJson() + WideSnapshot().ToTable();
+  Tracer tracer(1);
+  tracer.AddCompleteEvent({"gen.generate", "gen", 12345678, 2500000, 12,
+                           {{"edges", "123456"}, {"use_case", "Bib"}}});
+  tracer.AddCompleteEvent({"query.time", "", 98765432100, 1500, 10, {}});
+  EXPECT_TRUE(tracer.WriteChromeTrace(*trace_out).ok());
+  const EvalProfile profile = WideProfile();
+  all += profile.ToJson() + profile.ToString();
+  TimingResult timing;
+  timing.seconds = 1234.5;
+  all += timing.ToCell();
+  all += ComputeStats(graph).ToString(schema);
+  all += SchemaGraph::Build(schema).ToString(schema);
+  all += CheckConsistency(config).ValueOrDie().ToString();
+  all += OccurrenceConstraint::Fixed(12345).ToString() +
+         OccurrenceConstraint::Proportion(0.123456).ToString();
+  all += QueriesToXml(queries, schema);
+  WorkloadConfiguration workload_config =
+      MakePresetWorkload(WorkloadPreset::kCon, 12345, 67890);
+  workload_config.arity = IntRange::Between(10, 12);
+  all += WorkloadConfigToXml(workload_config);
+  return all;
+}
+
 // Everything the writers produce for one graph and one query set, each
 // writer given a fresh stream. A `perturbed` stream is imbued with the
 // grouping locale and carries hex/showbase flags.
@@ -105,6 +181,11 @@ std::string RenderAll(bool perturbed) {
     queries.push_back(gq.query);
   }
   all += workload.ToXml(schema) + GraphConfigToXml(config);
+  {
+    auto out = stream();
+    all += RenderDiagnostics(config, graph, queries, out.get());
+    all += out->str();
+  }
   for (const Query& q : queries) {
     all += q.ToString(schema);
     for (QueryLanguage lang : AllQueryLanguages()) {
@@ -124,6 +205,9 @@ TEST(OutputLocaleTest, GroupingLocaleLeavesEveryOutputUnchanged) {
   ASSERT_NE(classic.find("\n1234567,publishedIn,2\n"), std::string::npos);
   ASSERT_NE(classic.find("_a10"), std::string::npos);
   ASSERT_NE(classic.find("_c11("), std::string::npos);
+  ASSERT_NE(classic.find("\"peak_tuples\": 4321,"), std::string::npos);
+  ASSERT_NE(classic.find("\"tid\": 12"), std::string::npos);
+  ASSERT_NE(classic.find("1234.500"), std::string::npos);
 
   std::string grouped;
   {

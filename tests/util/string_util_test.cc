@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -90,6 +91,18 @@ TEST(StringUtilTest, FormatDoubleMatchesPrintfG) {
       char expected[512];
       std::snprintf(expected, sizeof(expected), "%.*g", precision, v);
       EXPECT_EQ(FormatDouble(v, precision), expected) << precision;
+    }
+  }
+}
+
+TEST(StringUtilTest, FormatFixedMatchesPrintfF) {
+  // FormatFixed is %.Nf, up to the widest double at many decimals.
+  for (double v : {0.1, 0.0125, -0.0, 2.5e9, -123456789.125, 5e-324,
+                   -1.7976931348623157e308, HUGE_VAL}) {
+    for (int digits : {0, 1, 3, 6, 40}) {
+      char expected[512];
+      std::snprintf(expected, sizeof(expected), "%.*f", digits, v);
+      EXPECT_EQ(FormatFixed(v, digits), expected) << digits;
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace gmark {
 namespace {
 
@@ -51,27 +53,41 @@ TEST(XmlTest, UnescapesEntities) {
 }
 
 TEST(XmlTest, EscapeProducesValidRoundTrip) {
-  XmlNode node("n");
-  node.set_attr("a", "x<y>&\"'");
-  node.set_text("5 < 6 & 7 > 2");
-  auto parsed = ParseXml(node.ToString());
+  std::string doc = "<n a=\"";
+  AppendXmlEscaped(&doc, "x<y>&\"'");
+  doc.append("\">");
+  AppendXmlEscaped(&doc, "5 < 6 & 7 > 2");
+  doc.append("</n>");
+  EXPECT_EQ(doc,
+            "<n a=\"x&lt;y&gt;&amp;&quot;&apos;\">"
+            "5 &lt; 6 &amp; 7 &gt; 2</n>");
+  auto parsed = ParseXml(doc);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->attr("a"), "x<y>&\"'");
   EXPECT_EQ(parsed->text(), "5 < 6 & 7 > 2");
 }
 
-TEST(XmlTest, SerializeParseRoundTripStructure) {
-  XmlNode root("gmark");
-  XmlNode& child = root.AddChild("graph");
-  child.set_attr("nodes", "100");
-  child.AddChild("types").AddChild("type").set_attr("name", "researcher");
-  auto parsed = ParseXml(root.ToString());
+TEST(XmlTest, ParsesIndentedDocument) {
+  // The layout the writers emit: two-space indent, self-closing leaves.
+  auto parsed = ParseXml(
+      "<gmark>\n"
+      "  <graph nodes=\"100\">\n"
+      "    <types>\n"
+      "      <type name=\"researcher\"/>\n"
+      "    </types>\n"
+      "    <predicates/>\n"
+      "  </graph>\n"
+      "</gmark>\n");
   ASSERT_TRUE(parsed.ok());
-  ASSERT_NE(parsed->FindChild("graph"), nullptr);
-  EXPECT_EQ(parsed->FindChild("graph")->attr("nodes"), "100");
-  const XmlNode* types = parsed->FindChild("graph")->FindChild("types");
+  const XmlNode* graph = parsed->FindChild("graph");
+  ASSERT_NE(graph, nullptr);
+  EXPECT_EQ(graph->attr("nodes"), "100");
+  const XmlNode* types = graph->FindChild("types");
   ASSERT_NE(types, nullptr);
+  ASSERT_EQ(types->children().size(), 1u);
   EXPECT_EQ(types->children()[0].attr("name"), "researcher");
+  ASSERT_NE(graph->FindChild("predicates"), nullptr);
+  EXPECT_TRUE(graph->FindChild("predicates")->children().empty());
 }
 
 TEST(XmlTest, RejectsMismatchedTags) {

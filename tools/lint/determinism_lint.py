@@ -25,6 +25,12 @@ Rules (see tools/lint/README.md for the rationale of each):
                       .begin()/.end()), in src/ — unordered iteration
                       order is a hash-seed artifact and must never
                       reach serialized output or a merge order.
+  stream-format       <sstream>, std::stringstream and its i/o
+                      siblings, snprintf/sprintf, std::setprecision or
+                      std::fixed, in src/ — streams and printf format
+                      numbers through the locale; writers append with
+                      StrAppend and FormatDouble/FormatFixed
+                      (src/util/string_util.h).
   rng-default-seed    RandomEngine constructed with no seed — the
                       default seed hides a missing DeriveSeed call.
   rng-underived-seed  RandomEngine seeded with an expression that is
@@ -75,6 +81,13 @@ UNORDERED_DECL_RE = re.compile(
 UNORDERED_ALIAS_RE = re.compile(
     r"\busing\s+(\w+)\s*=\s*(?:std\s*::\s*)?unordered_(?:map|set|multimap"
     r"|multiset)\s*<"
+)
+STREAM_FORMAT_RE = re.compile(
+    r"#\s*include\s*<sstream>"
+    r"|\b(?:std\s*::\s*)?[io]?stringstream\b"
+    r"|\bsn?printf\s*\("
+    r"|\b(?:std\s*::\s*)?setprecision\b"
+    r"|\bstd\s*::\s*fixed\b"
 )
 RANDOM_ENGINE_USE_RE = re.compile(r"\bRandomEngine\b")
 # A seed expression that is visibly deterministic: a DeriveSeed
@@ -325,6 +338,14 @@ def lint_file(path, relpath):
                 report(m.start(), "unordered-iter",
                        "iterator walk over an unordered container; sort "
                        "keys first before anything order-dependent")
+
+    # --- locale-dependent text formatting (src only) -------------------
+    if not path_is_test(relpath):
+        for m in STREAM_FORMAT_RE.finditer(clean):
+            report(m.start(), "stream-format",
+                   "streams and printf format numbers through the locale "
+                   "and format flags; append with StrAppend and "
+                   "FormatDouble/FormatFixed (src/util/string_util.h)")
 
     # --- RandomEngine seeding discipline (production code only: tests
     # --- seed engines from fixture params, which is already

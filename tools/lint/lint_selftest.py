@@ -25,6 +25,7 @@ EXPECTED_BAD = {
     "bad/clock_read.cc": {"clock-read"},
     "bad/unordered_iter.cc": {"unordered-iter"},
     "bad/unordered_begin.cc": {"unordered-iter"},
+    "bad/stream_format.cc": {"stream-format"},
     "bad/rng_default.cc": {"rng-default-seed"},
     "bad/rng_underived.cc": {"rng-underived-seed"},
     "bad/nolint_empty.cc": {"nolint-empty-reason"},
