@@ -8,7 +8,7 @@
 
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -19,7 +19,7 @@ using namespace gmark;
 struct Fixture {
   Fixture() {
     config = MakeBibConfig(2000, 7);
-    graph = new Graph(GenerateGraph(config).ValueOrDie());
+    graph = new Graph(ParallelGenerateGraph(config).ValueOrDie());
     QueryGenerator generator(&config.schema);
     workload = generator
                    .Generate(MakePresetWorkload(WorkloadPreset::kCon, 6, 31))

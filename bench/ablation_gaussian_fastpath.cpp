@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace {
 
@@ -22,7 +22,7 @@ void RunGeneration(benchmark::State& state, UseCase use_case,
   size_t edges = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = GenerateEdges(config, &sink, options);
+    Status st = ParallelGenerateToSink(config, &sink, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     edges = sink.count();
     benchmark::DoNotOptimize(edges);

@@ -16,7 +16,7 @@
 #include "bench_util.h"
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "util/timer.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -98,7 +98,7 @@ int main() {
   for (int64_t n : sizes) {
     GraphConfiguration config = base;
     config.num_nodes = n;
-    auto graph = GenerateGraph(config);
+    auto graph = ParallelGenerateGraph(config);
     if (!graph.ok()) continue;
     std::printf("%-8lld", static_cast<long long>(n));
     for (const Query& q : org) {

@@ -23,8 +23,8 @@
 #include "analysis/runner.h"
 #include "bench_util.h"
 #include "core/use_cases.h"
-#include "graph/generator.h"
 #include "parallel/executor.h"
+#include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   for (int64_t n : sizes) {
     GraphConfiguration config = base;
     config.num_nodes = n;
-    graphs.push_back(GenerateGraph(config).ValueOrDie());
+    graphs.push_back(ParallelGenerateGraph(config).ValueOrDie());
   }
 
   // cell[(class, preset, engine, size_index)]

@@ -16,8 +16,8 @@
 #include "engine/engine_common.h"
 #include "engine/evaluator.h"
 #include "engine/relation.h"
-#include "graph/generator.h"
 #include "graph/graph_io.h"
+#include "parallel/parallel_generator.h"
 #include "translate/translator.h"
 #include "util/zipf.h"
 #include "workload/query_generator.h"
@@ -57,7 +57,7 @@ BENCHMARK(BM_SlotVectorShuffle)->Arg(100000)->Arg(1000000);
 
 void BM_RpqProductBfs(benchmark::State& state) {
   GraphConfiguration config = MakeBibConfig(state.range(0), 7);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   // Co-authorship: authors . authors^- — a 3-state NFA.
   RegularExpression co;
   co.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)}};
@@ -143,7 +143,7 @@ RegularExpression CoAuthors() {
 
 void BM_ComposePathPairs(benchmark::State& state) {
   GraphConfiguration config = MakeBibConfig(state.range(0), 7);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   const bool set_semantics = state.range(1) != 0;
   for (auto _ : state) {
     BudgetTracker budget(ResourceBudget::Unlimited());
@@ -160,7 +160,7 @@ BENCHMARK(BM_ComposePathPairs)->ArgNames({"n", "set"})
 /// so the source-by-source union has work to do.
 void BM_RegexBasePairs(benchmark::State& state) {
   GraphConfiguration config = MakeBibConfig(state.range(0), 7);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   const PredicateId authors =
       config.schema.PredicateIdOf("authors").ValueOrDie();
   const PredicateId published_in =
@@ -182,7 +182,7 @@ BENCHMARK(BM_RegexBasePairs)->ArgNames({"n", "set"})
 /// preset's closure.
 void BM_Closure(benchmark::State& state, bool naive) {
   GraphConfiguration config = MakeBibConfig(state.range(0), 7);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   BudgetTracker base_budget(ResourceBudget::Unlimited());
   NodePairs base =
       RegexBasePairs(graph, CoAuthors(), true, &base_budget).ValueOrDie().value;
@@ -232,7 +232,7 @@ class NullBuf : public std::streambuf {
 
 void BM_NTriplesFormat(benchmark::State& state) {
   GraphConfiguration config = MakeBibConfig(state.range(0), 7);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   NullBuf buf;
   std::ostream out(&buf);
   for (auto _ : state) {

@@ -23,8 +23,8 @@
 #include "analysis/runner.h"
 #include "bench_util.h"
 #include "core/use_cases.h"
-#include "graph/generator.h"
 #include "parallel/executor.h"
+#include "parallel/parallel_generator.h"
 #include "plan/planner.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -89,7 +89,7 @@ int main() {
   const std::vector<int> thread_counts = bench::ThreadCounts({2, 8});
 
   GraphConfiguration config = MakeBibConfig(nodes, 7);
-  const Graph graph = GenerateGraph(config).ValueOrDie();
+  const Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   const Planner planner(&config.schema);
   QueryGenerator generator(&config.schema);
   std::printf("Bib n=%lld, %zu queries per workload, thread identity at",

@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "util/timer.h"
 
 using namespace gmark;
@@ -37,7 +37,7 @@ int main() {
       GraphConfiguration config = MakeUseCase(use_case, n, 42);
       CountingSink sink;
       WallTimer timer;
-      Status st = GenerateEdges(config, &sink);
+      Status st = ParallelGenerateToSink(config, &sink);
       double seconds = timer.ElapsedSeconds();
       if (!st.ok()) {
         std::printf("  %12s", "-");

@@ -24,7 +24,7 @@
 #include "bench_util.h"
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 using namespace gmark;
 
@@ -81,7 +81,7 @@ int main() {
   for (int64_t n : sizes) {
     GraphConfiguration config = base;
     config.num_nodes = n;
-    graphs.push_back(GenerateGraph(config).ValueOrDie());
+    graphs.push_back(ParallelGenerateGraph(config).ValueOrDie());
   }
 
   for (const Query& q : {q1, q2}) {

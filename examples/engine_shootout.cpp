@@ -14,7 +14,7 @@
 #include "core/use_cases.h"
 #include "engine/engines.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "translate/translator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -23,7 +23,7 @@ using namespace gmark;
 
 int main() {
   GraphConfiguration config = MakeBibConfig(2000, 29);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   QueryGenerator generator(&config.schema);
   WorkloadConfiguration wconfig =
       MakePresetWorkload(WorkloadPreset::kCon, 9, 31);

@@ -7,17 +7,19 @@
 //             [--format nt|csv]            instance format (default nt)
 //             [-q <workload.xml>]          write UCRPQs as XML
 //             [-o <dir>]                   write per-language query files
-//             [-n <nodes>]                 override the graph size
+//             [-n <nodes>]                 override the graph size (>= 1)
 //             [--use-case Bib|LSN|SP|WD]   built-in config instead of -c
-//             [--threads <k>]              parallel graph AND workload
-//                                          generation (0 = all cores); output
-//                                          is identical at any thread count
-//             [--spill-dir <dir>]          stream edge shards through per-shard
-//                                          temp files under <dir> instead of
-//                                          holding the edge set in memory
-//                                          (implies the parallel generator)
-//             [--spill-threshold <bytes>]  only spill when the edge set
-//                                          exceeds <bytes> (default with
+//             [--threads <k>]              graph AND workload generation
+//                                          threads, 0..1024 (0 = all cores,
+//                                          default 1); output is identical
+//                                          at any thread count
+//             [--spill-dir <dir>]          stage the indexed graph's edge
+//                                          shards (--stats, --evaluate) in
+//                                          per-shard temp files under <dir>
+//                                          instead of memory; -g streams
+//                                          and never stages
+//             [--spill-threshold <bytes>]  only spill when the expected edge
+//                                          set exceeds <bytes> (default with
 //                                          --spill-dir: 0 = always spill)
 //             [--stats]                    print instance statistics plus the
 //                                          metric-registry snapshot table
@@ -78,6 +80,11 @@ using namespace gmark;
 
 namespace {
 
+/// Upper bound of --threads and --eval-threads: far above any core
+/// count this runs on, low enough that a typo cannot ask the OS for
+/// millions of threads.
+constexpr int64_t kMaxThreads = 1024;
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -88,19 +95,21 @@ int Usage(const char* argv0) {
       "          [--evaluate CODES] [--eval-threads k] [--plan on|off]\n"
       "          [--metrics-json FILE] [--trace-json FILE]\n"
       "\n"
-      "  --threads k            parallel graph and workload generation\n"
-      "                         (0 = all cores); output is byte-identical\n"
-      "                         at any thread count\n"
-      "  --eval-threads k       parallel query evaluation for --evaluate\n"
-      "                         (0 = all cores, default 1); counts and\n"
-      "                         profiles are byte-identical at any thread\n"
-      "                         count\n"
-      "  --spill-dir DIR        stream edge shards through per-shard temp\n"
-      "                         files under DIR (bounded memory; implies\n"
-      "                         the parallel generator)\n"
-      "  --spill-threshold N    spill only when the edge set exceeds N\n"
-      "                         bytes (with --spill-dir the default is 0,\n"
-      "                         i.e. always spill)\n"
+      "  -n nodes               graph size, at least 1\n"
+      "  --threads k            graph and workload generation threads,\n"
+      "                         0..1024 (0 = all cores, default 1); output\n"
+      "                         is byte-identical at any thread count\n"
+      "  --eval-threads k       parallel query evaluation for --evaluate,\n"
+      "                         0..1024 (0 = all cores, default 1); counts\n"
+      "                         and profiles are byte-identical at any\n"
+      "                         thread count\n"
+      "  --spill-dir DIR        stage the indexed graph's edge shards\n"
+      "                         (--stats, --evaluate) in per-shard temp\n"
+      "                         files under DIR (bounded memory); -g\n"
+      "                         streams its edges and never stages them\n"
+      "  --spill-threshold N    spill only when the expected edge set\n"
+      "                         exceeds N bytes (with --spill-dir the\n"
+      "                         default is 0, i.e. always spill)\n"
       "  --evaluate CODES       run the generated workload through the\n"
       "                         engine simulators named by CODES (subset\n"
       "                         of PGSD, or \"all\") and print per-query\n"
@@ -164,10 +173,8 @@ int main(int argc, char** argv) {
   int64_t spill_threshold = -1;
   int64_t nodes_override = -1;
   bool stats = false;
-  // -1 = flag absent: keep the serial generator (and its edge stream);
-  // any explicit value — or any spill flag — routes generation through
-  // src/parallel/.
-  int threads = -1;
+  // Graph and workload generation threads (1 = inline).
+  int threads = 1;
   // Intra-query evaluation threads for --evaluate (1 = serial).
   int eval_threads = 1;
   bool eval_threads_set = false;
@@ -217,7 +224,7 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       auto parsed = ParseInt(v);
-      if (!parsed.ok()) return Usage(argv[0]);
+      if (!parsed.ok() || parsed.ValueOrDie() < 1) return Usage(argv[0]);
       nodes_override = parsed.ValueOrDie();
     } else if (arg == "--use-case") {
       if (const char* v = next()) use_case = v; else return Usage(argv[0]);
@@ -225,13 +232,19 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       auto parsed = ParseInt(v);
-      if (!parsed.ok() || parsed.ValueOrDie() < 0) return Usage(argv[0]);
+      if (!parsed.ok() || parsed.ValueOrDie() < 0 ||
+          parsed.ValueOrDie() > kMaxThreads) {
+        return Usage(argv[0]);
+      }
       threads = static_cast<int>(parsed.ValueOrDie());
     } else if (arg == "--eval-threads") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       auto parsed = ParseInt(v);
-      if (!parsed.ok() || parsed.ValueOrDie() < 0) return Usage(argv[0]);
+      if (!parsed.ok() || parsed.ValueOrDie() < 0 ||
+          parsed.ValueOrDie() > kMaxThreads) {
+        return Usage(argv[0]);
+      }
       eval_threads = static_cast<int>(parsed.ValueOrDie());
       eval_threads_set = true;
     } else if (arg == "--format") {
@@ -318,7 +331,7 @@ int main(int argc, char** argv) {
   } else {
     return Usage(argv[0]);
   }
-  if (nodes_override > 0) config.num_nodes = nodes_override;
+  if (nodes_override >= 1) config.num_nodes = nodes_override;
 
   auto report = CheckConsistency(config);
   if (!report.ok()) {
@@ -331,10 +344,12 @@ int main(int argc, char** argv) {
                  report->ToString().c_str());
   }
 
-  // Spill flags imply the parallel generator (the spill subsystem lives
-  // there); --spill-dir without an explicit threshold means always spill.
-  const bool spill_requested = !spill_dir.empty() || spill_threshold >= 0;
+  // --spill-dir without an explicit threshold means always spill.
   if (!spill_dir.empty() && spill_threshold < 0) spill_threshold = 0;
+  GeneratorOptions gen_options;
+  gen_options.num_threads = threads;
+  gen_options.spill_dir = spill_dir;
+  gen_options.spill_threshold_bytes = spill_threshold;
 
   // Graph generation.
   if (!graph_out.empty()) {
@@ -353,16 +368,7 @@ int main(int argc, char** argv) {
     } else {
       sink = &nt_sink.emplace(&out, &config.schema);
     }
-    GeneratorOptions options;
-    options.spill_dir = spill_dir;
-    options.spill_threshold_bytes = spill_threshold;
-    Status st;
-    if (threads >= 0 || spill_requested) {
-      options.num_threads = threads >= 0 ? threads : 1;
-      st = ParallelGenerateToSink(config, sink, options);
-    } else {
-      st = GenerateEdges(config, sink, options);
-    }
+    Status st = ParallelGenerateToSink(config, sink, gen_options);
     // Flush before testing the stream: a failure in the final buffered
     // block would otherwise surface only in the destructor, silently.
     out.flush();
@@ -377,19 +383,11 @@ int main(int argc, char** argv) {
   std::optional<Graph> indexed;
   if (stats || !evaluate_codes.empty()) {
     // The indexed graph is built shard-native: per-predicate CSRs
-    // stream straight off the shard store, so the spill flags bound the
-    // edge-staging memory here too (only the final CSRs stay resident).
-    GeneratorOptions options;
-    options.spill_dir = spill_dir;
-    options.spill_threshold_bytes = spill_threshold;
+    // stream straight off the shard store, whose edge staging is what
+    // the spill flags bound (only the final CSRs stay resident).
     GenerateStats gen_stats;
-    Result<Graph> graph = [&] {
-      if (threads >= 0 || spill_requested) {
-        options.num_threads = threads >= 0 ? threads : 1;
-        return ParallelGenerateGraph(config, options, &gen_stats);
-      }
-      return GenerateGraph(config, options, &gen_stats);
-    }();
+    Result<Graph> graph = ParallelGenerateGraph(config, gen_options,
+                                                &gen_stats);
     if (!graph.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    graph.status().ToString().c_str());
@@ -427,10 +425,9 @@ int main(int argc, char** argv) {
     wconfig = std::move(parsed).ValueOrDie();
   }
   QueryGenerator generator(&config.schema);
-  // --threads routes workload generation through the parallel path;
-  // the result is byte-identical to the serial generator regardless.
+  // The workload is byte-identical at any --threads value.
   ParallelWorkloadOptions woptions;
-  woptions.num_threads = threads >= 0 ? threads : 1;
+  woptions.num_threads = threads;
   auto workload = ParallelGenerateWorkload(generator, wconfig, woptions);
   if (!workload.ok()) {
     std::fprintf(stderr, "error: %s\n",

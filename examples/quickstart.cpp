@@ -15,8 +15,8 @@
 #include "core/consistency.h"
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
 #include "graph/stats.h"
+#include "parallel/parallel_generator.h"
 #include "selectivity/estimator.h"
 #include "translate/translator.h"
 #include "workload/presets.h"
@@ -36,7 +36,7 @@ int main() {
   std::cout << report->ToString() << "\n";
 
   // 2. Generate the instance.
-  auto graph = GenerateGraph(config);
+  auto graph = ParallelGenerateGraph(config);
   if (!graph.ok()) {
     std::cerr << graph.status() << "\n";
     return 1;

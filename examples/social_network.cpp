@@ -19,8 +19,8 @@
 #include "analysis/runner.h"
 #include "core/use_cases.h"
 #include "engine/engines.h"
-#include "graph/generator.h"
 #include "graph/stats.h"
+#include "parallel/parallel_generator.h"
 #include "selectivity/estimator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -30,7 +30,7 @@ using namespace gmark;
 int main() {
   GraphConfiguration base = MakeLsnConfig(2000, 17);
   std::printf("== LSN social-network scenario ==\n");
-  Graph sample = GenerateGraph(base).ValueOrDie();
+  Graph sample = ParallelGenerateGraph(base).ValueOrDie();
   std::printf("%s\n", ComputeStats(sample).ToString(base.schema).c_str());
 
   // Recursion-heavy workload.

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 
@@ -13,7 +13,7 @@ Result<AlphaLab> AlphaLab::Create(const GraphConfiguration& base,
     GraphConfiguration config = base;
     config.num_nodes = sizes[i];
     config.seed = base.seed + i * 0x9E3779B9ULL;
-    GMARK_ASSIGN_OR_RETURN(Graph graph, GenerateGraph(config));
+    GMARK_ASSIGN_OR_RETURN(Graph graph, ParallelGenerateGraph(config));
     lab.sizes_.push_back(graph.num_nodes());
     lab.graphs_.push_back(std::move(graph));
   }

@@ -33,19 +33,25 @@ Result<DistributionType> ParseDistributionType(const std::string& name) {
   return Status::InvalidArgument("unknown distribution type: " + name);
 }
 
-int64_t DistributionSpec::Draw(RandomEngine* rng, int64_t support_max) const {
-  switch (type) {
+DegreeSampler::DegreeSampler(const DistributionSpec& spec,
+                             int64_t support_max)
+    : spec_(spec) {
+  if (spec.type == DistributionType::kZipfian) {
+    zipf_.emplace(spec.param1, support_max < 1 ? 1 : support_max);
+  }
+}
+
+int64_t DegreeSampler::Draw(RandomEngine* rng) const {
+  switch (spec_.type) {
     case DistributionType::kNonSpecified:
       return 0;
     case DistributionType::kUniform:
-      return rng->UniformInt(static_cast<int64_t>(param1),
-                             static_cast<int64_t>(param2));
+      return rng->UniformInt(static_cast<int64_t>(spec_.param1),
+                             static_cast<int64_t>(spec_.param2));
     case DistributionType::kGaussian:
-      return rng->GaussianInt(param1, param2);
-    case DistributionType::kZipfian: {
-      ZipfSampler sampler(param1, support_max < 1 ? 1 : support_max);
-      return sampler.Sample(rng);
-    }
+      return rng->GaussianInt(spec_.param1, spec_.param2);
+    case DistributionType::kZipfian:
+      return zipf_->Sample(rng);
   }
   return 0;
 }

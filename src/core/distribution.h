@@ -8,10 +8,12 @@
 #define GMARK_CORE_DISTRIBUTION_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "util/random.h"
 #include "util/result.h"
+#include "util/zipf.h"
 
 namespace gmark {
 
@@ -58,10 +60,6 @@ struct DistributionSpec {
   /// selectivity algebra treats as unbounded, §5.2.2).
   bool IsZipfian() const { return type == DistributionType::kZipfian; }
 
-  /// \brief Draw one degree. `support_max` bounds Zipfian draws (the
-  /// number of opposite-side nodes); ignored by other families.
-  int64_t Draw(RandomEngine* rng, int64_t support_max) const;
-
   /// \brief Expected degree under this distribution (Zipfian uses
   /// `support_max` as its support bound).
   double Mean(int64_t support_max) const;
@@ -73,6 +71,22 @@ struct DistributionSpec {
   std::string ToString() const;
 
   bool operator==(const DistributionSpec&) const = default;
+};
+
+/// \brief Draws degrees from a DistributionSpec. `support_max` bounds
+/// Zipfian draws (the number of opposite-side nodes) and is ignored by
+/// other families; the Zipfian sampler's constants are computed once,
+/// not per draw.
+class DegreeSampler {
+ public:
+  DegreeSampler(const DistributionSpec& spec, int64_t support_max);
+
+  /// \brief Draw one degree.
+  int64_t Draw(RandomEngine* rng) const;
+
+ private:
+  DistributionSpec spec_;
+  std::optional<ZipfSampler> zipf_;  // Engaged for the Zipfian family.
 };
 
 /// \brief Parse "uniform"/"gaussian"/"zipfian"/"nonspecified".

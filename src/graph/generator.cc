@@ -1,208 +1,10 @@
 #include "graph/generator.h"
 
 #include <cstdint>
-#include <limits>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/random.h"
-#include "util/timer.h"
 
 namespace gmark {
-
-namespace internal {
-
-Status BuildSlotRange(const DistributionSpec& dist, int64_t lo, int64_t hi,
-                      int64_t support_max, RandomEngine* rng,
-                      std::vector<SlotIndex>* slots) {
-  if (hi > std::numeric_limits<SlotIndex>::max()) {
-    return Status::Unsupported(
-        "more than 2^32 nodes of one type is not supported");
-  }
-  // Pre-reserve the expected slot count; without this the push_back loop
-  // reallocates ~log2(slots) times, which dominates on large types.
-  const double mean = dist.Mean(support_max);
-  if (mean > 0.0) {
-    slots->reserve(slots->size() +
-                   static_cast<size_t>(static_cast<double>(hi - lo) * mean) +
-                   1);
-  }
-  for (int64_t j = lo; j < hi; ++j) {
-    int64_t degree = dist.Draw(rng, support_max);
-    for (int64_t k = 0; k < degree; ++k) {
-      slots->push_back(static_cast<SlotIndex>(j));
-    }
-  }
-  return Status::OK();
-}
-
-Result<ConstraintPlan> PlanConstraint(const EdgeConstraint& c,
-                                      const NodeLayout& layout,
-                                      const GeneratorOptions& options) {
-  ConstraintPlan plan;
-  plan.n_src = layout.CountOf(c.source_type);
-  plan.n_trg = layout.CountOf(c.target_type);
-  plan.src_base = layout.OffsetOf(c.source_type);
-  plan.trg_base = layout.OffsetOf(c.target_type);
-  if (plan.empty()) return plan;
-
-  const bool out_spec = c.out_dist.specified();
-  const bool in_spec = c.in_dist.specified();
-  plan.out_implicit =
-      !out_spec || (options.gaussian_fast_path &&
-                    c.out_dist.type == DistributionType::kGaussian);
-  plan.in_implicit =
-      !in_spec || (options.gaussian_fast_path &&
-                   c.in_dist.type == DistributionType::kGaussian);
-
-  // Both materialized slot vectors and the per-edge uniform draws of
-  // implicit sides go through SlotIndex, so the limit applies to every
-  // constrained type (an unchecked cast would silently wrap implicit
-  // draws modulo 2^32 instead of failing).
-  if (plan.n_src > std::numeric_limits<SlotIndex>::max() ||
-      plan.n_trg > std::numeric_limits<SlotIndex>::max()) {
-    return Status::Unsupported(
-        "more than 2^32 nodes of one type is not supported");
-  }
-
-  if (plan.out_implicit && out_spec) {
-    plan.expected_out_slots = static_cast<int64_t>(
-        static_cast<double>(plan.n_src) * c.out_dist.Mean(plan.n_trg) + 0.5);
-  }
-  if (plan.in_implicit && in_spec) {
-    plan.expected_in_slots = static_cast<int64_t>(
-        static_cast<double>(plan.n_trg) * c.in_dist.Mean(plan.n_src) + 0.5);
-  }
-  return plan;
-}
-
-Result<int64_t> ResolveEdgeCount(const EdgeConstraint& c,
-                                 const GraphSchema& schema,
-                                 const NodeLayout& layout, int64_t out_slots,
-                                 int64_t in_slots) {
-  if (out_slots < 0 && in_slots < 0) {
-    // When neither side constrains the count, it comes from the
-    // predicate occurrence constraint (schema validation guarantees one
-    // exists).
-    const auto& occ = schema.predicates()[c.predicate].occurrence;
-    if (!occ.has_value()) {
-      return Status::Internal("unconstrained edge count for predicate " +
-                              schema.PredicateName(c.predicate));
-    }
-    return occ->is_fixed
-               ? occ->fixed_count
-               : static_cast<int64_t>(
-                     occ->proportion *
-                         static_cast<double>(layout.total_nodes()) +
-                     0.5);
-  }
-  if (out_slots < 0) return in_slots;
-  if (in_slots < 0) return out_slots;
-  return std::min(out_slots, in_slots);
-}
-
-}  // namespace internal
-
-namespace {
-
-using internal::ConstraintPlan;
-using internal::SlotIndex;
-
-/// One eta constraint; implements lines 2-9 of Fig. 5 plus the
-/// non-specified and Gaussian special cases.
-Status GenerateConstraint(const EdgeConstraint& c, const NodeLayout& layout,
-                          const GraphSchema& schema,
-                          const GeneratorOptions& options, RandomEngine* rng,
-                          EdgeSink* sink) {
-  GMARK_ASSIGN_OR_RETURN(ConstraintPlan plan,
-                         internal::PlanConstraint(c, layout, options));
-  if (plan.empty()) return Status::OK();
-
-  std::vector<SlotIndex> vsrc;
-  std::vector<SlotIndex> vtrg;
-  int64_t out_slots = plan.expected_out_slots;
-  int64_t in_slots = plan.expected_in_slots;
-
-  if (!plan.out_implicit) {
-    GMARK_RETURN_NOT_OK(internal::BuildSlotRange(c.out_dist, 0, plan.n_src,
-                                                 plan.n_trg, rng, &vsrc));
-    rng->Shuffle(&vsrc);
-    out_slots = static_cast<int64_t>(vsrc.size());
-  }
-  if (!plan.in_implicit) {
-    GMARK_RETURN_NOT_OK(internal::BuildSlotRange(c.in_dist, 0, plan.n_trg,
-                                                 plan.n_src, rng, &vtrg));
-    rng->Shuffle(&vtrg);
-    in_slots = static_cast<int64_t>(vtrg.size());
-  }
-
-  GMARK_ASSIGN_OR_RETURN(
-      int64_t edges,
-      internal::ResolveEdgeCount(c, schema, layout, out_slots, in_slots));
-
-  for (int64_t i = 0; i < edges; ++i) {
-    SlotIndex s =
-        plan.out_implicit
-            ? static_cast<SlotIndex>(rng->UniformInt(0, plan.n_src - 1))
-            : vsrc[static_cast<size_t>(i)];
-    SlotIndex t =
-        plan.in_implicit
-            ? static_cast<SlotIndex>(rng->UniformInt(0, plan.n_trg - 1))
-            : vtrg[static_cast<size_t>(i)];
-    sink->Append(plan.src_base + s, c.predicate, plan.trg_base + t);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status GenerateEdges(const GraphConfiguration& config, EdgeSink* sink,
-                     const GeneratorOptions& options) {
-  GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
-  RandomEngine rng(config.seed);
-  // Constraint draws are statistically independent (paper §4), so a
-  // single pass in declaration order is sound.
-  for (const EdgeConstraint& c : config.schema.edge_constraints()) {
-    GMARK_RETURN_NOT_OK(
-        GenerateConstraint(c, layout, config.schema, options, &rng, sink));
-  }
-  return Status::OK();
-}
-
-Result<Graph> GenerateGraph(const GraphConfiguration& config,
-                            const GeneratorOptions& options,
-                            GenerateStats* stats) {
-  WallTimer timer;
-  Span layout_span = TraceSpan("gen.layout", "gen");
-  GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
-  layout_span.End();
-  const double layout_seconds = timer.ElapsedSeconds();
-  timer.Restart();
-  VectorSink sink;
-  {
-    Span generate_span = TraceSpan("gen.generate", "gen");
-    GMARK_RETURN_NOT_OK(GenerateEdges(config, &sink, options));
-  }
-  const double generate_seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) {
-    stats->total_edges = sink.edges().size();
-    stats->peak_resident_edge_bytes = sink.edges().size() * sizeof(Edge);
-    stats->spilled = false;
-    stats->layout_seconds = layout_seconds;
-    stats->generate_seconds = generate_seconds;
-  }
-  timer.Restart();
-  Span index_span = TraceSpan("gen.index", "gen");
-  Result<Graph> graph =
-      Graph::Build(std::move(layout), config.schema.predicate_count(),
-                   std::move(sink.edges()));
-  index_span.End();
-  if (stats != nullptr) {
-    stats->index_seconds = timer.ElapsedSeconds();
-    stats->Record(GlobalMetrics());
-  }
-  return graph;
-}
 
 void GenerateStats::Record(MetricRegistry* metrics) const {
   if (metrics == nullptr) return;

@@ -1,4 +1,5 @@
-// The gMark graph generation algorithm (Fig. 5 of the paper).
+// Edge sinks, options and statistics of the gMark graph generation
+// algorithm (Fig. 5 of the paper).
 //
 // For each eta(T1, T2, a) = (Din, Dout) the generator draws an out-slot
 // vector over T1 nodes and an in-slot vector over T2 nodes, shuffles
@@ -6,6 +7,9 @@
 // is linear in input + output and never backtracks; constraints that
 // cannot be met exactly are relaxed (Thm. 3.6 makes exact satisfaction
 // NP-complete), while the *types* of the distributions are preserved.
+// The one implementation is the chunked generator of
+// parallel/parallel_generator.h (ParallelGenerateToSink,
+// ParallelGenerateGraph); on one thread it runs inline.
 
 #ifndef GMARK_GRAPH_GENERATOR_H_
 #define GMARK_GRAPH_GENERATOR_H_
@@ -65,27 +69,25 @@ struct GeneratorOptions {
   /// Ablation: bench/ablation_gaussian_fastpath.
   bool gaussian_fast_path = true;
 
-  /// Worker threads for the parallel generator (src/parallel/). 0 means
-  /// "use hardware concurrency"; 1 runs the parallel algorithm inline
-  /// on the calling thread. Ignored by the serial GenerateEdges path.
+  /// Worker threads of the generator. 0 means "use hardware
+  /// concurrency"; 1 runs every task inline on the calling thread.
   int num_threads = 1;
 
-  /// Nodes (slot building) or edges (emission) per parallel task. The
-  /// output of the parallel generator is a function of (seed,
-  /// chunk_size) and is independent of num_threads; constraints smaller
-  /// than one chunk degenerate to a single task, i.e. the serial path.
+  /// Nodes (slot building) or edges (emission) per task. The output is
+  /// a function of (seed, chunk_size) and is independent of
+  /// num_threads; constraints smaller than one chunk run as a single
+  /// task.
   int64_t chunk_size = 1 << 16;
 
-  /// Spill-to-disk control for the parallel generator (src/parallel/
-  /// spill_sink.h). When >= 0 and the exact edge total (known after the
-  /// slot-building phase) exceeds this many bytes, edge shards are
-  /// written to per-shard temp files and streamed back in canonical
-  /// order at drain time, so peak edge memory is ~ num_threads *
+  /// Spill-to-disk control for ParallelGenerateGraph (src/parallel/
+  /// spill_sink.h). When >= 0 and the expected edge total (node counts
+  /// x mean degrees, known before any draw) exceeds this many bytes,
+  /// edge shards stage in per-shard temp files until the CSR build
+  /// has replayed them, so peak staging memory is ~ num_threads *
   /// chunk_size edges instead of the whole graph. 0 means "always
-  /// spill"; -1 (default) disables spilling. The emitted edge stream is
-  /// byte-identical either way. Ignored by the serial GenerateEdges
-  /// path and by ParallelGenerateGraph (an indexed graph needs the full
-  /// edge vector resident anyway).
+  /// spill"; -1 (default) disables spilling. The CSRs are
+  /// byte-identical either way. Ignored by ParallelGenerateToSink,
+  /// which never stages the edge set.
   int64_t spill_threshold_bytes = -1;
 
   /// Parent directory for spill files; empty means the system temp
@@ -108,9 +110,10 @@ struct GeneratorOptions {
 /// `parallel.peak_edge_mb`).
 struct GenerateStats {
   size_t total_edges = 0;
-  /// High-water mark of edge bytes resident in the staging store: the
-  /// whole edge set for in-memory paths, ~ the in-flight chunks for the
-  /// spill path.
+  /// High-water mark of resident edge bytes: for ParallelGenerateGraph
+  /// the staging store (the whole edge set in memory, ~ the in-flight
+  /// chunks when spilled); for ParallelGenerateToSink the largest
+  /// emission window (~ one chunk per worker).
   size_t peak_resident_edge_bytes = 0;
   bool spilled = false;
   /// Phase breakdown for indexed generation (zero when the phase did
@@ -129,67 +132,6 @@ struct GenerateStats {
   /// gauges; see README "Observability"). Null registry is a no-op.
   void Record(MetricRegistry* metrics) const;
 };
-
-/// \brief Run the Fig. 5 algorithm, streaming edges into `sink`.
-Status GenerateEdges(const GraphConfiguration& config, EdgeSink* sink,
-                     const GeneratorOptions& options = {});
-
-/// \brief Convenience: generate and index a full in-memory graph.
-/// Indexing runs through Graph::Builder on an inline executor — the
-/// 1-thread special case of the shard-native parallel build.
-Result<Graph> GenerateGraph(const GraphConfiguration& config,
-                            const GeneratorOptions& options = {},
-                            GenerateStats* stats = nullptr);
-
-namespace internal {
-
-/// Local node index within one type; uint32 keeps slot vectors compact
-/// (100M-node scalability runs would need 1.6GB with 64-bit slots).
-using SlotIndex = uint32_t;
-
-/// \brief Per-constraint decisions shared by the serial and parallel
-/// generators: endpoint geometry, which sides materialize slot vectors,
-/// and the expected slot counts of implicit-but-specified sides.
-struct ConstraintPlan {
-  int64_t n_src = 0;
-  int64_t n_trg = 0;
-  NodeId src_base = 0;
-  NodeId trg_base = 0;
-  /// A side is implicit when it is non-specified (uniform sampling is
-  /// its definition) or Gaussian under the fast path; implicit sides
-  /// are sampled per edge instead of materialized.
-  bool out_implicit = true;
-  bool in_implicit = true;
-  /// Expected slot counts of implicit-but-specified sides; -1 when the
-  /// side does not constrain the edge count.
-  int64_t expected_out_slots = -1;
-  int64_t expected_in_slots = -1;
-
-  bool empty() const { return n_src == 0 || n_trg == 0; }
-};
-
-/// \brief Compute the plan for one constraint (fails if a materialized
-/// side exceeds the SlotIndex range).
-Result<ConstraintPlan> PlanConstraint(const EdgeConstraint& c,
-                                      const NodeLayout& layout,
-                                      const GeneratorOptions& options);
-
-/// \brief Line 8 of Fig. 5: resolve the emitted edge count from the two
-/// slot counts (-1 = side does not constrain), falling back to the
-/// predicate occurrence constraint when neither side does.
-Result<int64_t> ResolveEdgeCount(const EdgeConstraint& c,
-                                 const GraphSchema& schema,
-                                 const NodeLayout& layout, int64_t out_slots,
-                                 int64_t in_slots);
-
-/// \brief Append to `slots` each local index j in [lo, hi) repeated
-/// draw(dist) times. The serial path calls it with [0, node_count); the
-/// parallel path calls it once per chunk with a chunk-derived RNG.
-Status BuildSlotRange(const DistributionSpec& dist, int64_t lo, int64_t hi,
-                      int64_t support_max, RandomEngine* rng,
-                      std::vector<SlotIndex>* slots);
-
-}  // namespace internal
 
 }  // namespace gmark
 

@@ -129,9 +129,9 @@ class Graph {
     /// \brief Cap the chunk groups one predicate's stream is split
     /// into. 0 (default) = auto: 2x the executor's worker count, or 1
     /// on an inline executor (serial chunking is pure overhead). 1
-    /// reproduces the historical one-task-per-predicate build exactly
-    /// (same bytes — group boundaries never change the output — just
-    /// no intra-predicate fan-out); the bench ablation baseline.
+    /// reproduces the one-task-per-predicate build exactly (same bytes
+    /// — group boundaries never change the output — just no
+    /// intra-predicate fan-out); chunked_build_test's reference.
     void set_max_groups(size_t max_groups) { max_groups_ = max_groups; }
 
     /// \brief Consume the streams and assemble the graph. Chunk-group

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,7 +14,6 @@
 #include "parallel/shard_store.h"
 #include "parallel/sharded_sink.h"
 #include "parallel/spill_sink.h"
-#include "parallel/thread_pool.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -22,36 +21,97 @@ namespace gmark {
 
 namespace {
 
-using internal::ConstraintPlan;
-using internal::SlotIndex;
+/// Local node index within one type; uint32 keeps slot vectors compact
+/// (100M-node scalability runs would need 1.6GB with 64-bit slots).
+using SlotIndex = uint32_t;
 
-/// Chooses the ShardStore once the exact shard/edge totals are known —
-/// the auto-spill decision cannot be made earlier because the edge
-/// count of a constraint depends on its realized slot vectors. The
-/// returned pointer stays owned by the factory's creator.
-using ShardStoreFactory =
-    std::function<Result<ShardStore*>(size_t shard_count,
-                                      int64_t total_edges)>;
+/// Per-constraint decisions: endpoint geometry, which sides materialize
+/// slot vectors, and the expected slot counts of specified sides.
+struct ConstraintPlan {
+  int64_t n_src = 0;
+  int64_t n_trg = 0;
+  NodeId src_base = 0;
+  NodeId trg_base = 0;
+  /// A side is implicit when it is non-specified (uniform sampling is
+  /// its definition) or Gaussian under the fast path; implicit sides
+  /// are sampled per edge instead of materialized.
+  bool out_implicit = true;
+  bool in_implicit = true;
+  /// Expected slot counts of specified sides (node count x mean
+  /// degree); -1 when the side does not constrain the edge count. An
+  /// implicit side's count IS its expectation; a materialized side's
+  /// realized vector size replaces it.
+  int64_t expected_out_slots = -1;
+  int64_t expected_in_slots = -1;
 
-/// The static shard -> constraint -> predicate mapping of one run:
-/// shards are canonically numbered by (constraint, chunk), so each
-/// constraint owns one contiguous index range. The shard-native graph
-/// build reads per-predicate edge streams straight off these ranges.
-struct ShardPlan {
-  struct ConstraintShards {
-    PredicateId predicate = 0;
-    size_t begin = 0;  // First shard index of this constraint.
-    size_t end = 0;    // One past the last.
-    // Endpoint id ranges of the constraint's edges — the node-range
-    // hints that let the chunked builder size its per-group histograms
-    // to the predicate's types instead of the whole layout.
-    NodeId src_begin = 0;
-    NodeId src_end = 0;
-    NodeId trg_begin = 0;
-    NodeId trg_end = 0;
-  };
-  std::vector<ConstraintShards> constraints;
+  bool empty() const { return n_src == 0 || n_trg == 0; }
 };
+
+Result<ConstraintPlan> PlanConstraint(const EdgeConstraint& c,
+                                      const NodeLayout& layout,
+                                      const GeneratorOptions& options) {
+  ConstraintPlan plan;
+  plan.n_src = layout.CountOf(c.source_type);
+  plan.n_trg = layout.CountOf(c.target_type);
+  plan.src_base = layout.OffsetOf(c.source_type);
+  plan.trg_base = layout.OffsetOf(c.target_type);
+  if (plan.empty()) return plan;
+
+  const bool out_spec = c.out_dist.specified();
+  const bool in_spec = c.in_dist.specified();
+  plan.out_implicit =
+      !out_spec || (options.gaussian_fast_path &&
+                    c.out_dist.type == DistributionType::kGaussian);
+  plan.in_implicit =
+      !in_spec || (options.gaussian_fast_path &&
+                   c.in_dist.type == DistributionType::kGaussian);
+
+  // Both materialized slot vectors and the per-edge uniform draws of
+  // implicit sides go through SlotIndex, so the limit applies to every
+  // constrained type (an unchecked cast would silently wrap implicit
+  // draws modulo 2^32 instead of failing).
+  if (plan.n_src > std::numeric_limits<SlotIndex>::max() ||
+      plan.n_trg > std::numeric_limits<SlotIndex>::max()) {
+    return Status::Unsupported(
+        "more than 2^32 nodes of one type is not supported");
+  }
+
+  if (out_spec) {
+    plan.expected_out_slots = static_cast<int64_t>(
+        static_cast<double>(plan.n_src) * c.out_dist.Mean(plan.n_trg) + 0.5);
+  }
+  if (in_spec) {
+    plan.expected_in_slots = static_cast<int64_t>(
+        static_cast<double>(plan.n_trg) * c.in_dist.Mean(plan.n_src) + 0.5);
+  }
+  return plan;
+}
+
+/// Line 8 of Fig. 5: resolve the emitted edge count from the two slot
+/// counts (-1 = side does not constrain), falling back to the predicate
+/// occurrence constraint when neither side does.
+Result<int64_t> ResolveEdgeCount(const EdgeConstraint& c,
+                                 const GraphSchema& schema,
+                                 const NodeLayout& layout, int64_t out_slots,
+                                 int64_t in_slots) {
+  if (out_slots < 0 && in_slots < 0) {
+    // Schema validation guarantees an occurrence constraint exists.
+    const auto& occ = schema.predicates()[c.predicate].occurrence;
+    if (!occ.has_value()) {
+      return Status::Internal("unconstrained edge count for predicate " +
+                              schema.PredicateName(c.predicate));
+    }
+    return occ->is_fixed
+               ? occ->fixed_count
+               : static_cast<int64_t>(
+                     occ->proportion *
+                         static_cast<double>(layout.total_nodes()) +
+                     0.5);
+  }
+  if (out_slots < 0) return in_slots;
+  if (in_slots < 0) return out_slots;
+  return std::min(out_slots, in_slots);
+}
 
 // RNG stream phases within one constraint. Each (constraint, phase,
 // chunk) triple owns an independent SplitMix64-derived stream.
@@ -68,210 +128,263 @@ int64_t NumChunks(int64_t total, int64_t chunk_size) {
   return (total + chunk_size - 1) / chunk_size;
 }
 
-/// One materialized side of one constraint: chunk build results, the
-/// concatenated+shuffled slot vector, and per-chunk error slots.
-struct SideBuild {
-  size_t constraint_index = 0;
+/// One materialized side of one constraint: each local node j of the
+/// side appears draw(dist) times in `slots`, in node order, before the
+/// side's shuffle.
+struct SlotSide {
   const DistributionSpec* dist = nullptr;
   int64_t node_count = 0;
   int64_t support_max = 0;
   uint64_t slots_phase = kPhaseOutSlots;
-  uint64_t shuffle_phase = kPhaseOutShuffle;
-  std::vector<std::vector<SlotIndex>> chunks;
-  std::vector<Status> chunk_status;
-  std::vector<SlotIndex> slots;
+  std::vector<SlotIndex>* slots = nullptr;
 };
 
-/// The full parallel run: three barrier phases (build, shuffle, emit),
-/// each fanning out over every constraint at once so cross-constraint
-/// and intra-constraint parallelism compose. Tasks run on the caller's
-/// `executor` (shared with any downstream indexing). The destination
-/// store is created by `factory` between phases 2 and 3, when the exact
-/// edge total is known; `plan_out`, if non-null, receives the static
-/// shard -> predicate mapping.
-Status GenerateShards(const GraphConfiguration& config,
-                      const NodeLayout& layout,
-                      const GeneratorOptions& options, Executor* executor_ptr,
-                      const ShardStoreFactory& factory,
-                      ShardPlan* plan_out = nullptr) {
-  const auto& constraints = config.schema.edge_constraints();
-  const int64_t chunk_size = options.chunk_size < 1 ? 1 : options.chunk_size;
-  const uint64_t seed = config.seed;
-
-  std::vector<ConstraintPlan> plans;
-  plans.reserve(constraints.size());
-  for (const EdgeConstraint& c : constraints) {
-    GMARK_ASSIGN_OR_RETURN(ConstraintPlan plan,
-                           internal::PlanConstraint(c, layout, options));
-    plans.push_back(plan);
-  }
-
-  Executor& executor = *executor_ptr;
-
-  // Phase 1 — build slot vectors, chunked over node ranges. Chunk k of
-  // a side draws its nodes' degrees from the stream (ci, side, k), so
-  // the result depends on chunk boundaries but never on scheduling.
-  std::vector<std::unique_ptr<SideBuild>> builds;
-  for (size_t ci = 0; ci < constraints.size(); ++ci) {
-    const ConstraintPlan& plan = plans[ci];
-    if (plan.empty()) continue;
-    if (!plan.out_implicit) {
-      auto side = std::make_unique<SideBuild>();
-      side->constraint_index = ci;
-      side->dist = &constraints[ci].out_dist;
-      side->node_count = plan.n_src;
-      side->support_max = plan.n_trg;
-      side->slots_phase = kPhaseOutSlots;
-      side->shuffle_phase = kPhaseOutShuffle;
-      builds.push_back(std::move(side));
-    }
-    if (!plan.in_implicit) {
-      auto side = std::make_unique<SideBuild>();
-      side->constraint_index = ci;
-      side->dist = &constraints[ci].in_dist;
-      side->node_count = plan.n_trg;
-      side->support_max = plan.n_src;
-      side->slots_phase = kPhaseInSlots;
-      side->shuffle_phase = kPhaseInShuffle;
-      builds.push_back(std::move(side));
-    }
-  }
-  for (auto& side_ptr : builds) {
-    SideBuild* side = side_ptr.get();
-    const int64_t n_chunks = NumChunks(side->node_count, chunk_size);
-    side->chunks.resize(static_cast<size_t>(n_chunks));
-    side->chunk_status.assign(static_cast<size_t>(n_chunks), Status::OK());
-    for (int64_t k = 0; k < n_chunks; ++k) {
-      executor.Submit([side, k, chunk_size, seed] {
-        const int64_t lo = k * chunk_size;
-        const int64_t hi = std::min(lo + chunk_size, side->node_count);
-        RandomEngine rng(DeriveSeed(seed, side->constraint_index,
-                                    side->slots_phase,
-                                    static_cast<uint64_t>(k)));
-        side->chunk_status[static_cast<size_t>(k)] = internal::BuildSlotRange(
-            *side->dist, lo, hi, side->support_max, &rng,
-            &side->chunks[static_cast<size_t>(k)]);
+/// Builds and shuffles the materialized sides of constraint `ci`. Chunk
+/// k of a side draws its nodes' degrees from the (ci, side, k) stream,
+/// so the result depends on chunk boundaries but never on scheduling.
+/// Three barrier phases fan out over `executor`, each over both sides:
+/// draw every chunk's degrees and count its slots; write each chunk's
+/// slots at its offset; shuffle each side with its own stream. Every
+/// slot vector is allocated once at its exact size, with no chunk
+/// buffers or regrowth beside it; the per-node degrees (4 bytes a
+/// node) are freed once the slots are written.
+Status BuildSlots(const std::vector<SlotSide>& sides, size_t ci,
+                  uint64_t seed, int64_t chunk_size, Executor* executor) {
+  struct Pass {
+    std::vector<uint32_t> degrees;  // Per node.
+    std::vector<size_t> offsets;    // Chunk k's slots start at offsets[k].
+    std::vector<char> oversized;    // Chunk k drew a degree >= 2^32.
+  };
+  std::vector<Pass> passes(sides.size());
+  for (size_t s = 0; s < sides.size(); ++s) {
+    const SlotSide& side = sides[s];
+    Pass& pass = passes[s];
+    const size_t n_chunks =
+        static_cast<size_t>(NumChunks(side.node_count, chunk_size));
+    pass.degrees.resize(static_cast<size_t>(side.node_count));
+    pass.offsets.assign(n_chunks + 1, 0);
+    pass.oversized.assign(n_chunks, 0);
+    for (size_t k = 0; k < n_chunks; ++k) {
+      executor->Submit([&side, &pass, k, ci, seed, chunk_size] {
+        const DegreeSampler sampler(*side.dist, side.support_max);
+        RandomEngine rng(DeriveSeed(seed, ci, side.slots_phase, k));
+        const int64_t lo = static_cast<int64_t>(k) * chunk_size;
+        const int64_t hi = std::min(lo + chunk_size, side.node_count);
+        size_t count = 0;
+        for (int64_t j = lo; j < hi; ++j) {
+          const int64_t degree = std::max<int64_t>(sampler.Draw(&rng), 0);
+          if (degree > std::numeric_limits<uint32_t>::max()) {
+            pass.oversized[k] = 1;
+          }
+          pass.degrees[static_cast<size_t>(j)] =
+              static_cast<uint32_t>(degree);
+          count += static_cast<size_t>(degree);
+        }
+        pass.offsets[k + 1] = count;
       });
     }
   }
-  executor.Wait();
-  for (const auto& side : builds) {
-    for (const Status& st : side->chunk_status) {
-      GMARK_RETURN_NOT_OK(st);
+  executor->Wait();
+  for (size_t s = 0; s < sides.size(); ++s) {
+    const SlotSide& side = sides[s];
+    Pass& pass = passes[s];
+    for (char oversized : pass.oversized) {
+      if (oversized) {
+        return Status::Unsupported(
+            "a degree of 2^32 or more slots is not supported");
+      }
+    }
+    for (size_t k = 1; k < pass.offsets.size(); ++k) {
+      pass.offsets[k] += pass.offsets[k - 1];
+    }
+    side.slots->resize(pass.offsets.back());
+    for (size_t k = 0; k + 1 < pass.offsets.size(); ++k) {
+      executor->Submit([&side, &pass, k, chunk_size] {
+        const int64_t lo = static_cast<int64_t>(k) * chunk_size;
+        const int64_t hi = std::min(lo + chunk_size, side.node_count);
+        SlotIndex* out = side.slots->data() + pass.offsets[k];
+        for (int64_t j = lo; j < hi; ++j) {
+          out = std::fill_n(out, pass.degrees[static_cast<size_t>(j)],
+                            static_cast<SlotIndex>(j));
+        }
+      });
     }
   }
-
-  // Phase 2 — concatenate chunks in chunk order and shuffle each side
-  // with its own stream. One task per materialized side: the shuffle is
-  // inherently a global permutation, but sides of different constraints
-  // shuffle concurrently.
-  for (auto& side_ptr : builds) {
-    SideBuild* side = side_ptr.get();
-    executor.Submit([side, seed] {
-      size_t total = 0;
-      for (const auto& chunk : side->chunks) total += chunk.size();
-      side->slots.reserve(total);
-      for (auto& chunk : side->chunks) {
-        side->slots.insert(side->slots.end(), chunk.begin(), chunk.end());
-        // Free each chunk as it is absorbed: holding all chunks until
-        // the end would double peak memory on the generator's largest
-        // data structure.
-        chunk = {};
-      }
-      side->chunks.clear();
-      side->chunks.shrink_to_fit();
-      RandomEngine rng(
-          DeriveSeed(seed, side->constraint_index, side->shuffle_phase, 0));
-      rng.Shuffle(&side->slots);
+  executor->Wait();
+  passes.clear();
+  for (const SlotSide& side : sides) {
+    executor->Submit([&side, ci, seed] {
+      const uint64_t phase = side.slots_phase == kPhaseOutSlots
+                                 ? kPhaseOutShuffle
+                                 : kPhaseInShuffle;
+      RandomEngine rng(DeriveSeed(seed, ci, phase, 0));
+      rng.Shuffle(side.slots);
     });
   }
-  executor.Wait();
+  executor->Wait();
+  return Status::OK();
+}
 
-  // Index the shuffled sides back to their constraints.
-  std::vector<const std::vector<SlotIndex>*> out_slots_of(constraints.size(),
-                                                          nullptr);
-  std::vector<const std::vector<SlotIndex>*> in_slots_of(constraints.size(),
-                                                         nullptr);
-  for (const auto& side : builds) {
-    if (side->slots_phase == kPhaseOutSlots) {
-      out_slots_of[side->constraint_index] = &side->slots;
-    } else {
-      in_slots_of[side->constraint_index] = &side->slots;
+/// One constraint whose slot vectors are built and shuffled and whose
+/// edge count is resolved: its edges, chunked over the edge index
+/// space, are ready to emit.
+struct ReadyConstraint {
+  size_t index = 0;  // Canonical constraint index.
+  const EdgeConstraint* constraint = nullptr;
+  const ConstraintPlan* plan = nullptr;
+  std::vector<SlotIndex> vsrc;  // Empty when the out side is implicit.
+  std::vector<SlotIndex> vtrg;  // Empty when the in side is implicit.
+  int64_t edges = 0;
+  int64_t chunk_size = 1;
+  uint64_t seed = 0;
+
+  int64_t chunk_count() const { return NumChunks(edges, chunk_size); }
+
+  /// Emission chunk k: implicit sides draw from the (constraint,
+  /// kPhaseEmit, k) stream; materialized sides are pure array reads,
+  /// so a chunk's edges depend only on its range. Safe to call
+  /// concurrently for distinct k.
+  std::vector<Edge> Chunk(int64_t k) const {
+    const int64_t lo = k * chunk_size;
+    const int64_t hi = std::min(lo + chunk_size, edges);
+    RandomEngine rng(
+        DeriveSeed(seed, index, kPhaseEmit, static_cast<uint64_t>(k)));
+    std::vector<Edge> buffer;
+    buffer.reserve(static_cast<size_t>(hi - lo));
+    for (int64_t i = lo; i < hi; ++i) {
+      SlotIndex s =
+          plan->out_implicit
+              ? static_cast<SlotIndex>(rng.UniformInt(0, plan->n_src - 1))
+              : vsrc[static_cast<size_t>(i)];
+      SlotIndex t =
+          plan->in_implicit
+              ? static_cast<SlotIndex>(rng.UniformInt(0, plan->n_trg - 1))
+              : vtrg[static_cast<size_t>(i)];
+      buffer.push_back(Edge{plan->src_base + s, constraint->predicate,
+                            plan->trg_base + t});
     }
+    return buffer;
   }
+};
 
-  // Phase 3 — resolve edge counts, then emit chunked over the edge
-  // index space into canonically numbered shards. Implicit sides draw
-  // from the (ci, kPhaseEmit, chunk) stream; materialized sides are
-  // pure array reads, so a chunk's output depends only on its range.
-  std::vector<int64_t> edge_counts(constraints.size(), 0);
-  std::vector<size_t> shard_base(constraints.size(), 0);
-  size_t total_shards = 0;
-  int64_t total_edges = 0;
-  if (plan_out != nullptr) plan_out->constraints.clear();
+/// Computes every constraint's plan up front (fails fast on an
+/// unsupported type size before any work runs).
+Result<std::vector<ConstraintPlan>> PlanAll(const GraphConfiguration& config,
+                                            const NodeLayout& layout,
+                                            const GeneratorOptions& options) {
+  std::vector<ConstraintPlan> plans;
+  plans.reserve(config.schema.edge_constraints().size());
+  for (const EdgeConstraint& c : config.schema.edge_constraints()) {
+    GMARK_ASSIGN_OR_RETURN(ConstraintPlan plan,
+                           PlanConstraint(c, layout, options));
+    plans.push_back(plan);
+  }
+  return plans;
+}
+
+/// Fig. 5 in canonical constraint order. For each non-empty constraint:
+/// build and shuffle its materialized sides (fanned out over
+/// `executor`), resolve its edge count, and hand it to `emit`, which
+/// fans the emission chunks out and returns after its own barrier. The
+/// slot vectors die before the next constraint starts, so at most one
+/// constraint's slots are ever resident. Constraint draws are
+/// statistically independent (§4), so walking them one at a time
+/// changes no stream: every RNG stream is keyed by (constraint, phase,
+/// chunk), never by scheduling.
+Status WalkConstraints(
+    const GraphConfiguration& config, const NodeLayout& layout,
+    const std::vector<ConstraintPlan>& plans, const GeneratorOptions& options,
+    Executor* executor,
+    const std::function<Status(const ReadyConstraint&)>& emit) {
+  const auto& constraints = config.schema.edge_constraints();
+  const int64_t chunk_size = options.chunk_size < 1 ? 1 : options.chunk_size;
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
     const ConstraintPlan& plan = plans[ci];
     if (plan.empty()) continue;
-    const int64_t out_slots =
-        out_slots_of[ci] ? static_cast<int64_t>(out_slots_of[ci]->size())
-                         : plan.expected_out_slots;
-    const int64_t in_slots =
-        in_slots_of[ci] ? static_cast<int64_t>(in_slots_of[ci]->size())
-                        : plan.expected_in_slots;
-    GMARK_ASSIGN_OR_RETURN(
-        edge_counts[ci],
-        internal::ResolveEdgeCount(constraints[ci], config.schema, layout,
-                                   out_slots, in_slots));
-    shard_base[ci] = total_shards;
-    total_shards += static_cast<size_t>(NumChunks(edge_counts[ci],
-                                                  chunk_size));
-    total_edges += edge_counts[ci];
-    if (plan_out != nullptr) {
-      plan_out->constraints.push_back(ShardPlan::ConstraintShards{
-          constraints[ci].predicate, shard_base[ci], total_shards,
-          plan.src_base, plan.src_base + static_cast<NodeId>(plan.n_src),
-          plan.trg_base, plan.trg_base + static_cast<NodeId>(plan.n_trg)});
-    }
-  }
-  GMARK_ASSIGN_OR_RETURN(ShardStore* out, factory(total_shards, total_edges));
-  GMARK_RETURN_NOT_OK(out->Reset(total_shards));
-
-  for (size_t ci = 0; ci < constraints.size(); ++ci) {
-    const ConstraintPlan& plan = plans[ci];
-    const int64_t edges = edge_counts[ci];
-    if (plan.empty() || edges == 0) continue;
     const EdgeConstraint& c = constraints[ci];
-    const std::vector<SlotIndex>* vsrc = out_slots_of[ci];
-    const std::vector<SlotIndex>* vtrg = in_slots_of[ci];
-    const int64_t n_chunks = NumChunks(edges, chunk_size);
-    for (int64_t k = 0; k < n_chunks; ++k) {
-      const size_t shard_index = shard_base[ci] + static_cast<size_t>(k);
-      executor.Submit([&c, &plan, vsrc, vtrg, out, shard_index, ci, k, edges,
-                       chunk_size, seed] {
-        const int64_t lo = k * chunk_size;
-        const int64_t hi = std::min(lo + chunk_size, edges);
-        RandomEngine rng(
-            DeriveSeed(seed, ci, kPhaseEmit, static_cast<uint64_t>(k)));
-        std::vector<Edge> buffer;
-        buffer.reserve(static_cast<size_t>(hi - lo));
-        for (int64_t i = lo; i < hi; ++i) {
-          SlotIndex s =
-              plan.out_implicit
-                  ? static_cast<SlotIndex>(rng.UniformInt(0, plan.n_src - 1))
-                  : (*vsrc)[static_cast<size_t>(i)];
-          SlotIndex t =
-              plan.in_implicit
-                  ? static_cast<SlotIndex>(rng.UniformInt(0, plan.n_trg - 1))
-                  : (*vtrg)[static_cast<size_t>(i)];
-          buffer.push_back(Edge{plan.src_base + s, c.predicate,
-                                plan.trg_base + t});
-        }
-        out->PutShard(shard_index, std::move(buffer));
-      });
+    ReadyConstraint ready;
+    ready.index = ci;
+    ready.constraint = &c;
+    ready.plan = &plan;
+    ready.chunk_size = chunk_size;
+    ready.seed = config.seed;
+    std::vector<SlotSide> sides;
+    if (!plan.out_implicit) {
+      sides.push_back(SlotSide{.dist = &c.out_dist,
+                               .node_count = plan.n_src,
+                               .support_max = plan.n_trg,
+                               .slots_phase = kPhaseOutSlots,
+                               .slots = &ready.vsrc});
     }
+    if (!plan.in_implicit) {
+      sides.push_back(SlotSide{.dist = &c.in_dist,
+                               .node_count = plan.n_trg,
+                               .support_max = plan.n_src,
+                               .slots_phase = kPhaseInSlots,
+                               .slots = &ready.vtrg});
+    }
+    GMARK_RETURN_NOT_OK(
+        BuildSlots(sides, ci, config.seed, chunk_size, executor));
+    const int64_t out_slots = plan.out_implicit
+                                  ? plan.expected_out_slots
+                                  : static_cast<int64_t>(ready.vsrc.size());
+    const int64_t in_slots = plan.in_implicit
+                                 ? plan.expected_in_slots
+                                 : static_cast<int64_t>(ready.vtrg.size());
+    GMARK_ASSIGN_OR_RETURN(
+        ready.edges,
+        ResolveEdgeCount(c, config.schema, layout, out_slots, in_slots));
+    if (ready.edges > 0) GMARK_RETURN_NOT_OK(emit(ready));
   }
-  executor.Wait();
-  return out->Finish();
+  return Status::OK();
+}
+
+/// The static shard -> constraint -> predicate mapping of one run:
+/// shards are canonically numbered by (constraint, chunk), so each
+/// constraint owns one contiguous index range. The shard-native graph
+/// build reads per-predicate edge streams straight off these ranges.
+struct ConstraintShards {
+  PredicateId predicate = 0;
+  size_t begin = 0;  // First shard index of this constraint.
+  size_t end = 0;    // One past the last.
+  // Endpoint id ranges of the constraint's edges — the node-range hints
+  // that let the chunked builder size its per-group histograms to the
+  // predicate's types instead of the whole layout.
+  NodeId src_begin = 0;
+  NodeId src_end = 0;
+  NodeId trg_begin = 0;
+  NodeId trg_end = 0;
+};
+
+/// Generates every edge into `store`, which grows by each constraint's
+/// shards between barriers; `shards_out` receives the static shard
+/// ranges. Surfaces the store's deferred write errors.
+Status GenerateShards(const GraphConfiguration& config,
+                      const NodeLayout& layout,
+                      const std::vector<ConstraintPlan>& plans,
+                      const GeneratorOptions& options, Executor* executor,
+                      ShardStore* store,
+                      std::vector<ConstraintShards>* shards_out) {
+  GMARK_RETURN_NOT_OK(WalkConstraints(
+      config, layout, plans, options, executor,
+      [executor, store, shards_out](const ReadyConstraint& ready) -> Status {
+        const size_t base = store->shard_count();
+        const int64_t n_chunks = ready.chunk_count();
+        GMARK_RETURN_NOT_OK(store->AddShards(static_cast<size_t>(n_chunks)));
+        const ConstraintPlan& plan = *ready.plan;
+        shards_out->push_back(ConstraintShards{
+            ready.constraint->predicate, base, store->shard_count(),
+            plan.src_base, plan.src_base + static_cast<NodeId>(plan.n_src),
+            plan.trg_base, plan.trg_base + static_cast<NodeId>(plan.n_trg)});
+        for (int64_t k = 0; k < n_chunks; ++k) {
+          executor->Submit([&ready, store, base, k] {
+            store->PutShard(base + static_cast<size_t>(k), ready.Chunk(k));
+          });
+        }
+        executor->Wait();
+        return Status::OK();
+      }));
+  return store->Finish();
 }
 
 }  // namespace
@@ -287,44 +400,50 @@ bool ShouldSpill(const GeneratorOptions& options, int64_t total_edges) {
 
 }  // namespace internal
 
-namespace {
-
-/// In-memory-or-spill store selection, shared by the streaming and the
-/// indexed entry points; decided once the exact edge total is known.
-ShardStoreFactory AutoSpillFactory(const GeneratorOptions& options,
-                                   std::unique_ptr<ShardStore>* store,
-                                   bool* spilled) {
-  return [store, spilled, &options](size_t,
-                                    int64_t total_edges) -> Result<ShardStore*> {
-    *spilled = internal::ShouldSpill(options, total_edges);
-    if (*spilled) {
-      SpillSink::Options spill_options;
-      spill_options.dir = options.spill_dir;
-      *store = std::make_unique<SpillSink>(spill_options);
-    } else {
-      *store = std::make_unique<ShardedSink>();
-    }
-    return store->get();
-  };
-}
-
-}  // namespace
-
 Status ParallelGenerateToSink(const GraphConfiguration& config,
                               EdgeSink* sink, const GeneratorOptions& options,
                               GenerateStats* stats) {
   GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
-  std::unique_ptr<ShardStore> store;
-  bool spilled = false;
+  GMARK_ASSIGN_OR_RETURN(std::vector<ConstraintPlan> plans,
+                         PlanAll(config, layout, options));
   Executor executor(options.num_threads);
-  GMARK_RETURN_NOT_OK(GenerateShards(
-      config, layout, options, &executor,
-      AutoSpillFactory(options, &store, &spilled)));
-  GMARK_RETURN_NOT_OK(store->Drain(sink));
+  // One window = one emission chunk per worker. Each window is drained
+  // into `sink` in chunk order and freed before the next is submitted,
+  // so the edge set is never staged.
+  const int64_t window = executor.workers();
+  std::vector<std::vector<Edge>> buffers(static_cast<size_t>(window));
+  size_t total_edges = 0;
+  size_t peak_bytes = 0;
+  GMARK_RETURN_NOT_OK(WalkConstraints(
+      config, layout, plans, options, &executor,
+      [&](const ReadyConstraint& ready) -> Status {
+        const int64_t n_chunks = ready.chunk_count();
+        for (int64_t first = 0; first < n_chunks; first += window) {
+          const int64_t last = std::min(first + window, n_chunks);
+          for (int64_t k = first; k < last; ++k) {
+            executor.Submit([&ready, &buffers, first, k] {
+              buffers[static_cast<size_t>(k - first)] = ready.Chunk(k);
+            });
+          }
+          executor.Wait();
+          size_t window_bytes = 0;
+          for (int64_t k = first; k < last; ++k) {
+            std::vector<Edge>& buffer = buffers[static_cast<size_t>(k - first)];
+            for (const Edge& e : buffer) {
+              sink->Append(e.source, e.predicate, e.target);
+            }
+            total_edges += buffer.size();
+            window_bytes += buffer.size() * sizeof(Edge);
+            buffer = std::vector<Edge>();
+          }
+          peak_bytes = std::max(peak_bytes, window_bytes);
+        }
+        return Status::OK();
+      }));
   if (stats != nullptr) {
-    stats->total_edges = store->TotalEdges();
-    stats->peak_resident_edge_bytes = store->PeakResidentEdgeBytes();
-    stats->spilled = spilled;
+    stats->total_edges = total_edges;
+    stats->peak_resident_edge_bytes = peak_bytes;
+    stats->spilled = false;
   }
   return Status::OK();
 }
@@ -338,18 +457,37 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
   layout_span.End();
   const double layout_seconds = timer.ElapsedSeconds();
 
-  std::unique_ptr<ShardStore> store;
-  bool spilled = false;
-  Executor executor(options.num_threads);
-  ShardPlan plan;
   timer.Restart();
-  {
-    Span generate_span = TraceSpan("gen.generate", "gen");
-    GMARK_RETURN_NOT_OK(GenerateShards(config, layout, options, &executor,
-                                       AutoSpillFactory(options, &store,
-                                                        &spilled),
-                                       &plan));
+  Span generate_span = TraceSpan("gen.generate", "gen");
+  GMARK_ASSIGN_OR_RETURN(std::vector<ConstraintPlan> plans,
+                         PlanAll(config, layout, options));
+  // The spill decision must precede the first shard, so it reads the
+  // expected edge total (slot means, no draws). It picks where shards
+  // stage, never which bytes they hold.
+  int64_t expected_edges = 0;
+  for (size_t ci = 0; ci < plans.size(); ++ci) {
+    if (plans[ci].empty()) continue;
+    GMARK_ASSIGN_OR_RETURN(
+        int64_t edges,
+        ResolveEdgeCount(config.schema.edge_constraints()[ci], config.schema,
+                         layout, plans[ci].expected_out_slots,
+                         plans[ci].expected_in_slots));
+    expected_edges += edges;
   }
+  const bool spilled = internal::ShouldSpill(options, expected_edges);
+  std::unique_ptr<ShardStore> store;
+  if (spilled) {
+    SpillSink::Options spill_options;
+    spill_options.dir = options.spill_dir;
+    store = std::make_unique<SpillSink>(spill_options);
+  } else {
+    store = std::make_unique<ShardedSink>();
+  }
+  Executor executor(options.num_threads);
+  std::vector<ConstraintShards> shard_ranges;
+  GMARK_RETURN_NOT_OK(GenerateShards(config, layout, plans, options,
+                                     &executor, store.get(), &shard_ranges));
+  generate_span.End();
   const double generate_seconds = timer.ElapsedSeconds();
 
   // Shard-native indexing: flatten each predicate's static shard ranges
@@ -369,8 +507,7 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
     NodeId trg_begin = 0, trg_end = 0;
   };
   std::vector<PredicateShards> per_pred(predicate_count);
-  for (const ShardPlan::ConstraintShards& cs : plan.constraints) {
-    if (cs.end <= cs.begin) continue;
+  for (const ConstraintShards& cs : shard_ranges) {
     PredicateShards& ps = per_pred[cs.predicate];
     const bool first = ps.shards.empty();
     for (size_t s = cs.begin; s < cs.end; ++s) ps.shards.push_back(s);

@@ -1,14 +1,16 @@
 // Destination abstraction for the parallel generator's edge shards.
 //
-// The generator numbers its emission chunks in canonical (constraint,
-// chunk) order before any task runs; a ShardStore receives each shard's
-// finished edge buffer exactly once and replays them by ascending index
-// at drain time, which is what makes the output independent of
-// scheduling. Because shards are canonically numbered by constraint,
-// the shard -> predicate mapping is static, and consumers (notably the
-// shard-native Graph::Builder) can read one predicate's contiguous
-// shard ranges concurrently with other predicates' via VisitRange, then
-// free them with ReleaseRange as soon as that predicate is indexed.
+// The generator walks constraints in canonical order and, before a
+// constraint's emission tasks run, grows the store by that constraint's
+// chunks, so shards are numbered in canonical (constraint, chunk) order;
+// a ShardStore receives each shard's finished edge buffer exactly once
+// and replays them by ascending index, which is what makes the output
+// independent of scheduling. Because shards are canonically numbered
+// by constraint, the shard -> predicate mapping is static, and
+// consumers (notably the shard-native Graph::Builder) can read one
+// predicate's contiguous shard ranges concurrently with other
+// predicates' via VisitRange, then free them with ReleaseRange as soon
+// as that predicate is indexed.
 // Two implementations exist: ShardedSink keeps every shard resident
 // (fast, memory ~ total edges) and SpillSink writes each shard to its
 // own temp file (memory ~ in-flight chunks, disk ~ total edges).
@@ -29,8 +31,9 @@ namespace gmark {
 /// \brief Receives canonically numbered edge shards from concurrent
 /// emission tasks and replays them in index order.
 ///
-/// Contract: Reset(n) runs once, before any task; PutShard(i, edges) is
-/// called at most once per index — distinct indices may be written
+/// Contract: AddShards(n) runs on the coordinating thread between
+/// barriers, never while tasks write; PutShard(i, edges) is called at
+/// most once per index — distinct indices may be written
 /// concurrently, so implementations must not share mutable state across
 /// indices; Finish() runs on the coordinating thread after every task
 /// has completed. PutShard never fails in-line: I/O errors are recorded
@@ -39,11 +42,11 @@ namespace gmark {
 /// ranges); ReleaseRange frees shard storage and may run concurrently
 /// for DISJOINT ranges — no Visit of a released shard afterwards.
 ///
-/// SAFETY: this phase discipline (Reset → concurrent single-writer
-/// PutShard → Wait+Finish → concurrent read-only VisitRange /
-/// disjoint ReleaseRange) IS the synchronization contract of every
-/// implementation; the happens-before edges come from task
-/// publication (Executor::Submit) and completion (Executor::Wait),
+/// SAFETY: this phase discipline (AddShards → concurrent single-writer
+/// PutShard → Wait, repeated per constraint → Finish → concurrent
+/// read-only VisitRange / disjoint ReleaseRange) IS the synchronization
+/// contract of every implementation; the happens-before edges come from
+/// task publication (Executor::Submit) and completion (Executor::Wait),
 /// never from locks inside the store. Capability annotations cannot
 /// express "at most one writer per index, phase-ordered", so
 /// implementations document it with SAFETY contracts at each member
@@ -56,10 +59,11 @@ class ShardStore {
 
   virtual ~ShardStore() = default;
 
-  /// \brief Size the store to `shard_count` empty shards.
-  virtual Status Reset(size_t shard_count) = 0;
+  /// \brief Append `count` empty shards, numbered after the existing
+  /// ones.
+  virtual Status AddShards(size_t count) = 0;
 
-  /// \brief Number of shards the store was last Reset to.
+  /// \brief Number of shards added so far.
   virtual size_t shard_count() const = 0;
 
   /// \brief Hand shard `index` its final edge buffer (moved in).

@@ -1,8 +1,5 @@
 #include "parallel/sharded_sink.h"
 
-#include <cassert>
-#include <utility>
-
 namespace gmark {
 
 size_t ShardedSink::TotalEdges() const {
@@ -28,22 +25,6 @@ void ShardedSink::ReleaseRange(size_t begin, size_t end) {
     std::vector<Edge>().swap(shards_[index]);
   }
   released_edges_.fetch_add(freed, std::memory_order_relaxed);
-}
-
-std::vector<Edge> ShardedSink::TakeEdges() {
-  // Legacy concat path only: once ReleaseRange has freed any shard the
-  // full edge set no longer exists to take.
-  assert(released_edges_.load(std::memory_order_relaxed) == 0 &&
-         "TakeEdges after ReleaseRange would silently drop edges");
-  std::vector<Edge> all;
-  all.reserve(TotalEdges());
-  for (auto& shard : shards_) {
-    all.insert(all.end(), shard.begin(), shard.end());
-    shard.clear();
-    shard.shrink_to_fit();
-  }
-  shards_.clear();
-  return all;
 }
 
 }  // namespace gmark

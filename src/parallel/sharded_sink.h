@@ -2,15 +2,16 @@
 //
 // Each emission task builds one shard — a private std::vector<Edge> it
 // hands over with no synchronization. Shards are numbered in canonical
-// (constraint, chunk) order before any task runs, so concatenating them
-// by index reproduces one well-defined edge order regardless of which
-// thread ran which task or in what order tasks finished. Determinism
-// therefore costs nothing on the hot path: the only synchronization in
-// the whole sink is the up-front Reset and the final replay/release,
-// both of which happen outside the parallel emission region. VisitRange
-// hands out spans over the shard buffers directly (zero-copy), and
-// ReleaseRange frees individual shard buffers — distinct vector
-// elements, so disjoint ranges release concurrently without locking.
+// (constraint, chunk) order as the generator grows the store one
+// constraint at a time, so concatenating them by index reproduces one
+// well-defined edge order regardless of which thread ran which task or
+// in what order tasks finished. Determinism therefore costs nothing on
+// the hot path: the only synchronization in the whole sink is the
+// AddShards between barriers and the final replay/release, all outside
+// the parallel emission region. VisitRange hands out spans over the
+// shard buffers directly (zero-copy), and ReleaseRange frees individual
+// shard buffers — distinct vector elements, so disjoint ranges release
+// concurrently without locking.
 
 #ifndef GMARK_PARALLEL_SHARDED_SINK_H_
 #define GMARK_PARALLEL_SHARDED_SINK_H_
@@ -29,34 +30,29 @@ namespace gmark {
 /// \brief Per-task edge buffers, replayed in canonical shard order.
 class ShardedSink : public ShardStore {
  public:
-  /// \brief Discard all edges and size the sink to `shard_count` empty
-  /// shards. Must be called before tasks run; never during.
-  Status Reset(size_t shard_count) override {
-    shards_.assign(shard_count, {});
-    released_edges_.store(0, std::memory_order_relaxed);
+  /// \brief Append `count` empty shards. Runs between barriers; never
+  /// while tasks write.
+  Status AddShards(size_t count) override {
+    shards_.resize(shards_.size() + count);
     return Status::OK();
   }
 
   /// \brief Take ownership of shard `index`'s buffer. Distinct indices
   /// may be written concurrently; one index only by one task.
   ///
-  /// SAFETY: lock-free single-writer. shards_ is sized by Reset before
-  /// any task runs (the Submit that publishes the task is the release
-  /// barrier), each index is written by exactly one task, and distinct
-  /// indices are distinct vector elements — no two threads ever touch
-  /// the same std::vector<Edge>. Readers (VisitRange/TakeEdges) run
-  /// only after Executor::Wait + Finish, which order every write
-  /// before every read.
+  /// SAFETY: lock-free single-writer. shards_ is grown by AddShards
+  /// before the tasks that write the new indices run (the Submit that
+  /// publishes the task is the release barrier), each index is written
+  /// by exactly one task, and distinct indices are distinct vector
+  /// elements — no two threads ever touch the same std::vector<Edge>.
+  /// Readers (VisitRange) run only after Executor::Wait + Finish, which
+  /// order every write before every read.
   void PutShard(size_t index, std::vector<Edge> edges) override {
     shards_[index] = std::move(edges);
   }
 
   /// \brief In-memory writes cannot fail.
   Status Finish() override { return Status::OK(); }
-
-  /// \brief The buffer owned by shard `index` (tests and the serial
-  /// fill path).
-  std::vector<Edge>& shard(size_t index) { return shards_[index]; }
 
   size_t shard_count() const override { return shards_.size(); }
 
@@ -82,16 +78,11 @@ class ShardedSink : public ShardStore {
   /// stays in TotalEdges.
   void ReleaseRange(size_t begin, size_t end) override;
 
-  /// \brief Concatenate all shards into one vector (canonical order),
-  /// leaving the sink empty. Must not follow ReleaseRange (asserts):
-  /// released buffers are gone, so the full edge set no longer exists.
-  std::vector<Edge> TakeEdges();
-
  private:
-  // SAFETY: the outer vector is resized only by Reset (before tasks);
-  // during emission each element has exactly one writing task (see
-  // PutShard); during indexing ReleaseRange frees only disjoint
-  // ranges. No mutex guards this on purpose — the phase discipline is
+  // SAFETY: the outer vector is resized only by AddShards (between
+  // barriers); during emission each element has exactly one writing
+  // task (see PutShard); during indexing ReleaseRange frees only
+  // disjoint ranges. No mutex guards this on purpose — the phase discipline is
   // the synchronization, and the TSan job checks it.
   std::vector<std::vector<Edge>> shards_;
   // SAFETY: atomic because per-predicate build tasks release their

@@ -37,8 +37,13 @@ SpillSink::SpillSink(Options options) : options_(std::move(options)) {}
 
 SpillSink::~SpillSink() { RemoveRunDir(); }
 
-Status SpillSink::Reset(size_t shard_count) {
-  RemoveRunDir();
+Status SpillSink::AddShards(size_t count) {
+  if (run_dir_.empty()) GMARK_RETURN_NOT_OK(CreateRunDir());
+  shards_.resize(shards_.size() + count);
+  return Status::OK();
+}
+
+Status SpillSink::CreateRunDir() {
   std::error_code ec;
   std::filesystem::path parent = options_.dir.empty()
                                      ? std::filesystem::temp_directory_path(ec)
@@ -57,9 +62,6 @@ Status SpillSink::Reset(size_t shard_count) {
     run_dir_.clear();
     return st;
   }
-  shards_.assign(shard_count, {});
-  resident_bytes_.store(0, std::memory_order_relaxed);
-  peak_resident_bytes_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -101,7 +103,7 @@ void SpillSink::PutShard(size_t index, std::vector<Edge> edges) {
 
 Status SpillSink::Finish() {
   if (run_dir_.empty() && !shards_.empty()) {
-    return Status::Internal("SpillSink used without a successful Reset");
+    return Status::Internal("SpillSink used without a successful AddShards");
   }
   for (const Shard& shard : shards_) {
     GMARK_RETURN_NOT_OK(shard.status);

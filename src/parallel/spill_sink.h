@@ -7,7 +7,9 @@
 // in-memory ShardedSink would have produced. Peak edge memory is
 // therefore the sum of the chunks currently in flight (~ num_threads *
 // chunk_size edges) instead of the whole graph, which is what lets
-// 100M+-edge instances stream to N-triples on small machines.
+// ParallelGenerateGraph index instances whose raw edge list exceeds
+// RAM (its builder replays every shard twice, so the edges must be
+// staged somewhere).
 //
 // Files hold raw Edge structs (host byte order): they never outlive the
 // process that wrote them, so no portable encoding is needed.
@@ -47,9 +49,9 @@ class SpillSink : public ShardStore {
   SpillSink(const SpillSink&) = delete;
   SpillSink& operator=(const SpillSink&) = delete;
 
-  /// \brief Create the run directory and size the shard table. Fails
-  /// with IOError if the directory cannot be created.
-  Status Reset(size_t shard_count) override;
+  /// \brief Append `count` shards to the table; the first call creates
+  /// the run directory and fails with IOError if it cannot.
+  Status AddShards(size_t count) override;
 
   /// \brief Write shard `index` to its file and drop the buffer. Errors
   /// are recorded in the shard's slot and surfaced by Finish().
@@ -88,13 +90,13 @@ class SpillSink : public ShardStore {
   /// concurrently.
   void ReleaseRange(size_t begin, size_t end) override;
 
-  /// \brief The per-run spill directory (empty before Reset).
+  /// \brief The per-run spill directory (empty before AddShards).
   const std::filesystem::path& run_dir() const { return run_dir_; }
 
  private:
   // SAFETY: one Shard slot per canonical index, written only by that
   // shard's single PutShard task (count + deferred error status);
-  // sized by Reset before tasks run, read after Finish. Same
+  // grown by AddShards between barriers, read after Finish. Same
   // phase-discipline contract as ShardedSink::shards_ — the file
   // system side is safe for the same reason (one file per shard,
   // named by index; ReleaseRange unlinks only disjoint ranges).
@@ -104,6 +106,7 @@ class SpillSink : public ShardStore {
   };
 
   std::filesystem::path ShardPath(size_t index) const;
+  Status CreateRunDir();
   void RemoveRunDir();
 
   /// Add `bytes` to the resident counter and fold the result into the

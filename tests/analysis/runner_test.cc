@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 namespace {
@@ -33,7 +33,7 @@ class StubEngine : public QueryEngine {
 class RunnerTest : public ::testing::Test {
  protected:
   RunnerTest()
-      : graph_(GenerateGraph(MakeBibConfig(200, 3)).ValueOrDie()) {
+      : graph_(ParallelGenerateGraph(MakeBibConfig(200, 3)).ValueOrDie()) {
     QueryRule rule;
     rule.head = {0, 1};
     rule.body = {Conjunct{0, 1, RegularExpression::Atom(Symbol::Fwd(0))}};

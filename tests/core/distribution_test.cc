@@ -9,7 +9,7 @@ TEST(DistributionTest, UniformDrawsInRange) {
   DistributionSpec d = DistributionSpec::Uniform(2, 5);
   RandomEngine rng(1);
   for (int i = 0; i < 1000; ++i) {
-    int64_t v = d.Draw(&rng, 100);
+    int64_t v = DegreeSampler(d, 100).Draw(&rng);
     EXPECT_GE(v, 2);
     EXPECT_LE(v, 5);
   }
@@ -22,7 +22,7 @@ TEST(DistributionTest, GaussianMeanAndNonNegativity) {
   double sum = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    int64_t v = d.Draw(&rng, 100);
+    int64_t v = DegreeSampler(d, 100).Draw(&rng);
     EXPECT_GE(v, 0);
     sum += static_cast<double>(v);
   }
@@ -34,7 +34,7 @@ TEST(DistributionTest, ZipfianUsesSupportMax) {
   DistributionSpec d = DistributionSpec::Zipfian(2.5);
   RandomEngine rng(3);
   for (int i = 0; i < 1000; ++i) {
-    int64_t v = d.Draw(&rng, 7);
+    int64_t v = DegreeSampler(d, 7).Draw(&rng);
     EXPECT_GE(v, 1);
     EXPECT_LE(v, 7);
   }
@@ -45,7 +45,7 @@ TEST(DistributionTest, ZipfianUsesSupportMax) {
 TEST(DistributionTest, NonSpecifiedDrawsZero) {
   DistributionSpec d = DistributionSpec::NonSpecified();
   RandomEngine rng(4);
-  EXPECT_EQ(d.Draw(&rng, 10), 0);
+  EXPECT_EQ(DegreeSampler(d, 10).Draw(&rng), 0);
   EXPECT_FALSE(d.specified());
   EXPECT_DOUBLE_EQ(d.Mean(10), 0.0);
 }

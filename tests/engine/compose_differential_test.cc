@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -151,7 +151,7 @@ TEST_P(WorkloadDifferentialTest, RegexBasePairsMatchLegacyKernels) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     GraphConfiguration config =
         lsn ? MakeLsnConfig(n, seed) : MakeBibConfig(n, seed);
-    const Graph graph = GenerateGraph(config).ValueOrDie();
+    const Graph graph = ParallelGenerateGraph(config).ValueOrDie();
     for (WorkloadPreset preset : AllWorkloadPresets()) {
       Workload workload = QueryGenerator(&config.schema)
                               .Generate(MakePresetWorkload(preset, 8, seed))

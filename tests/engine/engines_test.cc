@@ -4,7 +4,7 @@
 
 #include "core/use_cases.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -45,7 +45,7 @@ class EngineAgreementTest : public ::testing::TestWithParam<WorkloadPreset> {
 
 TEST_P(EngineAgreementTest, HomomorphicEnginesMatchReference) {
   GraphConfiguration config = MakeBibConfig(400, 31);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator reference(&graph);
   QueryGenerator gen(&config.schema);
   Workload workload =
@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(Presets, EngineAgreementTest,
 
 TEST(EnginesTest, HomomorphicEnginesAgreeOnRecursiveHandQuery) {
   GraphConfiguration config = MakeBibConfig(300, 37);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator reference(&graph);
   // (authors . authors^-)* co-authorship closure.
   RegularExpression co;
@@ -99,7 +99,7 @@ TEST(EnginesTest, CypherAgreesOnEdgeDisjointPatterns) {
   // edge (distinct predicates along the path), isomorphic semantics
   // coincide with homomorphic semantics.
   GraphConfiguration config = MakeBibConfig(400, 41);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator reference(&graph);
   auto g_engine = MakeEngine(EngineKind::kCypher);
   ResourceBudget budget = ResourceBudget::Limited(120.0, 80000000);
@@ -120,7 +120,7 @@ TEST(EnginesTest, CypherDropsInverseUnderStar) {
   // pattern (x)-[:authors*0..]->(y) yields at least all reflexive
   // matches; the homomorphic count includes genuine co-author pairs.
   GraphConfiguration config = MakeBibConfig(300, 43);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator reference(&graph);
   RegularExpression co;
   co.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)}};
@@ -171,7 +171,7 @@ TEST(EnginesTest, TupleBudgetCountsBothPairAndRelationCopies) {
 
 TEST(EnginesTest, BudgetExhaustionSurfacesAsFailure) {
   GraphConfiguration config = MakeBibConfig(2000, 47);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   RegularExpression co;
   co.disjuncts = {{Symbol::Fwd(0), Symbol::Inv(0)}};
   co.star = true;
@@ -190,7 +190,7 @@ TEST(EnginesTest, DatalogHandlesRecursionWithinBudgetWhereRelationalFails) {
   // with the same budget, semi-naive D completes closures that naive P
   // cannot. We pick a budget between their respective needs.
   GraphConfiguration config = MakeLsnConfig(1500, 53);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   PredicateId knows = config.schema.PredicateIdOf("knows").ValueOrDie();
   RegularExpression closure;
   closure.disjuncts = {{Symbol::Fwd(knows)}};
@@ -205,7 +205,7 @@ TEST(EnginesTest, DatalogHandlesRecursionWithinBudgetWhereRelationalFails) {
 
 TEST(EnginesTest, ArityZeroAndUnionQueries) {
   GraphConfiguration config = MakeBibConfig(300, 59);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator reference(&graph);
   Query q = BinaryChain({RegularExpression::Atom(Symbol::Fwd(0))});
   q.rules[0].head = {};

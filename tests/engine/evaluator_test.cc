@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -156,7 +156,7 @@ TEST(EvaluatorTest, JoinPathAgreesWithChainFastPathOnGeneratedGraphs) {
   // Strong cross-check: two independent evaluation strategies must
   // agree on every preset workload over a generated Bib instance.
   GraphConfiguration config = MakeBibConfig(600, 21);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator eval(&g);
   QueryGenerator gen(&config.schema);
   for (WorkloadPreset preset :
@@ -177,7 +177,7 @@ TEST(EvaluatorTest, JoinPathAgreesWithChainFastPathOnGeneratedGraphs) {
 
 TEST(EvaluatorTest, TupleBudgetIsEnforced) {
   GraphConfiguration config = MakeBibConfig(2000, 23);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator eval(&g);
   Query q = BinaryChain({RegularExpression::Atom(Symbol::Fwd(0))});
   auto r = eval.CountDistinct(q, ResourceBudget::Limited(60.0, 10));
@@ -186,7 +186,7 @@ TEST(EvaluatorTest, TupleBudgetIsEnforced) {
 
 TEST(EvaluatorTest, TimeBudgetIsEnforced) {
   GraphConfiguration config = MakeBibConfig(4000, 25);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   ReferenceEvaluator eval(&g);
   RegularExpression star;
   star.disjuncts = {

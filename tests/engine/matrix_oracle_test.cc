@@ -11,7 +11,7 @@
 #include "core/use_cases.h"
 #include "engine/engines.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "plan/planner.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -134,7 +134,7 @@ class OracleAgreementTest
 TEST_P(OracleAgreementTest, EnginesMatchOracle) {
   const auto [preset, n] = GetParam();
   GraphConfiguration config = MakeBibConfig(n, 11);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   MatrixOracle oracle(graph);
   Planner planner(&config.schema);
   Workload workload = QueryGenerator(&config.schema)

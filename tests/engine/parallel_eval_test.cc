@@ -13,8 +13,8 @@
 #include "engine/automaton.h"
 #include "engine/engines.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
 #include "parallel/executor.h"
+#include "parallel/parallel_generator.h"
 #include "plan/planner.h"
 
 namespace gmark {
@@ -381,7 +381,7 @@ class PlannedEvalTest : public ::testing::Test {
  protected:
   PlannedEvalTest()
       : config_(MakeBibConfig(200, 3)),
-        graph_(GenerateGraph(config_).ValueOrDie()),
+        graph_(ParallelGenerateGraph(config_).ValueOrDie()),
         planner_(&config_.schema) {
     const PredicateId authors =
         config_.schema.PredicateIdOf("authors").ValueOrDie();

@@ -1,4 +1,4 @@
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 #include <gtest/gtest.h>
 
@@ -12,29 +12,29 @@ namespace {
 
 TEST(GeneratorTest, DeterministicGivenSeed) {
   VectorSink a, b;
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(2000, 42), &a).ok());
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(2000, 42), &b).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(2000, 42), &a).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(2000, 42), &b).ok());
   EXPECT_EQ(a.edges(), b.edges());
 }
 
 TEST(GeneratorTest, DifferentSeedsGiveDifferentGraphs) {
   VectorSink a, b;
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(2000, 1), &a).ok());
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(2000, 2), &b).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(2000, 1), &a).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(2000, 2), &b).ok());
   EXPECT_NE(a.edges(), b.edges());
 }
 
 TEST(GeneratorTest, CountingSinkMatchesVectorSink) {
   CountingSink counting;
   VectorSink vector;
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(3000, 5), &counting).ok());
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(3000, 5), &vector).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(3000, 5), &counting).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(3000, 5), &vector).ok());
   EXPECT_EQ(counting.count(), vector.edges().size());
 }
 
 TEST(GeneratorTest, EdgesRespectConstraintEndpointTypes) {
   GraphConfiguration config = MakeBibConfig(2000, 7);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   // authors edges must go researcher -> paper, etc., per Fig. 2c.
   for (const EdgeConstraint& c : config.schema.edge_constraints()) {
     g.ForEachEdge(c.predicate, [&](NodeId src, NodeId trg) {
@@ -48,7 +48,7 @@ TEST(GeneratorTest, UniformOutDegreeExactlyRespected) {
   // publishedIn has out-distribution uniform[1,1]: every paper points to
   // exactly one conference, unless the in-side vector ran out (min rule).
   GraphConfiguration config = MakeBibConfig(4000, 11);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   PredicateId published =
       config.schema.PredicateIdOf("publishedIn").ValueOrDie();
   TypeId paper = config.schema.TypeIdOf("paper").ValueOrDie();
@@ -60,7 +60,7 @@ TEST(GeneratorTest, UniformOutDegreeExactlyRespected) {
 
 TEST(GeneratorTest, GaussianInDegreeMeanPreserved) {
   GraphConfiguration config = MakeBibConfig(8000, 13);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   PredicateId authors = config.schema.PredicateIdOf("authors").ValueOrDie();
   TypeId paper = config.schema.TypeIdOf("paper").ValueOrDie();
   DegreeStats in = InDegreeStats(g, authors, paper);
@@ -71,7 +71,7 @@ TEST(GeneratorTest, GaussianInDegreeMeanPreserved) {
 
 TEST(GeneratorTest, ZipfianOutDegreeHasHubs) {
   GraphConfiguration config = MakeBibConfig(8000, 17);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   PredicateId authors = config.schema.PredicateIdOf("authors").ValueOrDie();
   TypeId researcher = config.schema.TypeIdOf("researcher").ValueOrDie();
   DegreeStats out = OutDegreeStats(g, authors, researcher);
@@ -84,7 +84,7 @@ class GeneratorSizeTest : public ::testing::TestWithParam<int64_t> {};
 TEST_P(GeneratorSizeTest, EdgeCountScalesRoughlyLinearly) {
   const int64_t n = GetParam();
   CountingSink sink;
-  ASSERT_TRUE(GenerateEdges(MakeBibConfig(n, 23), &sink).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(MakeBibConfig(n, 23), &sink).ok());
   // Bib produces ~1.3-1.4 edges per node (quickstart instance shows
   // 13.5K edges at 10K nodes).
   double per_node = static_cast<double>(sink.count()) /
@@ -101,8 +101,8 @@ TEST(GeneratorTest, GaussianFastPathPreservesMeans) {
   GeneratorOptions fast, slow;
   fast.gaussian_fast_path = true;
   slow.gaussian_fast_path = false;
-  Graph gf = GenerateGraph(config, fast).ValueOrDie();
-  Graph gs = GenerateGraph(config, slow).ValueOrDie();
+  Graph gf = ParallelGenerateGraph(config, fast).ValueOrDie();
+  Graph gs = ParallelGenerateGraph(config, slow).ValueOrDie();
   PredicateId authors = config.schema.PredicateIdOf("authors").ValueOrDie();
   TypeId paper = config.schema.TypeIdOf("paper").ValueOrDie();
   DegreeStats in_fast = InDegreeStats(gf, authors, paper);
@@ -118,7 +118,7 @@ TEST(GeneratorTest, NonSpecifiedSidesSampleUniformly) {
   // LSN hasModerator: in non-specified, out uniform[1,1]: every forum
   // has exactly one moderator; moderators are sampled uniformly.
   GraphConfiguration config = MakeLsnConfig(10000, 31);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   PredicateId mod = config.schema.PredicateIdOf("hasModerator").ValueOrDie();
   TypeId forum = config.schema.TypeIdOf("forum").ValueOrDie();
   DegreeStats out = OutDegreeStats(g, mod, forum);
@@ -142,7 +142,7 @@ TEST(GeneratorTest, PurelyOccurrenceDrivenConstraint) {
                       DistributionSpec::NonSpecified())
                   .ok());
   CountingSink sink;
-  ASSERT_TRUE(GenerateEdges(config, &sink).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(config, &sink).ok());
   EXPECT_EQ(sink.count(), 500u);
 
   config.schema = GraphSchema();
@@ -157,7 +157,7 @@ TEST(GeneratorTest, PurelyOccurrenceDrivenConstraint) {
                       DistributionSpec::NonSpecified())
                   .ok());
   CountingSink sink2;
-  ASSERT_TRUE(GenerateEdges(config, &sink2).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(config, &sink2).ok());
   EXPECT_EQ(sink2.count(), 123u);
 }
 
@@ -177,14 +177,36 @@ TEST(GeneratorTest, MinRuleTruncatesToSmallerSide) {
                                            DistributionSpec::Uniform(5, 5))
                   .ok());
   CountingSink sink;
-  ASSERT_TRUE(GenerateEdges(config, &sink).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(config, &sink).ok());
   EXPECT_EQ(sink.count(), 10u);
+}
+
+TEST(GeneratorTest, DegreeOfTwoToThe32SlotsIsUnsupported) {
+  // One node asking for 2^32 out-slots: rejected after the draw, before
+  // any slot vector is allocated (slots are 32-bit node indexes).
+  GraphConfiguration config;
+  config.num_nodes = 2;
+  ASSERT_TRUE(
+      config.schema.AddType("src", OccurrenceConstraint::Fixed(1)).ok());
+  ASSERT_TRUE(
+      config.schema.AddType("trg", OccurrenceConstraint::Fixed(1)).ok());
+  ASSERT_TRUE(config.schema.AddPredicate("p").ok());
+  const int64_t degree = int64_t{1} << 32;
+  ASSERT_TRUE(config.schema
+                  .AddEdgeConstraintByName(
+                      "src", "p", "trg", DistributionSpec::NonSpecified(),
+                      DistributionSpec::Uniform(degree, degree))
+                  .ok());
+  CountingSink sink;
+  Status st = ParallelGenerateToSink(config, &sink);
+  EXPECT_TRUE(st.IsUnsupported()) << st;
+  EXPECT_EQ(sink.count(), 0u);
 }
 
 TEST(GeneratorTest, InvalidConfigFails) {
   GraphConfiguration config = MakeBibConfig(0);
   CountingSink sink;
-  EXPECT_FALSE(GenerateEdges(config, &sink).ok());
+  EXPECT_FALSE(ParallelGenerateToSink(config, &sink).ok());
 }
 
 }  // namespace

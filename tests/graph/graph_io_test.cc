@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 namespace {
@@ -32,7 +32,7 @@ TEST(GraphIoTest, CsvSinkFormat) {
 
 TEST(GraphIoTest, WriteCsvEmitsHeaderAndEveryEdge) {
   GraphConfiguration config = MakeBibConfig(500, 3);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream out;
   ASSERT_TRUE(WriteCsv(g, config.schema, &out).ok());
   size_t rows = 0;
@@ -45,7 +45,7 @@ TEST(GraphIoTest, WriteCsvEmitsHeaderAndEveryEdge) {
 
 TEST(GraphIoTest, WriteCsvReportsStreamFailure) {
   GraphConfiguration config = MakeBibConfig(500, 3);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream out;
   out.setstate(std::ios::badbit);
   Status st = WriteCsv(g, config.schema, &out);
@@ -55,7 +55,7 @@ TEST(GraphIoTest, WriteCsvReportsStreamFailure) {
 
 TEST(GraphIoTest, WriteNTriplesReportsStreamFailure) {
   GraphConfiguration config = MakeBibConfig(500, 3);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   for (bool types : {false, true}) {
     std::ostringstream out;
     out.setstate(std::ios::badbit);
@@ -86,7 +86,7 @@ TEST(GraphIoTest, NodeIdExtremesAreFormattedExactly) {
 
 TEST(GraphIoTest, NTriplesRoundTripPreservesEdges) {
   GraphConfiguration config = MakeBibConfig(500, 3);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream out;
   ASSERT_TRUE(WriteNTriples(g, config.schema, &out).ok());
   std::istringstream in(out.str());
@@ -104,7 +104,7 @@ TEST(GraphIoTest, NTriplesRoundTripPreservesEdges) {
 
 TEST(GraphIoTest, TypeTriplesAreWrittenAndSkippedOnRead) {
   GraphConfiguration config = MakeBibConfig(500, 3);
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream out;
   ASSERT_TRUE(
       WriteNTriples(g, config.schema, &out, /*include_node_types=*/true)
@@ -137,7 +137,7 @@ TEST(GraphIoTest, RoundTripSurvivesMultiWordTypeNames) {
                    DistributionSpec::NonSpecified(),
                    DistributionSpec::Uniform(1, 3))
                   .ok());
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   ASSERT_GT(g.num_edges(), 0u);
   std::ostringstream out;
   ASSERT_TRUE(

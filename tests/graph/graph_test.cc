@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "core/use_cases.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 namespace {
@@ -86,7 +86,7 @@ TEST(GraphTest, RejectsOutOfRangePredicate) {
 }
 
 TEST(GraphTest, ForwardBackwardConsistencyOnGeneratedGraph) {
-  Graph g = GenerateGraph(MakeBibConfig(2000, 3)).ValueOrDie();
+  Graph g = ParallelGenerateGraph(MakeBibConfig(2000, 3)).ValueOrDie();
   // Every forward edge must appear in the backward index and vice versa.
   for (PredicateId p = 0; p < g.predicate_count(); ++p) {
     size_t forward_total = 0, backward_total = 0;
@@ -104,7 +104,7 @@ TEST(GraphTest, ForwardBackwardConsistencyOnGeneratedGraph) {
 }
 
 TEST(GraphTest, TypeOfUsesLayout) {
-  Graph g = GenerateGraph(MakeBibConfig(1000, 3)).ValueOrDie();
+  Graph g = ParallelGenerateGraph(MakeBibConfig(1000, 3)).ValueOrDie();
   const NodeLayout& layout = g.layout();
   TypeId paper = 1;
   NodeId first_paper = layout.OffsetOf(paper);

@@ -152,14 +152,13 @@ TEST(ParallelBuildTest, SpillBackedIndexingReportsBoundedStagingMemory) {
             resident_stats.peak_resident_edge_bytes);
 }
 
-TEST(ParallelBuildTest, SerialGenerateGraphIsTheOneThreadBuilderCase) {
-  // GenerateGraph routes through the same Builder (inline executor):
-  // its forward CSR must equal the pair-scatter of its own serial
-  // stream, and its backward CSR the transpose of its forward.
+TEST(ParallelBuildTest, DefaultOptionsGraphIsItsStreamsPairScatter) {
+  // Default options (one inline thread, the default chunk): the forward
+  // CSR must equal the pair-scatter of the same options' edge stream.
   const GraphConfiguration config = MakeLsnConfig(8000, 7);
   VectorSink stream;
-  ASSERT_TRUE(GenerateEdges(config, &stream).ok());
-  Graph g = GenerateGraph(config).ValueOrDie();
+  ASSERT_TRUE(ParallelGenerateToSink(config, &stream).ok());
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   const int64_t n = g.num_nodes();
   ASSERT_EQ(g.num_edges(), stream.edges().size());
   for (PredicateId p = 0; p < g.predicate_count(); ++p) {

@@ -114,7 +114,7 @@ TEST(OutputGoldenTest, WorkloadReachesEveryFormattingBranch) {
 }
 
 std::string NTriples(const GraphConfiguration& config, bool types) {
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream out;
   EXPECT_TRUE(WriteNTriples(g, config.schema, &out, types).ok());
   return out.str();
@@ -122,22 +122,22 @@ std::string NTriples(const GraphConfiguration& config, bool types) {
 
 TEST(OutputGoldenTest, WriteNTriples) {
   EXPECT_EQ(Of(NTriples(BibInstance(), false)),
-            (Fingerprint{302813u, 0xb51c5f34ab3cfa35ull}));
+            (Fingerprint{302810u, 0x2fe99b1611680483ull}));
   EXPECT_EQ(Of(NTriples(BibInstance(), true)),
-            (Fingerprint{469303u, 0x735c71de0633db97ull}));
+            (Fingerprint{469300u, 0xf87b0bee839f7b35ull}));
   EXPECT_EQ(Of(NTriples(LsnInstance(), false)),
-            (Fingerprint{958800u, 0xac31974d756ace2cull}));
+            (Fingerprint{945132u, 0xffb703e2f410c2b1ull}));
   EXPECT_EQ(Of(NTriples(LsnInstance(), true)),
-            (Fingerprint{1126780u, 0x912321d345b2972dull}));
+            (Fingerprint{1113112u, 0x8cdadae911139e28ull}));
 }
 
 TEST(OutputGoldenTest, WriteCsv) {
   for (const auto& [config, expected] :
        {std::pair{BibInstance(),
-                  Fingerprint{80987u, 0x2977fd02d0456a86ull}},
+                  Fingerprint{80984u, 0x5ef08894606ed524ull}},
         std::pair{LsnInstance(),
-                  Fingerprint{252219u, 0xba22e336991dbda7ull}}}) {
-    Graph g = GenerateGraph(config).ValueOrDie();
+                  Fingerprint{249159u, 0x4cee711513e6fee0ull}}}) {
+    Graph g = ParallelGenerateGraph(config).ValueOrDie();
     std::ostringstream out;
     ASSERT_TRUE(WriteCsv(g, config.schema, &out).ok());
     EXPECT_EQ(Of(out.str()), expected);
@@ -325,7 +325,7 @@ TEST(OutputGoldenTest, OccurrenceConstraintToString) {
 
 TEST(OutputGoldenTest, GraphStatsToString) {
   GraphConfiguration config = BibInstance();
-  Graph g = GenerateGraph(config).ValueOrDie();
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
   EXPECT_EQ(Of(ComputeStats(g).ToString(config.schema)),
             (Fingerprint{306u, 0x5a34dcb9a9d1845dull}));
 }

@@ -18,12 +18,12 @@
 #include "core/config_xml.h"
 #include "core/consistency.h"
 #include "core/use_cases.h"
-#include "graph/generator.h"
 #include "graph/graph_io.h"
 #include "graph/stats.h"
 #include "obs/eval_profile.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parallel/parallel_generator.h"
 #include "query/query_xml.h"
 #include "selectivity/schema_graph.h"
 #include "translate/translator.h"
@@ -148,7 +148,7 @@ std::string RenderDiagnostics(const GraphConfiguration& config,
 std::string RenderAll(bool perturbed) {
   GraphConfiguration config = MakeBibConfig(3000, 11);
   const GraphSchema& schema = config.schema;
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   auto stream = [perturbed] {
     auto out = std::make_unique<std::ostringstream>();
     if (perturbed) {

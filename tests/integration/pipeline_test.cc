@@ -10,8 +10,8 @@
 #include "core/use_cases.h"
 #include "engine/engines.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
 #include "graph/graph_io.h"
+#include "parallel/parallel_generator.h"
 #include "query/query_xml.h"
 #include "translate/translator.h"
 #include "workload/presets.h"
@@ -27,14 +27,14 @@ TEST(PipelineTest, XmlConfigDrivesIdenticalGeneration) {
   auto parsed = ParseGraphConfigXml(GraphConfigToXml(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   VectorSink a, b;
-  ASSERT_TRUE(GenerateEdges(original, &a).ok());
-  ASSERT_TRUE(GenerateEdges(*parsed, &b).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(original, &a).ok());
+  ASSERT_TRUE(ParallelGenerateToSink(*parsed, &b).ok());
   EXPECT_EQ(a.edges(), b.edges());
 }
 
 TEST(PipelineTest, NTriplesRoundTripPreservesQueryAnswers) {
   GraphConfiguration config = MakeBibConfig(800, 101);
-  Graph g1 = GenerateGraph(config).ValueOrDie();
+  Graph g1 = ParallelGenerateGraph(config).ValueOrDie();
   std::ostringstream dump;
   ASSERT_TRUE(WriteNTriples(g1, config.schema, &dump).ok());
   std::istringstream in(dump.str());
@@ -57,7 +57,7 @@ TEST(PipelineTest, NTriplesRoundTripPreservesQueryAnswers) {
 
 TEST(PipelineTest, WorkloadXmlRoundTripPreservesAnswers) {
   GraphConfiguration config = MakeBibConfig(800, 107);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   QueryGenerator gen(&config.schema);
   Workload workload =
       gen.Generate(MakePresetWorkload(WorkloadPreset::kRec, 6, 109))
@@ -119,7 +119,7 @@ TEST(PipelineTest, TranslationsExistForEveryWorkloadQuery) {
 TEST(PipelineTest, EnginesProcessGeneratedRecursiveWorkload) {
   // Small-scale Table 4 rehearsal: D completes every recursive query.
   GraphConfiguration config = MakeBibConfig(500, 121);
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   QueryGenerator gen(&config.schema);
   Workload workload =
       gen.Generate(MakePresetWorkload(WorkloadPreset::kRec, 6, 123))

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/graph_config.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 namespace {
@@ -94,7 +94,7 @@ TEST(SatReductionTest, GeneratorAlwaysEmitsAGraphWithoutBacktracking) {
   // deciding exact satisfaction of this configuration encodes SAT1-in-3
   // (it relaxes; it does not solve NP-complete problems).
   GraphConfiguration config = Phi0Config();
-  auto graph = GenerateGraph(config);
+  auto graph = ParallelGenerateGraph(config);
   ASSERT_TRUE(graph.ok()) << graph.status();
   // Every type was allocated its fixed node.
   EXPECT_EQ(graph->num_nodes(), 15);
@@ -117,7 +117,7 @@ TEST(SatReductionTest, RelaxationOverApproximatesValuations) {
   // relaxation the paper accepts in exchange for linear-time
   // generation. We only require the per-constraint degree bound.
   GraphConfiguration config = Phi0Config();
-  Graph graph = GenerateGraph(config).ValueOrDie();
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
   TypeId a = config.schema.TypeIdOf("A").ValueOrDie();
   NodeId a_node = graph.layout().GlobalId(a, 0);
   for (int i = 1; i <= 4; ++i) {

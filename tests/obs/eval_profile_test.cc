@@ -8,7 +8,7 @@
 #include "engine/budget.h"
 #include "engine/engines.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 
 namespace gmark {
 namespace {
@@ -100,7 +100,7 @@ TEST(EvalProfileTest, SerializationListsEveryField) {
 class EngineProfileTest : public ::testing::Test {
  protected:
   EngineProfileTest()
-      : graph_(GenerateGraph(MakeBibConfig(200, 3)).ValueOrDie()) {
+      : graph_(ParallelGenerateGraph(MakeBibConfig(200, 3)).ValueOrDie()) {
     // Two conjuncts, the second a Kleene star, so every profile
     // dimension has something to record: per-conjunct rows/seconds
     // everywhere, fixpoint rounds for the closure-based engines, BFS

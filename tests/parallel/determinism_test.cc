@@ -104,17 +104,39 @@ TEST(ParallelDeterminismTest, HardwareConcurrencyAliasMatchesExplicit) {
             GenerateWith(config, WithThreads(3)));
 }
 
-TEST(ParallelDeterminismTest, ParallelCountMatchesSerialScale) {
-  // The parallel stream differs from the serial one draw-for-draw, but
-  // both realize the same constraints, so edge totals must be close.
+TEST(ParallelDeterminismTest, ChunkSizeDoesNotBiasEdgeCount) {
+  // Different chunk sizes partition the draws differently, but both
+  // realize the same constraints, so edge totals must be close.
   const GraphConfiguration config = MakeBibConfig(20000, 42);
-  CountingSink serial;
-  ASSERT_TRUE(GenerateEdges(config, &serial).ok());
-  VectorSink parallel;
-  ASSERT_TRUE(ParallelGenerateToSink(config, &parallel, WithThreads(4)).ok());
-  const double ratio = static_cast<double>(parallel.edges().size()) /
-                       static_cast<double>(serial.count());
+  CountingSink one_chunk;
+  ASSERT_TRUE(ParallelGenerateToSink(config, &one_chunk).ok());
+  VectorSink chunked;
+  ASSERT_TRUE(ParallelGenerateToSink(config, &chunked, WithThreads(4)).ok());
+  const double ratio = static_cast<double>(chunked.edges().size()) /
+                       static_cast<double>(one_chunk.count());
   EXPECT_NEAR(ratio, 1.0, 0.05);
+}
+
+TEST(ParallelDeterminismTest, SinkPathHoldsOneWindowOfChunks) {
+  // ParallelGenerateToSink drains each window of one chunk per worker
+  // before the next: resident edges never exceed threads * chunk_size,
+  // whatever the edge total, and nothing spills.
+  const GraphConfiguration config = MakeBibConfig(20000, 42);
+  for (int threads : {1, 2, 8}) {
+    GenerateStats stats;
+    CountingSink sink;
+    ASSERT_TRUE(
+        ParallelGenerateToSink(config, &sink, WithThreads(threads), &stats)
+            .ok());
+    EXPECT_FALSE(stats.spilled);
+    EXPECT_EQ(stats.total_edges, sink.count());
+    EXPECT_GE(stats.peak_resident_edge_bytes, 512 * sizeof(Edge));
+    EXPECT_LE(stats.peak_resident_edge_bytes,
+              static_cast<size_t>(threads) * 512 * sizeof(Edge))
+        << threads << " threads";
+    EXPECT_LT(stats.peak_resident_edge_bytes,
+              stats.total_edges * sizeof(Edge));
+  }
 }
 
 TEST(ParallelDeterminismTest, EdgesRespectConstraintEndpointTypes) {
@@ -176,20 +198,21 @@ TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
 
 TEST(ShardedSinkTest, DrainPreservesCanonicalOrder) {
   ShardedSink sink;
-  ASSERT_TRUE(sink.Reset(3).ok());
+  ASSERT_TRUE(sink.AddShards(2).ok());
+  ASSERT_TRUE(sink.AddShards(1).ok());
+  EXPECT_EQ(sink.shard_count(), 3u);
   // Fill shards out of order — canonical order is by index, not fill
   // order.
-  sink.shard(2).push_back(Edge{5, 0, 6});
-  sink.shard(0).push_back(Edge{1, 0, 2});
-  sink.shard(1).push_back(Edge{3, 0, 4});
+  sink.PutShard(2, {Edge{5, 0, 6}});
+  sink.PutShard(0, {Edge{1, 0, 2}});
+  sink.PutShard(1, {Edge{3, 0, 4}});
+  ASSERT_TRUE(sink.Finish().ok());
   VectorSink out;
   ASSERT_TRUE(sink.Drain(&out).ok());
   const std::vector<Edge> expected = {
       Edge{1, 0, 2}, Edge{3, 0, 4}, Edge{5, 0, 6}};
   EXPECT_EQ(out.edges(), expected);
   EXPECT_EQ(sink.TotalEdges(), 3u);
-  EXPECT_EQ(sink.TakeEdges(), expected);
-  EXPECT_EQ(sink.shard_count(), 0u);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include "engine/automaton.h"
 #include "engine/budget.h"
 #include "engine/evaluator.h"
-#include "graph/generator.h"
+#include "parallel/parallel_generator.h"
 #include "selectivity/estimator.h"
 
 namespace gmark {
@@ -79,7 +79,7 @@ class MeasuredCardinalityTest : public ::testing::Test {
  protected:
   MeasuredCardinalityTest()
       : config_(MakeBibConfig(300, 3)),
-        graph_(GenerateGraph(config_).ValueOrDie()),
+        graph_(ParallelGenerateGraph(config_).ValueOrDie()),
         layout_(NodeLayout::Create(config_).ValueOrDie()),
         estimator_(&config_.schema) {}
 
