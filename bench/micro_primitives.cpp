@@ -1,10 +1,10 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, product-graph BFS, regex-to-NFA compilation, and
-// the relational kernels (hash join, distinct projection, distinct
-// union, path composition, disjunct union, naive and semi-naive
-// closure); and for the text writers: N-Triples, workload XML, and the
-// four translators.
+// slot-vector shuffles, CSR neighbor scans, product-graph BFS,
+// regex-to-NFA compilation, and the relational kernels (hash join,
+// distinct projection, distinct union, path composition, disjunct
+// union, naive and semi-naive closure); and for the text writers:
+// N-Triples, workload XML, and the four translators.
 
 #include <benchmark/benchmark.h>
 
@@ -69,6 +69,29 @@ void BM_RpqProductBfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RpqProductBfs)->Arg(1000)->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The engines' adjacency access: fetch the forward and backward span of
+/// every node of an LSN graph for every predicate (so nodes outside a
+/// predicate's endpoint range are included) and read every neighbor.
+void BM_CsrNeighborScan(benchmark::State& state) {
+  GraphConfiguration config = MakeLsnConfig(state.range(0), 7);
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
+  const auto n = static_cast<NodeId>(graph.num_nodes());
+  for (auto _ : state) {
+    NodeId acc = 0;
+    for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
+      for (NodeId v = 0; v < n; ++v) {
+        for (NodeId w : graph.OutNeighbors(p, v)) acc += w;
+        for (NodeId u : graph.InNeighbors(p, v)) acc += u;
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<int64_t>(graph.num_edges()));
+}
+BENCHMARK(BM_CsrNeighborScan)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HashJoin(benchmark::State& state) {

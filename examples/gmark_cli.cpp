@@ -24,8 +24,8 @@
 //             [--stats]                    print instance statistics plus the
 //                                          metric-registry snapshot table
 //                                          (gen.* phase counters, CSR group
-//                                          counts, query metrics when
-//                                          --evaluate ran)
+//                                          counts and bytes, query metrics
+//                                          when --evaluate ran)
 //             [--evaluate CODES]           generate + index the graph, run
 //                                          the workload through the engine
 //                                          simulators named by CODES (e.g.

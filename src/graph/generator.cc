@@ -22,6 +22,7 @@ void GenerateStats::Record(MetricRegistry* metrics) const {
                index_forward_groups);
   metrics->Add(metrics->Counter("gen.index_transpose_groups"),
                index_transpose_groups);
+  metrics->GaugeMax(metrics->Gauge("gen.index_bytes"), index_bytes);
 }
 
 }  // namespace gmark

@@ -127,6 +127,9 @@ struct GenerateStats {
   /// than predicates means intra-predicate parallelism engaged.
   size_t index_forward_groups = 0;
   size_t index_transpose_groups = 0;
+  /// Graph::IndexBytes() of the built graph: the CSR offsets and
+  /// targets of both directions (zero when the build failed).
+  size_t index_bytes = 0;
 
   /// \brief Publish this run into a metric registry (gen.* counters and
   /// gauges; see README "Observability"). Null registry is a no-op.

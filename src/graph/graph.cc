@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -13,10 +14,10 @@ namespace {
 
 /// Bucket cursor with its exclusive bound; cursor and bound live in one
 /// struct so the replay-mismatch guard costs no second random cache
-/// line on the scatter hot path.
+/// line on the scatter hot path. uint32_t like the offsets they index.
 struct Bucket {
-  size_t cur;
-  size_t end;
+  uint32_t cur;
+  uint32_t end;
 };
 
 /// One chunk group of one predicate's build: a contiguous sub-range of
@@ -25,12 +26,12 @@ struct Bucket {
 /// scatter slices. Tasks touch only their own group, so the fan-out
 /// needs no synchronization beyond the executor barriers.
 struct ChunkGroup {
-  size_t begin = 0;  // First input chunk (forward) / node (transpose).
+  size_t begin = 0;  // First input chunk (forward) / local node (transpose).
   size_t end = 0;    // One past the last.
   /// Private histogram over the bucket range, built by the count phase
   /// and replaced by `buckets` in the scan phase. uint32 keeps G groups
-  /// x range counters compact; overflow (a single node exceeding 2^32
-  /// edges within one group) is detected, not wrapped.
+  /// x range counters compact; the forward count pass detects overflow
+  /// (a node with 2^32 edges within one group) rather than wrapping.
   std::vector<uint32_t> counts;
   std::vector<Bucket> buckets;
   Status status;
@@ -92,7 +93,59 @@ std::vector<ChunkGroup> PartitionGroups(size_t total_units,
   return groups;
 }
 
+/// The scan phase of one predicate direction: reduce the groups'
+/// histograms over `range` bucket nodes into CSR offsets — summed in 64
+/// bits and checked against the uint32_t limit — size the targets, and
+/// turn each group's histogram into its disjoint scatter slices: group
+/// k's slice for node v starts where groups 0..k-1 left off.
+Status ScanGroups(std::vector<ChunkGroup>& groups, size_t range,
+                  std::vector<uint32_t>& offsets,
+                  std::vector<NodeId>& targets) {
+  for (const ChunkGroup& g : groups) GMARK_RETURN_NOT_OK(g.status);
+  if (range == 0) return Status::OK();
+  offsets.assign(range + 1, 0);
+  uint64_t total = 0;
+  for (size_t v = 0; v < range; ++v) {
+    for (const ChunkGroup& g : groups) total += g.counts[v];
+    offsets[v + 1] = static_cast<uint32_t>(total);
+  }
+  GMARK_RETURN_NOT_OK(Graph::CheckEdgeLimit(total));
+  targets.resize(total);
+  // `running` walks the bases group by group (one pass per group).
+  std::vector<uint32_t> running(offsets.begin(), offsets.end() - 1);
+  for (ChunkGroup& g : groups) {
+    g.buckets.resize(range);
+    for (size_t v = 0; v < range; ++v) {
+      const uint32_t n = g.counts[v];
+      g.buckets[v] = Bucket{running[v], running[v] + n};
+      running[v] += n;
+    }
+    g.counts = {};
+    g.counts.shrink_to_fit();
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Status Graph::CheckEdgeLimit(uint64_t edges) {
+  if (edges > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange(
+        "predicate exceeds the CSR limit of 2^32 - 1 edges");
+  }
+  return Status::OK();
+}
+
+size_t Graph::IndexBytes() const {
+  size_t bytes = 0;
+  for (const std::vector<Csr>* direction : {&forward_, &backward_}) {
+    for (const Csr& csr : *direction) {
+      bytes += csr.offsets.size() * sizeof(uint32_t) +
+               csr.targets.size() * sizeof(NodeId);
+    }
+  }
+  return bytes;
+}
 
 Graph::Builder::Builder(NodeLayout layout, size_t predicate_count)
     : layout_(std::move(layout)),
@@ -109,8 +162,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   Tracer* const tracer = GlobalTracer();
   Span build_span =
       tracer != nullptr ? tracer->StartSpan("csr.build", "build") : Span();
-  const int64_t num_nodes = layout_.total_nodes();
-  const NodeId node_limit = static_cast<NodeId>(num_nodes);
+  const NodeId node_limit = static_cast<NodeId>(layout_.total_nodes());
   // Auto grouping: 2x the workers balances stragglers against
   // histogram memory; an inline executor gets one group per predicate —
   // chunking buys nothing serially, it only adds scan passes.
@@ -127,7 +179,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     NodeId src_begin = 0, src_end = 0;  // Resolved hints.
     NodeId trg_begin = 0, trg_end = 0;
     std::vector<ChunkGroup> groups;   // Forward counting-sort groups.
-    std::vector<ChunkGroup> tgroups;  // Transpose groups (node ranges).
+    std::vector<ChunkGroup> tgroups;  // Transpose groups (local nodes).
     Csr forward;
     Csr backward;
     Status status;
@@ -139,12 +191,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   for (PredicateId p = 0; p < predicate_count_; ++p) {
     Slot& slot = slots[p];
     slot.spec = std::move(specs_[p]);
-    slot.forward.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-    if (slot.spec.chunk_count == 0 || !slot.spec.stream) {
-      // Unregistered predicate: empty adjacency both ways.
-      slot.backward.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-      continue;
-    }
+    // Unregistered predicate: empty adjacency both ways.
+    if (slot.spec.chunk_count == 0 || !slot.spec.stream) continue;
     slot.active = true;
     slot.src_begin = slot.spec.source_begin;
     slot.src_end = slot.spec.source_end;
@@ -157,9 +205,10 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
       slot.status = Status::OutOfRange(
           "stream node-range hint exceeds the layout");
       slot.active = false;
-      slot.backward.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
       continue;
     }
+    slot.forward.begin = slot.src_begin;
+    slot.forward.range = slot.src_end - slot.src_begin;
     slot.groups = PartitionGroups(slot.spec.chunk_count,
                                   slot.spec.chunk_edges, max_groups);
     if (stats != nullptr) stats->forward_groups += slot.groups.size();
@@ -212,49 +261,18 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   executor->Wait();
 
   // Phase 2 — scan: one task per predicate reduces the group histograms
-  // with an exclusive scan into global forward offsets and disjoint
-  // per-group scatter slices.
+  // with an exclusive scan into the forward offsets (local to the source
+  // range) and disjoint per-group scatter slices.
   for (Slot& slot : slots) {
     if (!slot.active) continue;
     Slot* s = &slot;
     const auto p = static_cast<int64_t>(&slot - slots.data());
-    executor->Submit([s, p, num_nodes, tracer] {
+    executor->Submit([s, p, tracer] {
       Span span = tracer != nullptr ? tracer->StartSpan("csr.scan", "build")
                                     : Span();
       if (span.active()) span.SetAttribute("predicate", p);
-      for (const ChunkGroup& g : s->groups) {
-        if (!g.status.ok()) {
-          s->status = g.status;
-          return;
-        }
-      }
-      const size_t range = static_cast<size_t>(s->src_end - s->src_begin);
-      std::vector<size_t>& offsets = s->forward.offsets;
-      for (size_t v = 0; v < range; ++v) {
-        size_t total = 0;
-        for (const ChunkGroup& g : s->groups) total += g.counts[v];
-        offsets[s->src_begin + v + 1] = total;
-      }
-      for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-      s->forward.targets.resize(offsets.back());
-
-      // Exclusive scan across groups, per node: group k's slice for
-      // node v starts where groups 0..k-1 left off. `running` walks the
-      // bases group by group (cache-friendly: one pass per group).
-      std::vector<size_t> running(range);
-      for (size_t v = 0; v < range; ++v) {
-        running[v] = offsets[s->src_begin + v];
-      }
-      for (ChunkGroup& g : s->groups) {
-        g.buckets.resize(range);
-        for (size_t v = 0; v < range; ++v) {
-          const size_t n = g.counts[v];
-          g.buckets[v] = Bucket{running[v], running[v] + n};
-          running[v] += n;
-        }
-        g.counts = {};
-        g.counts.shrink_to_fit();
-      }
+      s->status = ScanGroups(s->groups, s->forward.range, s->forward.offsets,
+                             s->forward.targets);
     });
   }
   executor->Wait();
@@ -318,7 +336,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
 
   // Between passes — the streams are never read again: let the store
   // free each predicate's shards before the transpose allocates. Then
-  // plan the transpose groups: contiguous forward-CSR node ranges
+  // plan the transpose groups: contiguous local forward-CSR node ranges
   // balanced by edge count (cheap coordinator walk over the offsets).
   for (Slot& slot : slots) {
     if (!slot.active) continue;
@@ -328,18 +346,15 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     }
     slot.groups = {};
     if (!slot.status.ok()) continue;
-    const std::vector<size_t>& offsets = slot.forward.offsets;
+    const std::vector<uint32_t>& offsets = slot.forward.offsets;
     const size_t total_edges = slot.forward.targets.size();
-    if (total_edges == 0) {
-      slot.backward.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-      continue;
-    }
+    if (total_edges == 0) continue;  // The backward CSR stays empty.
     const size_t target = std::max(
         (total_edges + max_groups - 1) / max_groups, kMinEdgesPerGroup);
-    size_t begin = static_cast<size_t>(slot.src_begin);
-    for (size_t v = begin; v < static_cast<size_t>(slot.src_end); ++v) {
-      const bool last_node = v + 1 == static_cast<size_t>(slot.src_end);
-      if (offsets[v + 1] - offsets[begin] >= target || last_node) {
+    const size_t range = slot.forward.range;
+    size_t begin = 0;
+    for (size_t v = 0; v < range; ++v) {
+      if (offsets[v + 1] - offsets[begin] >= target || v + 1 == range) {
         ChunkGroup g;
         g.begin = begin;
         g.end = v + 1;
@@ -352,7 +367,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
 
   // Phase 4 — transpose count: every group counts the in-degrees of its
   // forward-CSR node range into its private histogram. The input is the
-  // immutable forward CSR, so no validation is needed.
+  // immutable forward CSR, so no validation is needed, and no count can
+  // overflow: phase 2 held the predicate under 2^32 edges.
   for (Slot& slot : slots) {
     if (!slot.active || !slot.status.ok()) continue;
     const Slot* s = &slot;
@@ -367,13 +383,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
         g->counts.assign(static_cast<size_t>(s->trg_end - s->trg_begin), 0);
         const Csr& fwd = s->forward;
         for (size_t v = g->begin; v < g->end; ++v) {
-          for (size_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
-            uint32_t& c = g->counts[fwd.targets[i] - s->trg_begin];
-            if (++c == 0) {
-              g->status =
-                  Status::OutOfRange("per-group degree overflows uint32");
-              return;
-            }
+          for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
+            ++g->counts[fwd.targets[i] - s->trg_begin];
           }
         }
       });
@@ -386,41 +397,15 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     if (!slot.active || !slot.status.ok() || slot.tgroups.empty()) continue;
     Slot* s = &slot;
     const auto p = static_cast<int64_t>(&slot - slots.data());
-    executor->Submit([s, p, num_nodes, tracer] {
+    executor->Submit([s, p, tracer] {
       Span span = tracer != nullptr
                       ? tracer->StartSpan("csr.transpose_scan", "build")
                       : Span();
       if (span.active()) span.SetAttribute("predicate", p);
-      for (const ChunkGroup& g : s->tgroups) {
-        if (!g.status.ok()) {
-          s->status = g.status;
-          return;
-        }
-      }
-      const size_t range = static_cast<size_t>(s->trg_end - s->trg_begin);
-      std::vector<size_t>& offsets = s->backward.offsets;
-      offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-      for (size_t v = 0; v < range; ++v) {
-        size_t total = 0;
-        for (const ChunkGroup& g : s->tgroups) total += g.counts[v];
-        offsets[s->trg_begin + v + 1] = total;
-      }
-      for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-      s->backward.targets.resize(offsets.back());
-      std::vector<size_t> running(range);
-      for (size_t v = 0; v < range; ++v) {
-        running[v] = offsets[s->trg_begin + v];
-      }
-      for (ChunkGroup& g : s->tgroups) {
-        g.buckets.resize(range);
-        for (size_t v = 0; v < range; ++v) {
-          const size_t n = g.counts[v];
-          g.buckets[v] = Bucket{running[v], running[v] + n};
-          running[v] += n;
-        }
-        g.counts = {};
-        g.counts.shrink_to_fit();
-      }
+      s->backward.begin = s->trg_begin;
+      s->backward.range = s->trg_end - s->trg_begin;
+      s->status = ScanGroups(s->tgroups, s->backward.range,
+                             s->backward.offsets, s->backward.targets);
     });
   }
   executor->Wait();
@@ -443,9 +428,9 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
         if (span.active()) span.SetAttribute("predicate", p);
         const Csr& fwd = s->forward;
         for (size_t v = g->begin; v < g->end; ++v) {
-          for (size_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
+          for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
             Bucket& b = g->buckets[fwd.targets[i] - s->trg_begin];
-            bwd->targets[b.cur++] = static_cast<NodeId>(v);
+            bwd->targets[b.cur++] = fwd.begin + v;
           }
         }
         g->buckets = {};
@@ -476,13 +461,19 @@ Result<Graph> Graph::Build(NodeLayout layout, size_t predicate_count,
                            std::vector<Edge> edges) {
   const NodeId n = static_cast<NodeId>(layout.total_nodes());
   // One O(E) pass: validate (a filter stream would silently drop edges
-  // with unknown predicates instead of rejecting them) and record each
-  // predicate's maximal runs, so the per-predicate streams replay only
-  // their own spans instead of re-scanning the whole vector 2P times.
-  // Generated streams are constraint-grouped, so runs are long — each
-  // run is one replayable sub-chunk of the predicate's chunked stream.
-  std::vector<std::vector<std::pair<size_t, size_t>>> runs(predicate_count);
-  for (size_t i = 0; i < edges.size();) {
+  // with unknown predicates instead of rejecting them), record each
+  // predicate's endpoint ranges as its node-range hints, and record its
+  // maximal runs, so the per-predicate streams replay only their own
+  // spans instead of re-scanning the whole vector 2P times. Generated
+  // streams are constraint-grouped, so runs are long — each run is one
+  // replayable sub-chunk of the predicate's chunked stream.
+  struct PredicateRuns {
+    std::vector<std::pair<size_t, size_t>> runs;  // (offset, length).
+    NodeId src_min = std::numeric_limits<NodeId>::max(), src_max = 0;
+    NodeId trg_min = std::numeric_limits<NodeId>::max(), trg_max = 0;
+  };
+  std::vector<PredicateRuns> per_pred(predicate_count);
+  for (size_t i = 0; i < edges.size(); ++i) {
     const Edge& e = edges[i];
     if (e.source >= n || e.target >= n) {
       return Status::OutOfRange("edge references node outside the layout");
@@ -490,26 +481,34 @@ Result<Graph> Graph::Build(NodeLayout layout, size_t predicate_count,
     if (e.predicate >= predicate_count) {
       return Status::OutOfRange("edge references unknown predicate");
     }
-    size_t j = i + 1;
-    while (j < edges.size() && edges[j].predicate == e.predicate &&
-           edges[j].source < n && edges[j].target < n) {
-      ++j;
+    PredicateRuns& pr = per_pred[e.predicate];
+    if (i > 0 && edges[i - 1].predicate == e.predicate) {
+      ++pr.runs.back().second;
+    } else {
+      pr.runs.emplace_back(i, 1);
     }
-    runs[e.predicate].emplace_back(i, j - i);
-    i = j;
+    pr.src_min = std::min(pr.src_min, e.source);
+    pr.src_max = std::max(pr.src_max, e.source);
+    pr.trg_min = std::min(pr.trg_min, e.target);
+    pr.trg_max = std::max(pr.trg_max, e.target);
   }
 
   Builder builder(std::move(layout), predicate_count);
   for (PredicateId p = 0; p < predicate_count; ++p) {
-    if (runs[p].empty()) continue;
+    const PredicateRuns& pr = per_pred[p];
+    if (pr.runs.empty()) continue;
     Builder::StreamSpec spec;
-    spec.chunk_count = runs[p].size();
-    spec.chunk_edges.reserve(runs[p].size());
-    for (const auto& [offset, length] : runs[p]) {
+    spec.chunk_count = pr.runs.size();
+    spec.chunk_edges.reserve(pr.runs.size());
+    for (const auto& [offset, length] : pr.runs) {
       (void)offset;
       spec.chunk_edges.push_back(length);
     }
-    spec.stream = [&edges, r = &runs[p]](
+    spec.source_begin = pr.src_min;
+    spec.source_end = pr.src_max + 1;
+    spec.target_begin = pr.trg_min;
+    spec.target_end = pr.trg_max + 1;
+    spec.stream = [&edges, r = &pr.runs](
                       size_t chunk_begin, size_t chunk_end,
                       const EdgeBlockVisitor& visit) -> Status {
       for (size_t k = chunk_begin; k < chunk_end; ++k) {

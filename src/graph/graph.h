@@ -6,21 +6,27 @@
 //
 // Memory model. The graph is a per-predicate partition of CSR indexes
 // and nothing else: there is no global edge list, and construction
-// never materializes one. Each predicate's forward CSR is built by a
-// chunked two-pass counting sort over a replayable edge stream: the
-// stream's fixed sub-chunks are grouped into contiguous chunk groups,
-// each group counts degrees into its own private histogram, an
-// exclusive scan across groups turns the histograms into global offsets
-// plus per-group per-node scatter bases, and each group then scatters
-// its edges into its disjoint bucket slices — fully lock-free, because
-// no two groups ever touch the same target index. The backward CSR is
-// derived from the finished forward CSR by the same chunked
-// count-scan-scatter transpose over node ranges, so the builder never
-// holds (target, source) pair vectors either. Peak memory during a
-// build is therefore the staged edge stream (shards, which the builder
-// releases per predicate as it consumes them) plus the CSRs themselves,
-// instead of the seed path's edge vector + forward pair vectors +
-// backward pair vectors (~3x the edge set).
+// never materializes one. A predicate's forward CSR spans only its
+// source range and its backward CSR only its target range (the
+// endpoint type ranges of the schema, passed as StreamSpec hints), so
+// each direction holds `range + 1` uint32_t offsets rather than one
+// per node of the layout. A node outside the range has an empty span.
+// uint32_t offsets cap a predicate at 2^32 - 1 edges; a larger one
+// fails the build with OutOfRange (CheckEdgeLimit), never wraps.
+//
+// Each predicate's forward CSR is built by a chunked two-pass counting
+// sort over a replayable edge stream: the stream's fixed sub-chunks
+// are grouped into contiguous chunk groups, each group counts degrees
+// into its own private histogram, an exclusive scan across groups
+// turns the histograms into offsets plus per-group per-node scatter
+// bases, and each group then scatters its edges into its disjoint
+// bucket slices — fully lock-free, because no two groups ever touch
+// the same target index. The backward CSR is derived from the finished
+// forward CSR by the same chunked count-scan-scatter transpose over
+// node ranges, so the builder never holds (target, source) pair
+// vectors either. Peak memory during a build is therefore the staged
+// edge stream (shards, which the builder releases per predicate as it
+// consumes them) plus the CSRs themselves.
 //
 // Determinism. Group boundaries never change the output: within one
 // bucket, chunk-group order concatenates back to exactly the stream
@@ -100,9 +106,10 @@ class Graph {
       std::function<void()> release;
       /// Node-range hints: every source in [source_begin, source_end),
       /// every target in [target_begin, target_end). Both default (0,0)
-      /// to the whole layout. Tight hints shrink the per-group
-      /// histograms from num_nodes to the predicate's endpoint ranges;
-      /// an edge outside a declared range fails the build.
+      /// to the whole layout. The forward CSR's offsets and the count
+      /// histograms span the source range, the backward ones the
+      /// target range; an edge outside a declared range fails the
+      /// build.
       NodeId source_begin = 0;
       NodeId source_end = 0;
       NodeId target_begin = 0;
@@ -150,7 +157,8 @@ class Graph {
   /// \brief Build from a node layout and an edge list. Edges referencing
   /// nodes outside the layout or unknown predicates are rejected. This
   /// is the Builder run on per-predicate filter streams over `edges`
-  /// with an inline executor (the 1-thread special case).
+  /// with an inline executor (the 1-thread special case); each stream's
+  /// node-range hints are its predicate's min/max source and target.
   static Result<Graph> Build(NodeLayout layout, size_t predicate_count,
                              std::vector<Edge> edges);
 
@@ -161,18 +169,16 @@ class Graph {
 
   TypeId TypeOf(NodeId node) const { return layout_.TypeOf(node); }
 
-  /// \brief Targets of a-labeled edges out of `node`.
+  /// \brief Targets of a-labeled edges out of `node` (empty outside
+  /// the predicate's source range).
   std::span<const NodeId> OutNeighbors(PredicateId a, NodeId node) const {
-    const Csr& csr = forward_[a];
-    return {csr.targets.data() + csr.offsets[node],
-            csr.targets.data() + csr.offsets[node + 1]};
+    return Neighbors(forward_[a], node);
   }
 
-  /// \brief Sources of a-labeled edges into `node` (i.e. a^- neighbors).
+  /// \brief Sources of a-labeled edges into `node` (i.e. a^- neighbors;
+  /// empty outside the predicate's target range).
   std::span<const NodeId> InNeighbors(PredicateId a, NodeId node) const {
-    const Csr& csr = backward_[a];
-    return {csr.targets.data() + csr.offsets[node],
-            csr.targets.data() + csr.offsets[node + 1]};
+    return Neighbors(backward_[a], node);
   }
 
   /// \brief Number of a-labeled edges.
@@ -184,35 +190,38 @@ class Graph {
   template <typename Fn>
   void ForEachEdge(PredicateId a, Fn&& fn) const {
     const Csr& csr = forward_[a];
-    for (NodeId v = 0; v + 1 < csr.offsets.size(); ++v) {
-      for (size_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
-        fn(v, csr.targets[i]);
+    for (NodeId v = 0; v < csr.range; ++v) {
+      for (uint32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+        fn(csr.begin + v, csr.targets[i]);
       }
     }
   }
 
-  /// \brief Raw forward-CSR views (num_nodes + 1 offsets; targets in
-  /// scan order). The byte-identity surface of the build tests/benches.
-  std::span<const size_t> OutOffsets(PredicateId a) const {
-    return forward_[a].offsets;
-  }
-  std::span<const NodeId> OutTargets(PredicateId a) const {
-    return forward_[a].targets;
-  }
+  /// \brief Bytes held by the CSR indexes: offsets and targets of both
+  /// directions, over every predicate.
+  size_t IndexBytes() const;
 
-  /// \brief Raw backward-CSR views (sources, indexed by target).
-  std::span<const size_t> InOffsets(PredicateId a) const {
-    return backward_[a].offsets;
-  }
-  std::span<const NodeId> InTargets(PredicateId a) const {
-    return backward_[a].targets;
-  }
+  /// \brief OutOfRange unless `edges` fits a uint32_t offset: the
+  /// per-predicate edge limit of the CSR.
+  static Status CheckEdgeLimit(uint64_t edges);
 
  private:
+  /// One direction of one predicate: adjacency of the nodes
+  /// [begin, begin + range), offsets indexed by `node - begin`.
   struct Csr {
-    std::vector<size_t> offsets;  // num_nodes + 1 entries.
+    NodeId begin = 0;
+    NodeId range = 0;
+    std::vector<uint32_t> offsets;  // range + 1 entries, none if empty.
     std::vector<NodeId> targets;
   };
+
+  static std::span<const NodeId> Neighbors(const Csr& csr, NodeId node) {
+    // Unsigned: a node below `begin` wraps past `range` too.
+    const NodeId v = node - csr.begin;
+    if (v >= csr.range) return {};
+    return {csr.targets.data() + csr.offsets[v],
+            csr.targets.data() + csr.offsets[v + 1]};
+  }
 
   NodeLayout layout_;
   size_t predicate_count_ = 0;

@@ -572,6 +572,7 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
     stats->spilled = spilled;
     stats->index_forward_groups = build_stats.forward_groups;
     stats->index_transpose_groups = build_stats.transpose_groups;
+    stats->index_bytes = graph.ok() ? graph->IndexBytes() : 0;
     stats->Record(GlobalMetrics());
   }
   return graph;

@@ -1,7 +1,7 @@
 // The intra-predicate chunked build contract (Graph::Builder): splitting
 // one predicate's edge stream into chunk groups — counted with private
 // histograms, scanned into disjoint scatter slices, scattered lock-free
-// — never changes a byte of either CSR, at any thread count, any group
+// — never changes either CSR's adjacency, at any thread count, any group
 // cap, in-memory or spilled, even when one predicate owns ~90% of the
 // edges; and the overfull/underfull bucket guards still reject a
 // chunked stream that fails to replay identically.
@@ -10,10 +10,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/graph_config.h"
+#include "csr_spans.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "parallel/executor.h"
@@ -65,27 +67,6 @@ GeneratorOptions BuildOptions(int threads, bool spill, int max_groups) {
   return options;
 }
 
-template <typename T>
-std::vector<T> ToVec(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-void ExpectIdentical(const Graph& base, const Graph& g,
-                     const std::string& label) {
-  ASSERT_EQ(g.num_nodes(), base.num_nodes()) << label;
-  ASSERT_EQ(g.predicate_count(), base.predicate_count()) << label;
-  for (PredicateId p = 0; p < base.predicate_count(); ++p) {
-    EXPECT_EQ(ToVec(g.OutOffsets(p)), ToVec(base.OutOffsets(p)))
-        << label << ", predicate " << p;
-    EXPECT_EQ(ToVec(g.OutTargets(p)), ToVec(base.OutTargets(p)))
-        << label << ", predicate " << p;
-    EXPECT_EQ(ToVec(g.InOffsets(p)), ToVec(base.InOffsets(p)))
-        << label << ", predicate " << p;
-    EXPECT_EQ(ToVec(g.InTargets(p)), ToVec(base.InTargets(p)))
-        << label << ", predicate " << p;
-  }
-}
-
 TEST(ChunkedBuildTest, SkewedSchemaIdenticalAcrossThreadsSpillAndGroups) {
   const GraphConfiguration config = MakeSkewedConfig(20000, 42);
 
@@ -106,7 +87,7 @@ TEST(ChunkedBuildTest, SkewedSchemaIdenticalAcrossThreadsSpillAndGroups) {
         Graph g = ParallelGenerateGraph(
                       config, BuildOptions(threads, spill, max_groups))
                       .ValueOrDie();
-        ExpectIdentical(base, g,
+        ExpectSameAdjacency(base, g,
                         "threads=" + std::to_string(threads) +
                             " spill=" + std::to_string(spill) +
                             " max_groups=" + std::to_string(max_groups));
@@ -259,7 +240,7 @@ TEST(ChunkedBuildTest, UntamperedChunkedStreamMatchesVectorBuild) {
   builder.SetChunkedStream(0, stream.Spec());
   Executor inline_executor(1);
   Graph g = std::move(builder).Build(&inline_executor).ValueOrDie();
-  ExpectIdentical(reference, g, "chunked vs vector build");
+  ExpectSameAdjacency(reference, g, "chunked vs vector build");
 }
 
 TEST(ChunkedBuildTest, EdgeOutsideDeclaredNodeRangeFailsTheBuild) {

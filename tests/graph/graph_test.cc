@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/use_cases.h"
+#include "csr_spans.h"
+#include "graph/generator.h"
+#include "parallel/executor.h"
 #include "parallel/parallel_generator.h"
 
 namespace gmark {
@@ -58,21 +64,116 @@ TEST(GraphTest, ForEachEdgeRoundTrips) {
 TEST(GraphTest, CsrSpanViewsMatchForEachEdge) {
   std::vector<Edge> edges{{0, 0, 1}, {0, 0, 2}, {1, 0, 2}, {3, 1, 0}};
   Graph g = Graph::Build(TinyLayout(), 2, edges).ValueOrDie();
-  auto offsets = g.OutOffsets(0);
-  auto targets = g.OutTargets(0);
-  ASSERT_EQ(offsets.size(), static_cast<size_t>(g.num_nodes()) + 1);
-  EXPECT_EQ(targets.size(), g.EdgeCount(0));
-  size_t i = 0;
-  g.ForEachEdge(0, [&](NodeId src, NodeId trg) {
-    EXPECT_GE(i, offsets[src]);
-    EXPECT_LT(i, offsets[src + 1]);
-    EXPECT_EQ(targets[i], trg);
-    ++i;
-  });
-  EXPECT_EQ(i, targets.size());
-  // Backward views cover the same edges.
-  EXPECT_EQ(g.InTargets(0).size(), g.EdgeCount(0));
-  EXPECT_EQ(g.InOffsets(1).size(), offsets.size());
+  for (PredicateId p = 0; p < 2; ++p) {
+    // ForEachEdge walks the forward spans of [0, num_nodes) in order.
+    std::vector<std::pair<NodeId, NodeId>> walked, reversed;
+    for (NodeId v = 0; v < static_cast<NodeId>(g.num_nodes()); ++v) {
+      for (NodeId w : g.OutNeighbors(p, v)) walked.emplace_back(v, w);
+      for (NodeId u : g.InNeighbors(p, v)) reversed.emplace_back(u, v);
+    }
+    EXPECT_EQ(walked, CollectEdges(g, p)) << "predicate " << p;
+    EXPECT_EQ(walked.size(), g.EdgeCount(p)) << "predicate " << p;
+    // Backward spans cover the same edges.
+    std::sort(walked.begin(), walked.end());
+    std::sort(reversed.begin(), reversed.end());
+    EXPECT_EQ(reversed, walked) << "predicate " << p;
+  }
+}
+
+/// Types "a" = nodes 0..2 and "b" = nodes 3..6.
+NodeLayout TwoTypeLayout() {
+  GraphConfiguration config;
+  config.num_nodes = 7;
+  EXPECT_TRUE(config.schema.AddType("a", OccurrenceConstraint::Fixed(3)).ok());
+  EXPECT_TRUE(config.schema.AddType("b", OccurrenceConstraint::Fixed(4)).ok());
+  return NodeLayout::Create(config).ValueOrDie();
+}
+
+TEST(GraphTest, NodesOutsideAPredicatesRangeHaveEmptySpans) {
+  // Predicate 0 runs from sources 3..5 to targets 0..2; predicate 1 has
+  // no edges, so it is never registered.
+  std::vector<Edge> edges{{3, 0, 1}, {5, 0, 0}, {5, 0, 2}};
+  Graph g = Graph::Build(TwoTypeLayout(), 2, edges).ValueOrDie();
+  const NodeId last = static_cast<NodeId>(g.num_nodes()) - 1;
+  EXPECT_TRUE(g.OutNeighbors(0, 0).empty());     // Below the range.
+  EXPECT_TRUE(g.OutNeighbors(0, 2).empty());     // Just below it.
+  EXPECT_TRUE(g.OutNeighbors(0, 4).empty());     // Inside, no edges.
+  EXPECT_TRUE(g.OutNeighbors(0, last).empty());  // Above it.
+  EXPECT_TRUE(g.InNeighbors(0, 3).empty());      // Just above it.
+  EXPECT_TRUE(g.InNeighbors(0, last).empty());
+  EXPECT_EQ(SpanVec(g.OutNeighbors(0, 5)), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(SpanVec(g.InNeighbors(0, 0)), (std::vector<NodeId>{5}));
+  for (NodeId v = 0; v <= last; ++v) {
+    EXPECT_TRUE(g.OutNeighbors(1, v).empty()) << "node " << v;
+    EXPECT_TRUE(g.InNeighbors(1, v).empty()) << "node " << v;
+  }
+  EXPECT_EQ(g.EdgeCount(1), 0u);
+  EXPECT_TRUE(CollectEdges(g, 1).empty());
+}
+
+TEST(GraphTest, ForEachEdgeReportsGlobalSourceIds) {
+  std::vector<Edge> edges{{3, 0, 1}, {5, 0, 0}, {5, 0, 2}};
+  Graph g = Graph::Build(TwoTypeLayout(), 1, edges).ValueOrDie();
+  EXPECT_EQ(CollectEdges(g, 0), (std::vector<std::pair<NodeId, NodeId>>{
+                                    {3, 1}, {5, 0}, {5, 2}}));
+}
+
+TEST(GraphTest, IndexBytesCountsOnlyTheEndpointRanges) {
+  // Sources 3..5 and targets 0..2: three nodes a side, so each
+  // direction holds four uint32_t offsets and three NodeId targets.
+  std::vector<Edge> edges{{3, 0, 1}, {5, 0, 0}, {5, 0, 2}};
+  Graph g = Graph::Build(TwoTypeLayout(), 2, edges).ValueOrDie();
+  EXPECT_EQ(g.IndexBytes(), 2 * (4 * sizeof(uint32_t) + 3 * sizeof(NodeId)));
+}
+
+/// The Builder over `edges` with no node-range hints: every CSR spans
+/// the whole layout.
+Graph WholeLayoutBuild(const NodeLayout& layout, size_t predicate_count,
+                       const std::vector<Edge>& edges) {
+  std::vector<std::vector<Edge>> per_pred(predicate_count);
+  for (const Edge& e : edges) per_pred[e.predicate].push_back(e);
+  Graph::Builder builder(NodeLayout(layout), predicate_count);
+  for (PredicateId p = 0; p < predicate_count; ++p) {
+    if (per_pred[p].empty()) continue;
+    Graph::Builder::StreamSpec spec;
+    spec.chunk_count = 1;
+    spec.stream = [&per_pred, p](size_t, size_t,
+                                 const Graph::EdgeBlockVisitor& visit) {
+      return visit(per_pred[p]);
+    };
+    builder.SetChunkedStream(p, std::move(spec));
+  }
+  Executor inline_executor(1);
+  return std::move(builder).Build(&inline_executor).ValueOrDie();
+}
+
+TEST(GraphTest, TightHintsMatchAWholeLayoutBuild) {
+  const GraphConfiguration config = MakeBibConfig(2000, 3);
+  VectorSink stream;
+  ASSERT_TRUE(ParallelGenerateToSink(config, &stream).ok());
+  // Type-range hints (the generator), min/max hints (the edge-list
+  // build) and no hints must give the same adjacency.
+  Graph typed = ParallelGenerateGraph(config).ValueOrDie();
+  Graph tight = Graph::Build(NodeLayout(typed.layout()),
+                             typed.predicate_count(), stream.edges())
+                    .ValueOrDie();
+  Graph whole = WholeLayoutBuild(typed.layout(), typed.predicate_count(),
+                                 stream.edges());
+  ExpectSameAdjacency(whole, typed, "type-range hints");
+  ExpectSameAdjacency(whole, tight, "min/max hints");
+  EXPECT_LT(typed.IndexBytes(), whole.IndexBytes());
+  EXPECT_LE(tight.IndexBytes(), typed.IndexBytes());
+}
+
+TEST(GraphTest, EdgeLimitIsTheUint32OffsetSpace) {
+  // uint32_t offsets hold at most 2^32 - 1 edges per predicate; the
+  // build's scan phases fail with this Status rather than wrap.
+  EXPECT_TRUE(Graph::CheckEdgeLimit(0).ok());
+  EXPECT_TRUE(Graph::CheckEdgeLimit(UINT32_MAX).ok());
+  const Status over = Graph::CheckEdgeLimit(uint64_t{UINT32_MAX} + 1);
+  EXPECT_FALSE(over.ok());
+  EXPECT_EQ(over.code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(Graph::CheckEdgeLimit(UINT64_MAX).ok());
 }
 
 TEST(GraphTest, RejectsOutOfRangeNodes) {

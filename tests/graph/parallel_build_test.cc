@@ -1,19 +1,21 @@
 // The shard-native build contract (Graph::Builder): the CSRs of
 // ParallelGenerateGraph are a pure function of the canonical edge
-// stream — byte-identical at 1/2/8 threads, in-memory or spill-backed,
-// with the forward CSR matching a seed-style pair-scatter counting sort
-// of that stream exactly, and the transpose-derived backward CSR
-// holding the same per-node neighbor multisets the historical
-// (target, source) pair scatter produced.
+// stream — identical node by node at 1/2/8 threads, in-memory or
+// spill-backed, with the forward CSR matching a seed-style pair-scatter
+// counting sort of that stream exactly, and the transpose-derived
+// backward CSR holding the same per-node neighbor multisets the
+// historical (target, source) pair scatter produced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/use_cases.h"
+#include "csr_spans.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "parallel/parallel_generator.h"
@@ -47,9 +49,21 @@ RefCsr PairScatter(int64_t num_nodes,
   return csr;
 }
 
-template <typename T>
-std::vector<T> ToVec(std::span<const T> s) {
-  return {s.begin(), s.end()};
+/// Node v's run of a reference CSR, in reference order.
+std::vector<NodeId> RefRun(const RefCsr& ref, NodeId v) {
+  return {ref.targets.begin() + ref.offsets[v],
+          ref.targets.begin() + ref.offsets[v + 1]};
+}
+
+/// The forward CSR of `p` is the reference: every node's OutNeighbors
+/// span equals its reference run, order included, and the edge count
+/// equals the reference's.
+void ExpectForwardIsRef(const Graph& g, PredicateId p, const RefCsr& ref) {
+  EXPECT_EQ(g.EdgeCount(p), ref.targets.size()) << "predicate " << p;
+  for (NodeId v = 0; v < static_cast<NodeId>(g.num_nodes()); ++v) {
+    ASSERT_EQ(SpanVec(g.OutNeighbors(p, v)), RefRun(ref, v))
+        << "predicate " << p << ", node " << v;
+  }
 }
 
 GeneratorOptions BuildOptions(int threads, bool spill) {
@@ -85,19 +99,17 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
       fwd_pairs.emplace_back(e.source, e.target);
       bwd_pairs.emplace_back(e.target, e.source);
     }
-    const RefCsr fwd_ref = PairScatter(n, fwd_pairs);
-    EXPECT_EQ(ToVec(base.OutOffsets(p)), fwd_ref.offsets) << "predicate " << p;
-    EXPECT_EQ(ToVec(base.OutTargets(p)), fwd_ref.targets) << "predicate " << p;
+    ExpectForwardIsRef(base, p, PairScatter(n, fwd_pairs));
 
     // Backward: transpose order differs from pair-scatter order inside
-    // a bucket, but each node's neighbor multiset must match.
+    // a bucket, but each node's in-degree and neighbor multiset must
+    // match.
     const RefCsr bwd_ref = PairScatter(n, bwd_pairs);
-    EXPECT_EQ(ToVec(base.InOffsets(p)), bwd_ref.offsets) << "predicate " << p;
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-      auto in = base.InNeighbors(p, v);
-      std::vector<NodeId> got(in.begin(), in.end());
-      std::vector<NodeId> want(bwd_ref.targets.begin() + bwd_ref.offsets[v],
-                               bwd_ref.targets.begin() + bwd_ref.offsets[v + 1]);
+      std::vector<NodeId> got = SpanVec(base.InNeighbors(p, v));
+      std::vector<NodeId> want = RefRun(bwd_ref, v);
+      ASSERT_EQ(got.size(), want.size())
+          << "in-degree mismatch at node " << v << " predicate " << p;
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
       ASSERT_EQ(got, want) << "backward multiset mismatch at node " << v
@@ -105,24 +117,15 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
     }
   }
 
-  // Byte identity of every CSR array across thread counts, with and
-  // without spill-backed staging.
+  // Identity of every node's spans, both directions, across thread
+  // counts, with and without spill-backed staging.
   for (int threads : {1, 2, 8}) {
     for (bool spill : {false, true}) {
       Graph g = ParallelGenerateGraph(config, BuildOptions(threads, spill))
                     .ValueOrDie();
-      ASSERT_EQ(g.num_nodes(), base.num_nodes());
-      ASSERT_EQ(g.predicate_count(), base.predicate_count());
-      for (PredicateId p = 0; p < base.predicate_count(); ++p) {
-        EXPECT_EQ(ToVec(g.OutOffsets(p)), ToVec(base.OutOffsets(p)))
-            << threads << " threads, spill=" << spill << ", predicate " << p;
-        EXPECT_EQ(ToVec(g.OutTargets(p)), ToVec(base.OutTargets(p)))
-            << threads << " threads, spill=" << spill << ", predicate " << p;
-        EXPECT_EQ(ToVec(g.InOffsets(p)), ToVec(base.InOffsets(p)))
-            << threads << " threads, spill=" << spill << ", predicate " << p;
-        EXPECT_EQ(ToVec(g.InTargets(p)), ToVec(base.InTargets(p)))
-            << threads << " threads, spill=" << spill << ", predicate " << p;
-      }
+      ExpectSameAdjacency(base, g,
+                          std::to_string(threads) +
+                              " threads, spill=" + std::to_string(spill));
     }
   }
 }
@@ -166,9 +169,7 @@ TEST(ParallelBuildTest, DefaultOptionsGraphIsItsStreamsPairScatter) {
     for (const Edge& e : stream.edges()) {
       if (e.predicate == p) fwd_pairs.emplace_back(e.source, e.target);
     }
-    const RefCsr fwd_ref = PairScatter(n, fwd_pairs);
-    EXPECT_EQ(ToVec(g.OutOffsets(p)), fwd_ref.offsets) << "predicate " << p;
-    EXPECT_EQ(ToVec(g.OutTargets(p)), fwd_ref.targets) << "predicate " << p;
+    ExpectForwardIsRef(g, p, PairScatter(n, fwd_pairs));
   }
 }
 
@@ -186,14 +187,12 @@ TEST(TransposeTest, BackwardMatchesPairScatterAsMultisets) {
   std::vector<std::pair<NodeId, NodeId>> bwd_pairs;
   for (const Edge& e : edges) bwd_pairs.emplace_back(e.target, e.source);
   const RefCsr ref = PairScatter(6, bwd_pairs);
-  ASSERT_EQ(ToVec(g.InOffsets(0)), ref.offsets);
 
-  // Same multiset per node...
+  // Same in-degree and multiset per node...
   for (NodeId v = 0; v < 6; ++v) {
-    auto in = g.InNeighbors(0, v);
-    std::vector<NodeId> got(in.begin(), in.end());
-    std::vector<NodeId> want(ref.targets.begin() + ref.offsets[v],
-                             ref.targets.begin() + ref.offsets[v + 1]);
+    std::vector<NodeId> got = SpanVec(g.InNeighbors(0, v));
+    std::vector<NodeId> want = RefRun(ref, v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want) << "node " << v;
@@ -203,9 +202,7 @@ TEST(TransposeTest, BackwardMatchesPairScatterAsMultisets) {
   auto in2 = g.InNeighbors(0, 2);
   EXPECT_EQ((std::vector<NodeId>(in2.begin(), in2.end())),
             (std::vector<NodeId>{1, 3, 5}));
-  EXPECT_EQ(std::vector<NodeId>(ref.targets.begin() + ref.offsets[2],
-                                ref.targets.begin() + ref.offsets[2 + 1]),
-            (std::vector<NodeId>{5, 1, 3}));
+  EXPECT_EQ(RefRun(ref, 2), (std::vector<NodeId>{5, 1, 3}));
 }
 
 }  // namespace
