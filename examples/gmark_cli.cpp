@@ -13,20 +13,13 @@
 //                                          threads, 0..1024 (0 = all cores,
 //                                          default 1); output is identical
 //                                          at any thread count
-//             [--spill-dir <dir>]          stage the indexed graph's edge
-//                                          shards (--stats, --evaluate) in
-//                                          per-shard temp files under <dir>
-//                                          instead of memory; -g streams
-//                                          and never stages
-//             [--spill-threshold <bytes>]  only spill when the expected edge
-//                                          set exceeds <bytes> (default with
-//                                          --spill-dir: 0 = always spill)
 //             [--stats]                    print instance statistics plus the
 //                                          metric-registry snapshot table
 //                                          (gen.* phase counters, CSR group
 //                                          counts and bytes, query metrics
 //                                          when --evaluate ran)
-//             [--evaluate CODES]           generate + index the graph, run
+//             [--evaluate CODES]           generate + index the graph (one
+//                                          generation also writes -g), run
 //                                          the workload through the engine
 //                                          simulators named by CODES (e.g.
 //                                          PD, or "all" = PGSD), and print
@@ -90,8 +83,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s (-c config.xml | --use-case NAME) [-n nodes]\n"
       "          [-w workload-config.xml] [-g graph.out] [--format nt|csv]\n"
-      "          [-q workload.xml] [-o query-dir] [--threads k]\n"
-      "          [--spill-dir DIR] [--spill-threshold BYTES] [--stats]\n"
+      "          [-q workload.xml] [-o query-dir] [--threads k] [--stats]\n"
       "          [--evaluate CODES] [--eval-threads k] [--plan on|off]\n"
       "          [--metrics-json FILE] [--trace-json FILE]\n"
       "\n"
@@ -103,13 +95,6 @@ int Usage(const char* argv0) {
       "                         0..1024 (0 = all cores, default 1); counts\n"
       "                         and profiles are byte-identical at any\n"
       "                         thread count\n"
-      "  --spill-dir DIR        stage the indexed graph's edge shards\n"
-      "                         (--stats, --evaluate) in per-shard temp\n"
-      "                         files under DIR (bounded memory); -g\n"
-      "                         streams its edges and never stages them\n"
-      "  --spill-threshold N    spill only when the expected edge set\n"
-      "                         exceeds N bytes (with --spill-dir the\n"
-      "                         default is 0, i.e. always spill)\n"
       "  --evaluate CODES       run the generated workload through the\n"
       "                         engine simulators named by CODES (subset\n"
       "                         of PGSD, or \"all\") and print per-query\n"
@@ -168,9 +153,7 @@ int main(int argc, char** argv) {
   std::string config_path, workload_path, graph_out, queries_out, out_dir,
       use_case;
   std::string format = "nt";
-  std::string spill_dir;
   std::string metrics_json, trace_json, evaluate_codes;
-  int64_t spill_threshold = -1;
   int64_t nodes_override = -1;
   bool stats = false;
   // Graph and workload generation threads (1 = inline).
@@ -252,14 +235,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       format = v;
       if (format != "nt" && format != "csv") return Usage(argv[0]);
-    } else if (arg == "--spill-dir") {
-      if (const char* v = next()) spill_dir = v; else return Usage(argv[0]);
-    } else if (arg == "--spill-threshold") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      auto parsed = ParseInt(v);
-      if (!parsed.ok() || parsed.ValueOrDie() < 0) return Usage(argv[0]);
-      spill_threshold = parsed.ValueOrDie();
     } else if (arg == "--stats") {
       stats = true;
     } else {
@@ -344,59 +319,65 @@ int main(int argc, char** argv) {
                  report->ToString().c_str());
   }
 
-  // --spill-dir without an explicit threshold means always spill.
-  if (!spill_dir.empty() && spill_threshold < 0) spill_threshold = 0;
   GeneratorOptions gen_options;
   gen_options.num_threads = threads;
-  gen_options.spill_dir = spill_dir;
-  gen_options.spill_threshold_bytes = spill_threshold;
 
-  // Graph generation.
+  // Graph generation: one walk of the generator, whatever is asked
+  // for. With -g the edges stream into the file's sink; with --stats or
+  // --evaluate the same walk also builds the indexed graph, and the
+  // file holds the same bytes either way.
+  const bool want_graph = stats || !evaluate_codes.empty();
+  std::optional<std::ofstream> out;
+  std::optional<NTriplesSink> nt_sink;
+  std::optional<CsvSink> csv_sink;
+  EdgeSink* sink = nullptr;
   if (!graph_out.empty()) {
-    std::ofstream out(graph_out, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    out.emplace(graph_out, std::ios::binary | std::ios::trunc);
+    if (!*out) {
       std::fprintf(stderr, "error: cannot write %s\n", graph_out.c_str());
       return 1;
     }
     // Construct only the chosen sink: CsvSink emits its header row from
     // the constructor.
-    std::optional<NTriplesSink> nt_sink;
-    std::optional<CsvSink> csv_sink;
-    EdgeSink* sink;
     if (format == "csv") {
-      sink = &csv_sink.emplace(&out, &config.schema);
+      sink = &csv_sink.emplace(&*out, &config.schema);
     } else {
-      sink = &nt_sink.emplace(&out, &config.schema);
+      sink = &nt_sink.emplace(&*out, &config.schema);
     }
-    Status st = ParallelGenerateToSink(config, sink, gen_options);
+  }
+  std::optional<Graph> indexed;
+  Status gen_status;
+  if (want_graph) {
+    // Stats publish the gen.* metrics.
+    GenerateStats gen_stats;
+    Result<Graph> graph =
+        ParallelGenerateGraph(config, gen_options, &gen_stats, sink);
+    if (graph.ok()) {
+      indexed = std::move(graph).ValueOrDie();
+    } else {
+      gen_status = graph.status();
+    }
+  } else if (sink != nullptr) {
+    gen_status = ParallelGenerateToSink(config, sink, gen_options);
+  }
+  if (out.has_value()) {
     // Flush before testing the stream: a failure in the final buffered
     // block would otherwise surface only in the destructor, silently.
-    out.flush();
-    if (st.ok() && !out) st = Status::IOError("stream write failed");
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
+    out->flush();
+    if (gen_status.ok() && !*out) {
+      gen_status = Status::IOError("stream write failed");
     }
+  }
+  if (!gen_status.ok()) {
+    std::fprintf(stderr, "error: %s\n", gen_status.ToString().c_str());
+    return 1;
+  }
+  if (sink != nullptr) {
     std::printf("wrote %zu %s to %s\n", sink->count(),
                 format == "csv" ? "csv rows" : "triples", graph_out.c_str());
   }
-  std::optional<Graph> indexed;
-  if (stats || !evaluate_codes.empty()) {
-    // The indexed graph is built shard-native: per-predicate CSRs
-    // stream straight off the shard store, whose edge staging is what
-    // the spill flags bound (only the final CSRs stay resident).
-    GenerateStats gen_stats;
-    Result<Graph> graph = ParallelGenerateGraph(config, gen_options,
-                                                &gen_stats);
-    if (!graph.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   graph.status().ToString().c_str());
-      return 1;
-    }
-    if (stats) {
-      std::printf("%s", ComputeStats(*graph).ToString(config.schema).c_str());
-    }
-    indexed = std::move(graph).ValueOrDie();
+  if (stats) {
+    std::printf("%s", ComputeStats(*indexed).ToString(config.schema).c_str());
   }
 
   // Workload generation.

@@ -11,7 +11,6 @@ void GenerateStats::Record(MetricRegistry* metrics) const {
   metrics->Add(metrics->Counter("gen.total_edges"), total_edges);
   metrics->GaugeMax(metrics->Gauge("gen.peak_resident_edge_bytes"),
                     peak_resident_edge_bytes);
-  if (spilled) metrics->Add(metrics->Counter("gen.spilled_runs"), 1);
   metrics->Add(metrics->Counter("gen.layout_nanos"),
                static_cast<uint64_t>(layout_seconds * 1e9));
   metrics->Add(metrics->Counter("gen.generate_nanos"),

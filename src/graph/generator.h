@@ -15,7 +15,6 @@
 #define GMARK_GRAPH_GENERATOR_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/graph_config.h"
@@ -79,23 +78,8 @@ struct GeneratorOptions {
   /// task.
   int64_t chunk_size = 1 << 16;
 
-  /// Spill-to-disk control for ParallelGenerateGraph (src/parallel/
-  /// spill_sink.h). When >= 0 and the expected edge total (node counts
-  /// x mean degrees, known before any draw) exceeds this many bytes,
-  /// edge shards stage in per-shard temp files until the CSR build
-  /// has replayed them, so peak staging memory is ~ num_threads *
-  /// chunk_size edges instead of the whole graph. 0 means "always
-  /// spill"; -1 (default) disables spilling. The CSRs are
-  /// byte-identical either way. Ignored by ParallelGenerateToSink,
-  /// which never stages the edge set.
-  int64_t spill_threshold_bytes = -1;
-
-  /// Parent directory for spill files; empty means the system temp
-  /// directory. Each run creates (and removes) its own subdirectory.
-  std::string spill_dir;
-
-  /// Intra-predicate parallelism cap for the shard-native CSR build:
-  /// each predicate's edge stream is split into at most this many
+  /// Intra-predicate parallelism cap for ParallelGenerateGraph's CSR
+  /// build: each predicate's edge stream is split into at most this many
   /// contiguous chunk groups (chunked count-scan-scatter; see
   /// graph/graph.h). 0 = auto (2x the worker count; 1 when running
   /// inline on one thread). 1 everywhere reproduces the
@@ -110,15 +94,16 @@ struct GeneratorOptions {
 /// `parallel.peak_edge_mb`).
 struct GenerateStats {
   size_t total_edges = 0;
-  /// High-water mark of resident edge bytes: for ParallelGenerateGraph
-  /// the staging store (the whole edge set in memory, ~ the in-flight
-  /// chunks when spilled); for ParallelGenerateToSink the largest
-  /// emission window (~ one chunk per worker).
+  /// High-water mark of the bytes held to produce edges: for
+  /// ParallelGenerateGraph the slot vectors kept for the CSR build's
+  /// replays (4 bytes per kept slot, at most 8 per edge; a sink's
+  /// emission windows are not counted); for ParallelGenerateToSink the
+  /// largest emission window (~ one chunk per worker).
   size_t peak_resident_edge_bytes = 0;
-  bool spilled = false;
   /// Phase breakdown for indexed generation (zero when the phase did
-  /// not run): node layout, edge generation, per-predicate CSR
-  /// indexing.
+  /// not run): node layout; the constraint walk that builds and keeps
+  /// the slot vectors (and drains a sink, when given one); the
+  /// per-predicate CSR build, which emits every chunk twice.
   double layout_seconds = 0.0;
   double generate_seconds = 0.0;
   double index_seconds = 0.0;

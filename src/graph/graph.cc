@@ -334,10 +334,11 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   }
   executor->Wait();
 
-  // Between passes — the streams are never read again: let the store
-  // free each predicate's shards before the transpose allocates. Then
-  // plan the transpose groups: contiguous local forward-CSR node ranges
-  // balanced by edge count (cheap coordinator walk over the offsets).
+  // Between passes — the streams are never read again: let each
+  // predicate's source free what backs it before the transpose
+  // allocates. Then plan the transpose groups: contiguous local
+  // forward-CSR node ranges balanced by edge count (cheap coordinator
+  // walk over the offsets).
   for (Slot& slot : slots) {
     if (!slot.active) continue;
     if (slot.spec.release) slot.spec.release();

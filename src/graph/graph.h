@@ -24,9 +24,12 @@
 // the same target index. The backward CSR is derived from the finished
 // forward CSR by the same chunked count-scan-scatter transpose over
 // node ranges, so the builder never holds (target, source) pair
-// vectors either. Peak memory during a build is therefore the staged
-// edge stream (shards, which the builder releases per predicate as it
-// consumes them) plus the CSRs themselves.
+// vectors either. The streams are re-emitted, not staged: the
+// generator (ParallelGenerateGraph) keeps each constraint's shuffled
+// slot vectors, 4 bytes a slot, and replays a chunk by emitting it
+// again. Peak memory during a generated build is therefore the
+// resident slots (released once the forward scatter is done, before
+// the transpose allocates) plus the CSRs and the scatter buckets.
 //
 // Determinism. Group boundaries never change the output: within one
 // bucket, chunk-group order concatenates back to exactly the stream
@@ -79,15 +82,15 @@ class Graph {
   using ChunkedEdgeStream = std::function<Status(
       size_t chunk_begin, size_t chunk_end, const EdgeBlockVisitor&)>;
 
-  /// \brief Streaming per-predicate CSR construction (the shard-native
-  /// build path). Each registered predicate stream is split into
-  /// contiguous chunk groups that run as independent tasks: chunked
-  /// counting sort for the forward CSR, then a chunked counting
-  /// transpose for the backward CSR — no pair vectors, no global edge
-  /// list, no locks (groups write disjoint bucket slices). Tasks run on
-  /// the supplied Executor, so the build parallelizes across predicates
-  /// AND within one predicate; with an inline (1-thread) executor the
-  /// same code is the serial path, byte-identical output either way.
+  /// \brief Streaming per-predicate CSR construction. Each registered
+  /// predicate stream is split into contiguous chunk groups that run as
+  /// independent tasks: chunked counting sort for the forward CSR, then
+  /// a chunked counting transpose for the backward CSR — no pair
+  /// vectors, no global edge list, no locks (groups write disjoint
+  /// bucket slices). Tasks run on the supplied Executor, so the build
+  /// parallelizes across predicates AND within one predicate; with an
+  /// inline (1-thread) executor the same code is the serial path,
+  /// byte-identical output either way.
   class Builder {
    public:
     /// \brief One predicate's chunked edge stream plus its metadata.
@@ -101,8 +104,8 @@ class Graph {
       /// count — what keeps a skewed predicate's groups even.
       std::vector<size_t> chunk_edges;
       /// Called once the stream has been consumed for the last time —
-      /// the hook that lets shard stores free (or unlink) a predicate's
-      /// shards as soon as its forward CSR is built.
+      /// the hook that lets the generator free a predicate's slot
+      /// vectors as soon as its forward CSR is built.
       std::function<void()> release;
       /// Node-range hints: every source in [source_begin, source_end),
       /// every target in [target_begin, target_end). Both default (0,0)

@@ -1,19 +1,18 @@
 #include "parallel/parallel_generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
-#include "parallel/shard_store.h"
-#include "parallel/sharded_sink.h"
-#include "parallel/spill_sink.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -225,9 +224,14 @@ Status BuildSlots(const std::vector<SlotSide>& sides, size_t ci,
   return Status::OK();
 }
 
+/// Edges per block that an emission chunk hands its visitor: one fixed
+/// stack buffer, so emitting (or re-emitting) a chunk allocates nothing.
+constexpr size_t kEmitBlockEdges = 1024;
+
 /// One constraint whose slot vectors are built and shuffled and whose
 /// edge count is resolved: its edges, chunked over the edge index
-/// space, are ready to emit.
+/// space, are ready to emit, and to re-emit for as long as the slot
+/// vectors are kept.
 struct ReadyConstraint {
   size_t index = 0;  // Canonical constraint index.
   const EdgeConstraint* constraint = nullptr;
@@ -240,17 +244,40 @@ struct ReadyConstraint {
 
   int64_t chunk_count() const { return NumChunks(edges, chunk_size); }
 
-  /// Emission chunk k: implicit sides draw from the (constraint,
+  size_t ChunkEdges(int64_t k) const {
+    return static_cast<size_t>(std::min(chunk_size, edges - k * chunk_size));
+  }
+
+  size_t SlotBytes() const {
+    return (vsrc.size() + vtrg.size()) * sizeof(SlotIndex);
+  }
+
+  /// Drops the slots past `edges`, which no chunk reads (the edge count
+  /// is at most either materialized side's size), so a kept constraint
+  /// holds 4 bytes per edge per materialized side.
+  void TrimSlots() {
+    for (std::vector<SlotIndex>* slots : {&vsrc, &vtrg}) {
+      if (slots->size() > static_cast<size_t>(edges)) {
+        std::vector<SlotIndex>(slots->begin(), slots->begin() + edges)
+            .swap(*slots);
+      }
+    }
+  }
+
+  /// Emission chunk k, handed to `visit` in blocks of at most
+  /// kEmitBlockEdges edges: implicit sides draw from the (constraint,
   /// kPhaseEmit, k) stream; materialized sides are pure array reads,
-  /// so a chunk's edges depend only on its range. Safe to call
-  /// concurrently for distinct k.
-  std::vector<Edge> Chunk(int64_t k) const {
+  /// so a chunk's edges depend only on its range and every replay
+  /// yields the same edges. Safe to call concurrently for any k. A
+  /// visitor error stops the chunk.
+  template <typename Visit>
+  Status EmitChunk(int64_t k, Visit&& visit) const {
     const int64_t lo = k * chunk_size;
     const int64_t hi = std::min(lo + chunk_size, edges);
     RandomEngine rng(
         DeriveSeed(seed, index, kPhaseEmit, static_cast<uint64_t>(k)));
-    std::vector<Edge> buffer;
-    buffer.reserve(static_cast<size_t>(hi - lo));
+    std::array<Edge, kEmitBlockEdges> block;
+    size_t n = 0;
     for (int64_t i = lo; i < hi; ++i) {
       SlotIndex s =
           plan->out_implicit
@@ -260,10 +287,15 @@ struct ReadyConstraint {
           plan->in_implicit
               ? static_cast<SlotIndex>(rng.UniformInt(0, plan->n_trg - 1))
               : vtrg[static_cast<size_t>(i)];
-      buffer.push_back(Edge{plan->src_base + s, constraint->predicate,
-                            plan->trg_base + t});
+      block[n++] = Edge{plan->src_base + s, constraint->predicate,
+                        plan->trg_base + t};
+      if (n == block.size()) {
+        GMARK_RETURN_NOT_OK(visit(std::span<const Edge>(block.data(), n)));
+        n = 0;
+      }
     }
-    return buffer;
+    if (n == 0) return Status::OK();
+    return visit(std::span<const Edge>(block.data(), n));
   }
 };
 
@@ -285,17 +317,16 @@ Result<std::vector<ConstraintPlan>> PlanAll(const GraphConfiguration& config,
 /// Fig. 5 in canonical constraint order. For each non-empty constraint:
 /// build and shuffle its materialized sides (fanned out over
 /// `executor`), resolve its edge count, and hand it to `emit`, which
-/// fans the emission chunks out and returns after its own barrier. The
-/// slot vectors die before the next constraint starts, so at most one
-/// constraint's slots are ever resident. Constraint draws are
-/// statistically independent (§4), so walking them one at a time
-/// changes no stream: every RNG stream is keyed by (constraint, phase,
-/// chunk), never by scheduling.
-Status WalkConstraints(
-    const GraphConfiguration& config, const NodeLayout& layout,
-    const std::vector<ConstraintPlan>& plans, const GeneratorOptions& options,
-    Executor* executor,
-    const std::function<Status(const ReadyConstraint&)>& emit) {
+/// may drain its chunks and may move the constraint out to keep its
+/// slot vectors; otherwise they die before the next constraint starts.
+/// Constraint draws are statistically independent (§4), so walking
+/// them one at a time changes no stream: every RNG stream is keyed by
+/// (constraint, phase, chunk), never by scheduling.
+Status WalkConstraints(const GraphConfiguration& config,
+                       const NodeLayout& layout,
+                       const std::vector<ConstraintPlan>& plans,
+                       const GeneratorOptions& options, Executor* executor,
+                       const std::function<Status(ReadyConstraint&)>& emit) {
   const auto& constraints = config.schema.edge_constraints();
   const int64_t chunk_size = options.chunk_size < 1 ? 1 : options.chunk_size;
   for (size_t ci = 0; ci < constraints.size(); ++ci) {
@@ -339,225 +370,183 @@ Status WalkConstraints(
   return Status::OK();
 }
 
-/// The static shard -> constraint -> predicate mapping of one run:
-/// shards are canonically numbered by (constraint, chunk), so each
-/// constraint owns one contiguous index range. The shard-native graph
-/// build reads per-predicate edge streams straight off these ranges.
-struct ConstraintShards {
-  PredicateId predicate = 0;
-  size_t begin = 0;  // First shard index of this constraint.
-  size_t end = 0;    // One past the last.
-  // Endpoint id ranges of the constraint's edges — the node-range hints
-  // that let the chunked builder size its per-group histograms to the
-  // predicate's types instead of the whole layout.
-  NodeId src_begin = 0;
-  NodeId src_end = 0;
-  NodeId trg_begin = 0;
-  NodeId trg_end = 0;
+/// Streams constraints into an EdgeSink in canonical order. Emission
+/// runs in windows of one chunk per worker; each window is appended to
+/// the sink in chunk order on the calling thread and freed before the
+/// next starts, so the edge set is never staged: resident edges stay
+/// ~ workers * chunk_size.
+class WindowedDrain {
+ public:
+  WindowedDrain(EdgeSink* sink, Executor* executor)
+      : sink_(sink),
+        executor_(executor),
+        buffers_(static_cast<size_t>(executor->workers())) {}
+
+  void Drain(const ReadyConstraint& ready) {
+    const int64_t window = static_cast<int64_t>(buffers_.size());
+    const int64_t n_chunks = ready.chunk_count();
+    for (int64_t first = 0; first < n_chunks; first += window) {
+      const int64_t last = std::min(first + window, n_chunks);
+      for (int64_t k = first; k < last; ++k) {
+        std::vector<Edge>* buffer = &buffers_[static_cast<size_t>(k - first)];
+        executor_->Submit([&ready, buffer, k] {
+          buffer->reserve(ready.ChunkEdges(k));
+          // Appending cannot fail, so neither can the emission.
+          (void)ready.EmitChunk(k, [buffer](std::span<const Edge> block) {
+            buffer->insert(buffer->end(), block.begin(), block.end());
+            return Status::OK();
+          });
+        });
+      }
+      executor_->Wait();
+      size_t window_bytes = 0;
+      for (int64_t k = first; k < last; ++k) {
+        std::vector<Edge>& buffer = buffers_[static_cast<size_t>(k - first)];
+        for (const Edge& e : buffer) {
+          sink_->Append(e.source, e.predicate, e.target);
+        }
+        total_edges_ += buffer.size();
+        window_bytes += buffer.size() * sizeof(Edge);
+        buffer = std::vector<Edge>();
+      }
+      peak_bytes_ = std::max(peak_bytes_, window_bytes);
+    }
+  }
+
+  size_t total_edges() const { return total_edges_; }
+  /// Bytes of the largest window.
+  size_t peak_bytes() const { return peak_bytes_; }
+
+ private:
+  EdgeSink* sink_;
+  Executor* executor_;
+  std::vector<std::vector<Edge>> buffers_;  // One per window slot.
+  size_t total_edges_ = 0;
+  size_t peak_bytes_ = 0;
 };
 
-/// Generates every edge into `store`, which grows by each constraint's
-/// shards between barriers; `shards_out` receives the static shard
-/// ranges. Surfaces the store's deferred write errors.
-Status GenerateShards(const GraphConfiguration& config,
-                      const NodeLayout& layout,
-                      const std::vector<ConstraintPlan>& plans,
-                      const GeneratorOptions& options, Executor* executor,
-                      ShardStore* store,
-                      std::vector<ConstraintShards>* shards_out) {
-  GMARK_RETURN_NOT_OK(WalkConstraints(
-      config, layout, plans, options, executor,
-      [executor, store, shards_out](const ReadyConstraint& ready) -> Status {
-        const size_t base = store->shard_count();
-        const int64_t n_chunks = ready.chunk_count();
-        GMARK_RETURN_NOT_OK(store->AddShards(static_cast<size_t>(n_chunks)));
-        const ConstraintPlan& plan = *ready.plan;
-        shards_out->push_back(ConstraintShards{
-            ready.constraint->predicate, base, store->shard_count(),
-            plan.src_base, plan.src_base + static_cast<NodeId>(plan.n_src),
-            plan.trg_base, plan.trg_base + static_cast<NodeId>(plan.n_trg)});
-        for (int64_t k = 0; k < n_chunks; ++k) {
-          executor->Submit([&ready, store, base, k] {
-            store->PutShard(base + static_cast<size_t>(k), ready.Chunk(k));
-          });
-        }
-        executor->Wait();
-        return Status::OK();
-      }));
-  return store->Finish();
+/// Emission chunk k of a kept constraint.
+struct ChunkRef {
+  const ReadyConstraint* constraint;
+  int64_t k;
+};
+
+/// One predicate's replayable edge stream over its kept constraints:
+/// the (constraint, chunk) pairs in canonical order, each weighted by
+/// its exact edge count and re-emitted from the slot vectors whenever
+/// the builder replays it; the hints are the union of the constraints'
+/// endpoint ranges, and `release` frees the slot vectors.
+Graph::Builder::StreamSpec PredicateStream(
+    std::vector<ReadyConstraint>* kept) {
+  Graph::Builder::StreamSpec spec;
+  std::vector<ChunkRef> chunks;
+  spec.source_begin = spec.target_begin = std::numeric_limits<NodeId>::max();
+  for (const ReadyConstraint& ready : *kept) {
+    const ConstraintPlan& plan = *ready.plan;
+    spec.source_begin = std::min(spec.source_begin, plan.src_base);
+    spec.source_end = std::max(
+        spec.source_end, plan.src_base + static_cast<NodeId>(plan.n_src));
+    spec.target_begin = std::min(spec.target_begin, plan.trg_base);
+    spec.target_end = std::max(
+        spec.target_end, plan.trg_base + static_cast<NodeId>(plan.n_trg));
+    for (int64_t k = 0; k < ready.chunk_count(); ++k) {
+      chunks.push_back(ChunkRef{&ready, k});
+      spec.chunk_edges.push_back(ready.ChunkEdges(k));
+    }
+  }
+  spec.chunk_count = chunks.size();
+  spec.stream = [chunks = std::move(chunks)](
+                    size_t chunk_begin, size_t chunk_end,
+                    const Graph::EdgeBlockVisitor& visit) -> Status {
+    for (size_t i = chunk_begin; i < chunk_end; ++i) {
+      GMARK_RETURN_NOT_OK(chunks[i].constraint->EmitChunk(chunks[i].k, visit));
+    }
+    return Status::OK();
+  };
+  spec.release = [kept] {
+    for (ReadyConstraint& ready : *kept) {
+      ready.vsrc = std::vector<SlotIndex>();
+      ready.vtrg = std::vector<SlotIndex>();
+    }
+  };
+  return spec;
 }
 
 }  // namespace
-
-namespace internal {
-
-bool ShouldSpill(const GeneratorOptions& options, int64_t total_edges) {
-  if (options.spill_threshold_bytes < 0) return false;
-  const int64_t edge_bytes =
-      total_edges * static_cast<int64_t>(sizeof(Edge));
-  return edge_bytes > options.spill_threshold_bytes;
-}
-
-}  // namespace internal
 
 Status ParallelGenerateToSink(const GraphConfiguration& config,
                               EdgeSink* sink, const GeneratorOptions& options,
                               GenerateStats* stats) {
   GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
+  Span generate_span = TraceSpan("gen.generate", "gen");
   GMARK_ASSIGN_OR_RETURN(std::vector<ConstraintPlan> plans,
                          PlanAll(config, layout, options));
   Executor executor(options.num_threads);
-  // One window = one emission chunk per worker. Each window is drained
-  // into `sink` in chunk order and freed before the next is submitted,
-  // so the edge set is never staged.
-  const int64_t window = executor.workers();
-  std::vector<std::vector<Edge>> buffers(static_cast<size_t>(window));
-  size_t total_edges = 0;
-  size_t peak_bytes = 0;
-  GMARK_RETURN_NOT_OK(WalkConstraints(
-      config, layout, plans, options, &executor,
-      [&](const ReadyConstraint& ready) -> Status {
-        const int64_t n_chunks = ready.chunk_count();
-        for (int64_t first = 0; first < n_chunks; first += window) {
-          const int64_t last = std::min(first + window, n_chunks);
-          for (int64_t k = first; k < last; ++k) {
-            executor.Submit([&ready, &buffers, first, k] {
-              buffers[static_cast<size_t>(k - first)] = ready.Chunk(k);
-            });
-          }
-          executor.Wait();
-          size_t window_bytes = 0;
-          for (int64_t k = first; k < last; ++k) {
-            std::vector<Edge>& buffer = buffers[static_cast<size_t>(k - first)];
-            for (const Edge& e : buffer) {
-              sink->Append(e.source, e.predicate, e.target);
-            }
-            total_edges += buffer.size();
-            window_bytes += buffer.size() * sizeof(Edge);
-            buffer = std::vector<Edge>();
-          }
-          peak_bytes = std::max(peak_bytes, window_bytes);
-        }
-        return Status::OK();
-      }));
+  WindowedDrain drain(sink, &executor);
+  GMARK_RETURN_NOT_OK(WalkConstraints(config, layout, plans, options,
+                                      &executor,
+                                      [&drain](ReadyConstraint& ready) {
+                                        drain.Drain(ready);
+                                        return Status::OK();
+                                      }));
+  generate_span.End();
   if (stats != nullptr) {
-    stats->total_edges = total_edges;
-    stats->peak_resident_edge_bytes = peak_bytes;
-    stats->spilled = false;
+    stats->total_edges = drain.total_edges();
+    stats->peak_resident_edge_bytes = drain.peak_bytes();
   }
   return Status::OK();
 }
 
 Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
                                     const GeneratorOptions& options,
-                                    GenerateStats* stats) {
+                                    GenerateStats* stats, EdgeSink* sink) {
   WallTimer timer;
   Span layout_span = TraceSpan("gen.layout", "gen");
   GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
   layout_span.End();
   const double layout_seconds = timer.ElapsedSeconds();
 
+  // The walk keeps every constraint's (trimmed) slot vectors, grouped
+  // by predicate in canonical order: they are all the builder needs to
+  // re-emit any chunk, at 4 bytes per slot where a staged edge costs
+  // 24. With a sink, each constraint is also drained into it first.
   timer.Restart();
   Span generate_span = TraceSpan("gen.generate", "gen");
   GMARK_ASSIGN_OR_RETURN(std::vector<ConstraintPlan> plans,
                          PlanAll(config, layout, options));
-  // The spill decision must precede the first shard, so it reads the
-  // expected edge total (slot means, no draws). It picks where shards
-  // stage, never which bytes they hold.
-  int64_t expected_edges = 0;
-  for (size_t ci = 0; ci < plans.size(); ++ci) {
-    if (plans[ci].empty()) continue;
-    GMARK_ASSIGN_OR_RETURN(
-        int64_t edges,
-        ResolveEdgeCount(config.schema.edge_constraints()[ci], config.schema,
-                         layout, plans[ci].expected_out_slots,
-                         plans[ci].expected_in_slots));
-    expected_edges += edges;
-  }
-  const bool spilled = internal::ShouldSpill(options, expected_edges);
-  std::unique_ptr<ShardStore> store;
-  if (spilled) {
-    SpillSink::Options spill_options;
-    spill_options.dir = options.spill_dir;
-    store = std::make_unique<SpillSink>(spill_options);
-  } else {
-    store = std::make_unique<ShardedSink>();
-  }
   Executor executor(options.num_threads);
-  std::vector<ConstraintShards> shard_ranges;
-  GMARK_RETURN_NOT_OK(GenerateShards(config, layout, plans, options,
-                                     &executor, store.get(), &shard_ranges));
+  std::optional<WindowedDrain> drain;
+  if (sink != nullptr) drain.emplace(sink, &executor);
+  const size_t predicate_count = config.schema.predicate_count();
+  std::vector<std::vector<ReadyConstraint>> kept(predicate_count);
+  size_t total_edges = 0;
+  size_t slot_bytes = 0;
+  GMARK_RETURN_NOT_OK(WalkConstraints(
+      config, layout, plans, options, &executor,
+      [&](ReadyConstraint& ready) -> Status {
+        if (drain.has_value()) drain->Drain(ready);
+        ready.TrimSlots();
+        total_edges += static_cast<size_t>(ready.edges);
+        slot_bytes += ready.SlotBytes();
+        kept[ready.constraint->predicate].push_back(std::move(ready));
+        return Status::OK();
+      }));
   generate_span.End();
   const double generate_seconds = timer.ElapsedSeconds();
 
-  // Shard-native indexing: flatten each predicate's static shard ranges
-  // (several when multiple constraints share a predicate) into one
-  // chunk-addressable stream — chunk = shard, weighted by its exact
-  // edge count, endpoint hints = the union of the predicate's
-  // constraint ranges — plus a release hook. The builder splits the
-  // chunks into balanced groups, so the counting-sort tasks parallelize
-  // within a predicate too, on the same executor that just generated
-  // the shards; sub-ranges replay independently whether the shards live
-  // in memory or on disk.
+  // One chunked stream per predicate, weighted by exact chunk edge
+  // counts, with the union of its constraints' endpoint ranges as
+  // hints. The builder splits each stream into balanced chunk groups on
+  // the same executor; every group re-emits its chunks once to count
+  // and once to scatter, and `release` frees the predicate's slots
+  // after the scatter.
   timer.Restart();
-  const size_t predicate_count = config.schema.predicate_count();
-  struct PredicateShards {
-    std::vector<size_t> shards;  // Canonical indices, ascending.
-    NodeId src_begin = 0, src_end = 0;
-    NodeId trg_begin = 0, trg_end = 0;
-  };
-  std::vector<PredicateShards> per_pred(predicate_count);
-  for (const ConstraintShards& cs : shard_ranges) {
-    PredicateShards& ps = per_pred[cs.predicate];
-    const bool first = ps.shards.empty();
-    for (size_t s = cs.begin; s < cs.end; ++s) ps.shards.push_back(s);
-    ps.src_begin = first ? cs.src_begin : std::min(ps.src_begin, cs.src_begin);
-    ps.src_end = first ? cs.src_end : std::max(ps.src_end, cs.src_end);
-    ps.trg_begin = first ? cs.trg_begin : std::min(ps.trg_begin, cs.trg_begin);
-    ps.trg_end = first ? cs.trg_end : std::max(ps.trg_end, cs.trg_end);
-  }
   Graph::Builder builder(std::move(layout), predicate_count);
   builder.set_max_groups(static_cast<size_t>(
       options.index_max_groups < 0 ? 0 : options.index_max_groups));
-  ShardStore* raw_store = store.get();
   for (PredicateId p = 0; p < predicate_count; ++p) {
-    PredicateShards& ps = per_pred[p];
-    if (ps.shards.empty()) continue;
-    Graph::Builder::StreamSpec spec;
-    spec.chunk_count = ps.shards.size();
-    spec.chunk_edges.reserve(ps.shards.size());
-    for (size_t s : ps.shards) {
-      spec.chunk_edges.push_back(raw_store->ShardEdgeCount(s));
-    }
-    spec.source_begin = ps.src_begin;
-    spec.source_end = ps.src_end;
-    spec.target_begin = ps.trg_begin;
-    spec.target_end = ps.trg_end;
-    spec.stream = [raw_store, shards = ps.shards](
-                      size_t chunk_begin, size_t chunk_end,
-                      const Graph::EdgeBlockVisitor& visit) -> Status {
-      // Coalesce consecutive shard indices into single VisitRange
-      // calls (constraint ranges are contiguous, so runs are long).
-      size_t i = chunk_begin;
-      while (i < chunk_end) {
-        size_t j = i + 1;
-        while (j < chunk_end && shards[j] == shards[j - 1] + 1) ++j;
-        GMARK_RETURN_NOT_OK(
-            raw_store->VisitRange(shards[i], shards[j - 1] + 1, visit));
-        i = j;
-      }
-      return Status::OK();
-    };
-    spec.release = [raw_store, shards = ps.shards] {
-      size_t i = 0;
-      while (i < shards.size()) {
-        size_t j = i + 1;
-        while (j < shards.size() && shards[j] == shards[j - 1] + 1) ++j;
-        raw_store->ReleaseRange(shards[i], shards[j - 1] + 1);
-        i = j;
-      }
-    };
-    builder.SetChunkedStream(p, std::move(spec));
+    if (kept[p].empty()) continue;
+    builder.SetChunkedStream(p, PredicateStream(&kept[p]));
   }
   Graph::Builder::BuildStats build_stats;
   Span index_span = TraceSpan("gen.index", "gen");
@@ -567,9 +556,8 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
     stats->index_seconds = timer.ElapsedSeconds();
     stats->layout_seconds = layout_seconds;
     stats->generate_seconds = generate_seconds;
-    stats->total_edges = store->TotalEdges();
-    stats->peak_resident_edge_bytes = store->PeakResidentEdgeBytes();
-    stats->spilled = spilled;
+    stats->total_edges = total_edges;
+    stats->peak_resident_edge_bytes = slot_bytes;
     stats->index_forward_groups = build_stats.forward_groups;
     stats->index_transpose_groups = build_stats.transpose_groups;
     stats->index_bytes = graph.ok() ? graph->IndexBytes() : 0;

@@ -2,7 +2,7 @@
 // one predicate's edge stream into chunk groups — counted with private
 // histograms, scanned into disjoint scatter slices, scattered lock-free
 // — never changes either CSR's adjacency, at any thread count, any group
-// cap, in-memory or spilled, even when one predicate owns ~90% of the
+// cap, even when one predicate owns ~90% of the
 // edges; and the overfull/underfull bucket guards still reject a
 // chunked stream that fails to replay identically.
 
@@ -55,43 +55,36 @@ GraphConfiguration MakeSkewedConfig(int64_t n, uint64_t seed) {
   return config;
 }
 
-GeneratorOptions BuildOptions(int threads, bool spill, int max_groups) {
+GeneratorOptions BuildOptions(int threads, int max_groups) {
   GeneratorOptions options;
   options.num_threads = threads;
-  options.chunk_size = 512;  // Many shards, so grouping has work to do.
+  options.chunk_size = 512;  // Many chunks, so grouping has work to do.
   options.index_max_groups = max_groups;
-  if (spill) {
-    options.spill_threshold_bytes = 0;
-    options.spill_dir = ::testing::TempDir();
-  }
   return options;
 }
 
-TEST(ChunkedBuildTest, SkewedSchemaIdenticalAcrossThreadsSpillAndGroups) {
+TEST(ChunkedBuildTest, SkewedSchemaIdenticalAcrossThreadsAndGroups) {
   const GraphConfiguration config = MakeSkewedConfig(20000, 42);
 
   // Verify the skew premise: the big predicate really dominates.
   GenerateStats base_stats;
-  Graph base = ParallelGenerateGraph(config, BuildOptions(1, false, 1),
+  Graph base = ParallelGenerateGraph(config, BuildOptions(1, 1),
                                      &base_stats)
                    .ValueOrDie();
   ASSERT_GT(base.EdgeCount(0),
             (base.num_edges() * 4) / 5);  // "big" owns >80%.
 
   // max_groups=1 is exactly the historical per-predicate-task build, so
-  // `base` doubles as the pre-chunking reference; every thread count,
-  // staging mode, and group cap must reproduce it byte for byte.
+  // `base` doubles as the pre-chunking reference; every thread count
+  // and group cap must reproduce it byte for byte.
   for (int threads : {1, 2, 8}) {
-    for (bool spill : {false, true}) {
-      for (int max_groups : {0, 1, 3, 16}) {
-        Graph g = ParallelGenerateGraph(
-                      config, BuildOptions(threads, spill, max_groups))
-                      .ValueOrDie();
-        ExpectSameAdjacency(base, g,
-                        "threads=" + std::to_string(threads) +
-                            " spill=" + std::to_string(spill) +
-                            " max_groups=" + std::to_string(max_groups));
-      }
+    for (int max_groups : {0, 1, 3, 16}) {
+      Graph g =
+          ParallelGenerateGraph(config, BuildOptions(threads, max_groups))
+              .ValueOrDie();
+      ExpectSameAdjacency(base, g,
+                          "threads=" + std::to_string(threads) +
+                              " max_groups=" + std::to_string(max_groups));
     }
   }
 }
@@ -99,13 +92,13 @@ TEST(ChunkedBuildTest, SkewedSchemaIdenticalAcrossThreadsSpillAndGroups) {
 TEST(ChunkedBuildTest, AutoGroupingEngagesIntraPredicateParallelism) {
   const GraphConfiguration config = MakeSkewedConfig(20000, 42);
   GenerateStats serial_stats;
-  ASSERT_TRUE(ParallelGenerateGraph(config, BuildOptions(1, false, 1),
+  ASSERT_TRUE(ParallelGenerateGraph(config, BuildOptions(1, 1),
                                     &serial_stats)
                   .ok());
   EXPECT_EQ(serial_stats.index_forward_groups, 3u);  // One per predicate.
 
   GenerateStats chunked_stats;
-  ASSERT_TRUE(ParallelGenerateGraph(config, BuildOptions(8, false, 0),
+  ASSERT_TRUE(ParallelGenerateGraph(config, BuildOptions(8, 0),
                                     &chunked_stats)
                   .ok());
   // Auto grouping must fan the skewed predicate out past one task per

@@ -1,10 +1,11 @@
-// The shard-native build contract (Graph::Builder): the CSRs of
-// ParallelGenerateGraph are a pure function of the canonical edge
-// stream — identical node by node at 1/2/8 threads, in-memory or
-// spill-backed, with the forward CSR matching a seed-style pair-scatter
-// counting sort of that stream exactly, and the transpose-derived
-// backward CSR holding the same per-node neighbor multisets the
-// historical (target, source) pair scatter produced.
+// The indexed-generation contract (Graph::Builder over re-emitted
+// chunks): the CSRs of ParallelGenerateGraph are a pure function of
+// the canonical edge stream — identical node by node at 1/2/8 threads,
+// with the forward CSR matching a seed-style pair-scatter counting sort
+// of that stream exactly, and the transpose-derived backward CSR
+// holding the same per-node neighbor multisets the historical
+// (target, source) pair scatter produced — while only the kept slot
+// vectors, never the edges, are held for the replays.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/graph_config.h"
 #include "core/use_cases.h"
 #include "csr_spans.h"
 #include "graph/generator.h"
@@ -66,18 +68,14 @@ void ExpectForwardIsRef(const Graph& g, PredicateId p, const RefCsr& ref) {
   }
 }
 
-GeneratorOptions BuildOptions(int threads, bool spill) {
+GeneratorOptions BuildOptions(int threads) {
   GeneratorOptions options;
   options.num_threads = threads;
-  options.chunk_size = 512;  // Force many shards on 10K-node configs.
-  if (spill) {
-    options.spill_threshold_bytes = 0;
-    options.spill_dir = ::testing::TempDir();
-  }
+  options.chunk_size = 512;  // Force many chunks on 10K-node configs.
   return options;
 }
 
-TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
+TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCounts) {
   const GraphConfiguration config = MakeBibConfig(10000, 42);
 
   // Reference: the canonical edge stream (thread-count independent,
@@ -85,11 +83,11 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
   // pair-scatter — independently of Graph::Builder.
   VectorSink stream;
   ASSERT_TRUE(
-      ParallelGenerateToSink(config, &stream, BuildOptions(1, false)).ok());
+      ParallelGenerateToSink(config, &stream, BuildOptions(1)).ok());
   ASSERT_FALSE(stream.edges().empty());
 
   Graph base =
-      ParallelGenerateGraph(config, BuildOptions(1, false)).ValueOrDie();
+      ParallelGenerateGraph(config, BuildOptions(1)).ValueOrDie();
   const int64_t n = base.num_nodes();
 
   for (PredicateId p = 0; p < base.predicate_count(); ++p) {
@@ -118,58 +116,82 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCountsInMemoryAndSpilled) {
   }
 
   // Identity of every node's spans, both directions, across thread
-  // counts, with and without spill-backed staging.
+  // counts.
   for (int threads : {1, 2, 8}) {
-    for (bool spill : {false, true}) {
-      Graph g = ParallelGenerateGraph(config, BuildOptions(threads, spill))
-                    .ValueOrDie();
-      ExpectSameAdjacency(base, g,
-                          std::to_string(threads) +
-                              " threads, spill=" + std::to_string(spill));
-    }
+    Graph g = ParallelGenerateGraph(config, BuildOptions(threads))
+                  .ValueOrDie();
+    ExpectSameAdjacency(base, g, std::to_string(threads) + " threads");
   }
 }
 
-TEST(ParallelBuildTest, SpillBackedIndexingReportsBoundedStagingMemory) {
-  const GraphConfiguration config = MakeBibConfig(20000, 42);
-  GenerateStats resident_stats;
-  ASSERT_TRUE(ParallelGenerateGraph(config, BuildOptions(4, false),
-                                    &resident_stats)
+TEST(ParallelBuildTest, IndexingHoldsFourBytesPerKeptSlot) {
+  // One constraint per predicate, so each predicate's edge count is its
+  // constraint's: "both" materializes both sides, "out" only the out
+  // side, and "none" neither (a non-specified side and a Gaussian side
+  // under the fast path are sampled per edge).
+  GraphConfiguration config;
+  config.num_nodes = 20000;
+  config.seed = 42;
+  GraphSchema& s = config.schema;
+  ASSERT_TRUE(s.AddType("a", OccurrenceConstraint::Proportion(0.5)).ok());
+  ASSERT_TRUE(s.AddType("b", OccurrenceConstraint::Proportion(0.5)).ok());
+  ASSERT_TRUE(s.AddPredicate("both").ok());
+  ASSERT_TRUE(s.AddPredicate("out").ok());
+  ASSERT_TRUE(s.AddPredicate("none").ok());
+  ASSERT_TRUE(s.AddEdgeConstraintByName("a", "both", "b",
+                                        DistributionSpec::Uniform(1, 3),
+                                        DistributionSpec::Uniform(1, 5))
                   .ok());
-  EXPECT_FALSE(resident_stats.spilled);
-  EXPECT_EQ(resident_stats.peak_resident_edge_bytes,
-            resident_stats.total_edges * sizeof(Edge));
-  EXPECT_GT(resident_stats.index_seconds, 0.0);
-
-  GenerateStats spill_stats;
-  ASSERT_TRUE(
-      ParallelGenerateGraph(config, BuildOptions(4, true), &spill_stats).ok());
-  EXPECT_TRUE(spill_stats.spilled);
-  EXPECT_EQ(spill_stats.total_edges, resident_stats.total_edges);
-  // Staged on disk: peak resident edge bytes track in-flight chunks,
-  // not the edge total — the indexed-graph path now keeps the PR 2
-  // memory bound.
-  EXPECT_LE(spill_stats.peak_resident_edge_bytes,
-            static_cast<size_t>(4) * 512 * sizeof(Edge));
-  EXPECT_LT(spill_stats.peak_resident_edge_bytes,
-            resident_stats.peak_resident_edge_bytes);
+  ASSERT_TRUE(s.AddEdgeConstraintByName("a", "out", "b",
+                                        DistributionSpec::NonSpecified(),
+                                        DistributionSpec::Uniform(2, 4))
+                  .ok());
+  ASSERT_TRUE(s.AddEdgeConstraintByName("b", "none", "a",
+                                        DistributionSpec::NonSpecified(),
+                                        DistributionSpec::Gaussian(3, 1))
+                  .ok());
+  for (int threads : {1, 4}) {
+    GenerateStats stats;
+    Graph g = ParallelGenerateGraph(config, BuildOptions(threads), &stats)
+                  .ValueOrDie();
+    ASSERT_GT(g.EdgeCount(2), 0u);
+    EXPECT_EQ(stats.total_edges, g.num_edges());
+    // The larger side of "both" is trimmed to the edge count, so every
+    // materialized side keeps exactly one 4-byte slot per edge.
+    EXPECT_EQ(stats.peak_resident_edge_bytes,
+              4 * (2 * g.EdgeCount(0) + g.EdgeCount(1)))
+        << threads << " threads";
+    EXPECT_LE(stats.peak_resident_edge_bytes, 8 * stats.total_edges);
+    EXPECT_LT(stats.peak_resident_edge_bytes,
+              stats.total_edges * sizeof(Edge));
+    EXPECT_GT(stats.index_seconds, 0.0);
+  }
 }
 
 TEST(ParallelBuildTest, DefaultOptionsGraphIsItsStreamsPairScatter) {
-  // Default options (one inline thread, the default chunk): the forward
-  // CSR must equal the pair-scatter of the same options' edge stream.
+  // Default options (one inline thread, the default chunk), then 2 and
+  // 8 threads with a small chunk, so that multi-chunk constraints are
+  // re-emitted across chunk groups: the forward CSR must equal the
+  // pair-scatter of the same options' edge stream.
   const GraphConfiguration config = MakeLsnConfig(8000, 7);
-  VectorSink stream;
-  ASSERT_TRUE(ParallelGenerateToSink(config, &stream).ok());
-  Graph g = ParallelGenerateGraph(config).ValueOrDie();
-  const int64_t n = g.num_nodes();
-  ASSERT_EQ(g.num_edges(), stream.edges().size());
-  for (PredicateId p = 0; p < g.predicate_count(); ++p) {
-    std::vector<std::pair<NodeId, NodeId>> fwd_pairs;
-    for (const Edge& e : stream.edges()) {
-      if (e.predicate == p) fwd_pairs.emplace_back(e.source, e.target);
+  for (const GeneratorOptions& options :
+       {GeneratorOptions(), BuildOptions(2), BuildOptions(8)}) {
+    const std::string label = std::to_string(options.num_threads) +
+                              " threads, chunk " +
+                              std::to_string(options.chunk_size);
+    VectorSink stream;
+    ASSERT_TRUE(ParallelGenerateToSink(config, &stream, options).ok());
+    Graph g = ParallelGenerateGraph(config, options).ValueOrDie();
+    const int64_t n = g.num_nodes();
+    ASSERT_EQ(g.num_edges(), stream.edges().size()) << label;
+    for (PredicateId p = 0; p < g.predicate_count(); ++p) {
+      std::vector<std::pair<NodeId, NodeId>> fwd_pairs;
+      for (const Edge& e : stream.edges()) {
+        if (e.predicate == p) fwd_pairs.emplace_back(e.source, e.target);
+      }
+      SCOPED_TRACE(label);
+      ExpectForwardIsRef(g, p, PairScatter(n, fwd_pairs));
     }
-    ExpectForwardIsRef(g, p, PairScatter(n, fwd_pairs));
   }
 }
 

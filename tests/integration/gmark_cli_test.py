@@ -2,15 +2,18 @@
 """End-to-end test of the gmark_cli front end.
 
 Checks that `-g` writes the same bytes with no --threads, with
---threads 1, with --threads 2, and with --threads 2 plus a spill-staged
---stats build, and that invalid sizes and thread counts fail with the
-usage error instead of being ignored or wrapped. No run starts more
-than 2 worker threads: the out-of-range inputs write nothing, so a CLI
-that wrongly accepted them would still start at most 2 workers.
+--threads 1 and with --threads 2, each also with --stats (which builds
+the indexed graph from the same generation), that every run walks the
+generator exactly once (one `gen.generate` span in its trace), and that
+invalid sizes, thread counts and retired flags fail with the usage
+error instead of being ignored or wrapped. No run starts more than 2
+worker threads: the out-of-range inputs write nothing, so a CLI that
+wrongly accepted them would still start at most 2 workers.
 
 Usage: gmark_cli_test.py <path to gmark_cli>   (also `ctest -R cli`)
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +28,12 @@ def run(cli, args):
                           universal_newlines=True, timeout=300)
 
 
+def generate_spans(trace_path):
+    with open(trace_path) as f:
+        events = json.load(f)["traceEvents"]
+    return sum(1 for e in events if e["name"] == "gen.generate")
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -33,30 +42,31 @@ def main():
     failures = []
 
     with tempfile.TemporaryDirectory(prefix="gmark-cli-test-") as tmp:
-        spill_dir = os.path.join(tmp, "spill")
-        os.mkdir(spill_dir)
         variants = [
             ("no --threads", []),
             ("--threads 1", ["--threads", "1"]),
             ("--threads 2", ["--threads", "2"]),
-            ("--threads 2 --spill-dir --stats",
-             ["--threads", "2", "--spill-dir", spill_dir, "--stats"]),
+            ("--threads 1 --stats", ["--threads", "1", "--stats"]),
+            ("--threads 2 --stats", ["--threads", "2", "--stats"]),
         ]
         outputs = {}
         for i, (label, extra) in enumerate(variants):
             path = os.path.join(tmp, "g%d.nt" % i)
-            proc = run(cli, ["-n", NODES, "-g", path] + extra)
+            trace = os.path.join(tmp, "t%d.json" % i)
+            proc = run(cli, ["-n", NODES, "-g", path,
+                             "--trace-json", trace] + extra)
             if proc.returncode != 0:
                 failures.append("%s: exit %d: %s" %
                                 (label, proc.returncode, proc.stderr))
                 continue
             with open(path, "rb") as f:
                 outputs[label] = f.read()
-            if "--stats" in extra and "gen.spilled_runs" not in proc.stdout:
-                failures.append("%s: the indexed build did not spill" % label)
-        if os.listdir(spill_dir):
-            failures.append("spill files left behind: %s" %
-                            os.listdir(spill_dir))
+            if "--stats" in extra and "gen.total_edges" not in proc.stdout:
+                failures.append("%s: no generation stats printed" % label)
+            spans = generate_spans(trace)
+            if spans != 1:
+                failures.append("%s: the generator ran %d times, not once" %
+                                (label, spans))
         reference = outputs.get("no --threads")
         if not reference:
             failures.append("no --threads: empty or missing graph")
@@ -78,6 +88,8 @@ def main():
         ["--threads", "4294967298"],
         ["-n", NODES, "--evaluate", "P", "--eval-threads", "-1"],
         ["-n", NODES, "--evaluate", "P", "--eval-threads", "4294967298"],
+        ["--spill-dir", "x"],
+        ["--spill-threshold", "0"],
     ]
     for args in rejected:
         proc = run(cli, args)

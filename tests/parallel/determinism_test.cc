@@ -13,7 +13,6 @@
 
 #include "core/use_cases.h"
 #include "graph/generator.h"
-#include "parallel/sharded_sink.h"
 #include "parallel/thread_pool.h"
 #include "util/random.h"
 
@@ -120,7 +119,7 @@ TEST(ParallelDeterminismTest, ChunkSizeDoesNotBiasEdgeCount) {
 TEST(ParallelDeterminismTest, SinkPathHoldsOneWindowOfChunks) {
   // ParallelGenerateToSink drains each window of one chunk per worker
   // before the next: resident edges never exceed threads * chunk_size,
-  // whatever the edge total, and nothing spills.
+  // whatever the edge total.
   const GraphConfiguration config = MakeBibConfig(20000, 42);
   for (int threads : {1, 2, 8}) {
     GenerateStats stats;
@@ -128,7 +127,6 @@ TEST(ParallelDeterminismTest, SinkPathHoldsOneWindowOfChunks) {
     ASSERT_TRUE(
         ParallelGenerateToSink(config, &sink, WithThreads(threads), &stats)
             .ok());
-    EXPECT_FALSE(stats.spilled);
     EXPECT_EQ(stats.total_edges, sink.count());
     EXPECT_GE(stats.peak_resident_edge_bytes, 512 * sizeof(Edge));
     EXPECT_LE(stats.peak_resident_edge_bytes,
@@ -136,6 +134,30 @@ TEST(ParallelDeterminismTest, SinkPathHoldsOneWindowOfChunks) {
         << threads << " threads";
     EXPECT_LT(stats.peak_resident_edge_bytes,
               stats.total_edges * sizeof(Edge));
+  }
+}
+
+TEST(ParallelDeterminismTest, GraphSinkReceivesTheSinkPathStream) {
+  // ParallelGenerateGraph with a sink streams the very edges
+  // ParallelGenerateToSink writes, in the same order, and builds the
+  // same graph as without one, from the same walk.
+  const GraphConfiguration config = MakeBibConfig(10000, 42);
+  const std::vector<Edge> reference = GenerateWith(config, WithThreads(1));
+  for (int threads : {1, 2, 8}) {
+    VectorSink sink;
+    GenerateStats stats;
+    Graph g = ParallelGenerateGraph(config, WithThreads(threads), &stats,
+                                    &sink)
+                  .ValueOrDie();
+    EXPECT_EQ(sink.edges(), reference) << threads << " threads";
+    EXPECT_EQ(stats.total_edges, reference.size());
+    // The sink changes nothing in the graph.
+    Graph plain =
+        ParallelGenerateGraph(config, WithThreads(threads)).ValueOrDie();
+    ASSERT_EQ(g.num_edges(), plain.num_edges());
+    for (PredicateId p = 0; p < g.predicate_count(); ++p) {
+      EXPECT_EQ(CollectEdges(g, p), CollectEdges(plain, p));
+    }
   }
 }
 
@@ -194,25 +216,6 @@ TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
   }
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
                           [](int h) { return h == 3; }));
-}
-
-TEST(ShardedSinkTest, DrainPreservesCanonicalOrder) {
-  ShardedSink sink;
-  ASSERT_TRUE(sink.AddShards(2).ok());
-  ASSERT_TRUE(sink.AddShards(1).ok());
-  EXPECT_EQ(sink.shard_count(), 3u);
-  // Fill shards out of order — canonical order is by index, not fill
-  // order.
-  sink.PutShard(2, {Edge{5, 0, 6}});
-  sink.PutShard(0, {Edge{1, 0, 2}});
-  sink.PutShard(1, {Edge{3, 0, 4}});
-  ASSERT_TRUE(sink.Finish().ok());
-  VectorSink out;
-  ASSERT_TRUE(sink.Drain(&out).ok());
-  const std::vector<Edge> expected = {
-      Edge{1, 0, 2}, Edge{3, 0, 4}, Edge{5, 0, 6}};
-  EXPECT_EQ(out.edges(), expected);
-  EXPECT_EQ(sink.TotalEdges(), 3u);
 }
 
 }  // namespace
