@@ -1,6 +1,7 @@
 // Microbenchmarks for the primitives the generator and evaluator are
 // built from: Zipf sampling (rejection-inversion), Gaussian draws,
-// slot-vector shuffles, CSR neighbor scans, product-graph BFS,
+// slot-vector shuffles, the indexed graph build, CSR neighbor scans,
+// workload generation, product-graph BFS,
 // regex-to-NFA compilation, and the relational kernels (hash join,
 // distinct projection, distinct union, path composition, disjunct
 // union, naive and semi-naive closure); and for the text writers:
@@ -69,6 +70,23 @@ void BM_RpqProductBfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RpqProductBfs)->Arg(1000)->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The indexed build: generate an LSN graph on 2 threads and build its
+/// CSRs (the build-wide group budget, the in-place histograms).
+void BM_CsrBuild(benchmark::State& state) {
+  GraphConfiguration config = MakeLsnConfig(state.range(0), 7);
+  GeneratorOptions options;
+  options.num_threads = 2;
+  size_t edges = 0;
+  for (auto _ : state) {
+    Graph graph = ParallelGenerateGraph(config, options).ValueOrDie();
+    edges = graph.num_edges();
+    benchmark::DoNotOptimize(graph.IndexBytes());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(edges));
+}
+BENCHMARK(BM_CsrBuild)->Arg(100000)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The engines' adjacency access: fetch the forward and backward span of
@@ -269,14 +287,34 @@ BENCHMARK(BM_NTriplesFormat)->Arg(10000)->Arg(100000)
 
 /// The generate workload's query mix: every shape and selectivity
 /// class, recursion probability 0.3.
-Workload MixedWorkload(const GraphSchema& schema, int64_t queries) {
+WorkloadConfiguration MixedWorkloadConfig(int64_t queries) {
   WorkloadConfiguration w;
   w.num_queries = static_cast<size_t>(queries);
   w.shapes = {QueryShape::kChain, QueryShape::kStar, QueryShape::kCycle,
               QueryShape::kStarChain};
   w.recursion_probability = 0.3;
-  return QueryGenerator(&schema).Generate(w).ValueOrDie();
+  return w;
 }
+
+Workload MixedWorkload(const GraphSchema& schema, int64_t queries) {
+  return QueryGenerator(&schema)
+      .Generate(MixedWorkloadConfig(queries))
+      .ValueOrDie();
+}
+
+/// Fig. 6 on one thread over the LSN schema: per-workload tables, then
+/// nb_path draws through the schema graph and G_sel for every query.
+void BM_GenerateWorkload(benchmark::State& state) {
+  GraphConfiguration config = MakeLsnConfig(1000, 7);
+  QueryGenerator generator(&config.schema);
+  const WorkloadConfiguration w = MixedWorkloadConfig(state.range(0));
+  for (auto _ : state) {
+    Workload workload = generator.Generate(w).ValueOrDie();
+    benchmark::DoNotOptimize(workload.queries.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GenerateWorkload)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadToXml(benchmark::State& state) {
   GraphConfiguration config = MakeBibConfig(1000, 7);

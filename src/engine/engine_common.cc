@@ -19,8 +19,8 @@ uint64_t PairHash(const std::pair<NodeId, NodeId>& p) {
 
 /// The neighbors of `v` along `symbol`: its out-neighbors, or its
 /// in-neighbors for an inverse symbol.
-std::span<const NodeId> Neighbors(const Graph& graph, const Symbol& symbol,
-                                  NodeId v) {
+std::span<const uint32_t> Neighbors(const Graph& graph, const Symbol& symbol,
+                                    NodeId v) {
   return symbol.inverse ? graph.InNeighbors(symbol.predicate, v)
                         : graph.OutNeighbors(symbol.predicate, v);
 }

@@ -12,121 +12,135 @@ namespace gmark {
 
 namespace {
 
-/// Bucket cursor with its exclusive bound; cursor and bound live in one
-/// struct so the replay-mismatch guard costs no second random cache
-/// line on the scatter hot path. uint32_t like the offsets they index.
+/// Forward histogram cell. The count phase counts a node's edges into
+/// `end`; the scan phase rewrites the cell in place into the bucket's
+/// cursor and exclusive bound. Cursor and bound share one struct so the
+/// replay-mismatch guard costs no second random cache line on the
+/// scatter hot path. uint32_t like the offsets they index.
 struct Bucket {
   uint32_t cur;
   uint32_t end;
 };
 
+/// The count a histogram cell holds before the scan, and the in-place
+/// rewrite into a cursor starting at `base`. The transpose's cell is a
+/// bare uint32_t: its input, the finished forward CSR, cannot change
+/// between passes, so its scatter needs no bound.
+uint32_t CountOf(const Bucket& b) { return b.end; }
+uint32_t CountOf(uint32_t count) { return count; }
+void ToCursor(Bucket& b, uint32_t base) { b = Bucket{base, base + b.end}; }
+void ToCursor(uint32_t& count, uint32_t base) { count = base; }
+
 /// One chunk group of one predicate's build: a contiguous sub-range of
 /// the input (stream chunks for the forward pass, forward-CSR node
-/// ranges for the transpose), its private histogram, and its disjoint
-/// scatter slices. Tasks touch only their own group, so the fan-out
+/// ranges for the transpose) and its private histogram over the bucket
+/// range, which the scan phase turns into the group's disjoint scatter
+/// cursors in place. Tasks touch only their own group, so the fan-out
 /// needs no synchronization beyond the executor barriers.
+template <typename Cell>
 struct ChunkGroup {
   size_t begin = 0;  // First input chunk (forward) / local node (transpose).
   size_t end = 0;    // One past the last.
-  /// Private histogram over the bucket range, built by the count phase
-  /// and replaced by `buckets` in the scan phase. uint32 keeps G groups
-  /// x range counters compact; the forward count pass detects overflow
-  /// (a node with 2^32 edges within one group) rather than wrapping.
-  std::vector<uint32_t> counts;
-  std::vector<Bucket> buckets;
+  std::vector<Cell> cells;
   Status status;
 };
+using ForwardGroup = ChunkGroup<Bucket>;
+using TransposeGroup = ChunkGroup<uint32_t>;
 
 /// Below this many edges a chunk group is not worth its task and
-/// histogram; small predicates collapse to fewer (often one) groups.
+/// histogram: the floor of the build-wide group weight.
 constexpr size_t kMinEdgesPerGroup = 4096;
 
-/// Split `total_units` units (whose per-unit weights are `weights` when
-/// non-empty, else 1) into at most `max_groups` contiguous groups of
-/// roughly equal weight. Group boundaries never change the build output
-/// (chunk order fixes within-bucket order), only its parallelism.
-std::vector<ChunkGroup> PartitionGroups(size_t total_units,
-                                        const std::vector<size_t>& weights,
-                                        size_t max_groups) {
-  std::vector<ChunkGroup> groups;
-  if (total_units == 0) return groups;
-  if (max_groups < 1) max_groups = 1;
-  if (max_groups > total_units) max_groups = total_units;
+size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
-  if (weights.size() == total_units && max_groups > 1) {
-    size_t total_weight = 0;
-    for (size_t w : weights) total_weight += w;
-    const size_t target = std::max(
-        (total_weight + max_groups - 1) / max_groups, kMinEdgesPerGroup);
+/// Split a stream of `edges` edges into contiguous chunk groups. With
+/// chunk weights it gets one group per `weight` edges, at most
+/// `max_groups`, of roughly equal edge count; without them it cannot be
+/// sized and gets `max_groups` groups of equal chunk count. Group
+/// boundaries never change the build output (chunk order fixes
+/// within-bucket order), only its parallelism. Pre: chunk_count >= 1.
+std::vector<ForwardGroup> PartitionGroups(
+    const Graph::Builder::StreamSpec& spec, size_t edges, size_t weight,
+    size_t max_groups) {
+  const size_t chunk_count = spec.chunk_count;
+  const std::vector<size_t>& chunk_edges = spec.chunk_edges;
+  const bool weighted = chunk_edges.size() == chunk_count;
+  const size_t groups = std::min(
+      weighted ? std::clamp<size_t>(CeilDiv(edges, weight), 1, max_groups)
+               : max_groups,
+      chunk_count);
+  std::vector<ForwardGroup> out;
+  auto close = [&out](size_t begin, size_t end) {
+    ForwardGroup g;
+    g.begin = begin;
+    g.end = end;
+    out.push_back(std::move(g));
+  };
+
+  if (weighted && groups > 1) {
+    const size_t target =
+        std::max(CeilDiv(edges, groups), kMinEdgesPerGroup);
     size_t begin = 0;
     size_t acc = 0;
-    for (size_t i = 0; i < total_units; ++i) {
-      acc += weights[i];
+    for (size_t i = 0; i < chunk_count; ++i) {
+      acc += chunk_edges[i];
       // Close a group once it reached its weight share; the tail always
       // lands in the final group, so the count never exceeds the cap.
-      if (acc >= target && target > 0 && groups.size() + 1 < max_groups) {
-        ChunkGroup g;
-        g.begin = begin;
-        g.end = i + 1;
-        groups.push_back(std::move(g));
+      if (acc >= target && out.size() + 1 < groups) {
+        close(begin, i + 1);
         begin = i + 1;
         acc = 0;
       }
     }
-    if (begin < total_units) {
-      ChunkGroup g;
-      g.begin = begin;
-      g.end = total_units;
-      groups.push_back(std::move(g));
-    }
-    return groups;
+    if (begin < chunk_count) close(begin, chunk_count);
+    return out;
   }
 
-  // No weights: equal unit counts.
-  const size_t per_group = (total_units + max_groups - 1) / max_groups;
-  for (size_t begin = 0; begin < total_units; begin += per_group) {
-    ChunkGroup g;
-    g.begin = begin;
-    g.end = std::min(begin + per_group, total_units);
-    groups.push_back(std::move(g));
+  // One group, or no weights: equal chunk counts.
+  const size_t per_group = CeilDiv(chunk_count, groups);
+  for (size_t begin = 0; begin < chunk_count; begin += per_group) {
+    close(begin, std::min(begin + per_group, chunk_count));
   }
-  return groups;
+  return out;
 }
 
-/// The scan phase of one predicate direction: reduce the groups'
-/// histograms over `range` bucket nodes into CSR offsets — summed in 64
-/// bits and checked against the uint32_t limit — size the targets, and
-/// turn each group's histogram into its disjoint scatter slices: group
-/// k's slice for node v starts where groups 0..k-1 left off.
-Status ScanGroups(std::vector<ChunkGroup>& groups, size_t range,
+/// The scan phase of one predicate direction: one exclusive scan over
+/// the `range` bucket nodes, each node's groups in order, turns every
+/// group's histogram into its disjoint scatter cursors in place — group
+/// k's slice for node v starts where groups 0..k-1 left off — and fills
+/// the CSR offsets. Sums in 64 bits and checks the total against the
+/// uint32_t limit before sizing the targets; the cursors a failing scan
+/// leaves behind are never used.
+template <typename Cell>
+Status ScanGroups(std::vector<ChunkGroup<Cell>>& groups, size_t range,
                   std::vector<uint32_t>& offsets,
-                  std::vector<NodeId>& targets) {
-  for (const ChunkGroup& g : groups) GMARK_RETURN_NOT_OK(g.status);
+                  std::vector<uint32_t>& targets) {
+  for (const ChunkGroup<Cell>& g : groups) GMARK_RETURN_NOT_OK(g.status);
   if (range == 0) return Status::OK();
   offsets.assign(range + 1, 0);
   uint64_t total = 0;
   for (size_t v = 0; v < range; ++v) {
-    for (const ChunkGroup& g : groups) total += g.counts[v];
+    for (ChunkGroup<Cell>& g : groups) {
+      const uint32_t n = CountOf(g.cells[v]);
+      ToCursor(g.cells[v], static_cast<uint32_t>(total));
+      total += n;
+    }
     offsets[v + 1] = static_cast<uint32_t>(total);
   }
   GMARK_RETURN_NOT_OK(Graph::CheckEdgeLimit(total));
   targets.resize(total);
-  // `running` walks the bases group by group (one pass per group).
-  std::vector<uint32_t> running(offsets.begin(), offsets.end() - 1);
-  for (ChunkGroup& g : groups) {
-    g.buckets.resize(range);
-    for (size_t v = 0; v < range; ++v) {
-      const uint32_t n = g.counts[v];
-      g.buckets[v] = Bucket{running[v], running[v] + n};
-      running[v] += n;
-    }
-    g.counts = {};
-    g.counts.shrink_to_fit();
-  }
   return Status::OK();
 }
 
 }  // namespace
+
+Status Graph::CheckNodeLimit(int64_t nodes) {
+  if (static_cast<uint64_t>(nodes) > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange(
+        "layout exceeds the CSR limit of 2^32 - 1 nodes");
+  }
+  return Status::OK();
+}
 
 Status Graph::CheckEdgeLimit(uint64_t edges) {
   if (edges > std::numeric_limits<uint32_t>::max()) {
@@ -141,7 +155,7 @@ size_t Graph::IndexBytes() const {
   for (const std::vector<Csr>* direction : {&forward_, &backward_}) {
     for (const Csr& csr : *direction) {
       bytes += csr.offsets.size() * sizeof(uint32_t) +
-               csr.targets.size() * sizeof(NodeId);
+               csr.targets.size() * sizeof(uint32_t);
     }
   }
   return bytes;
@@ -157,15 +171,16 @@ void Graph::Builder::SetChunkedStream(PredicateId a, StreamSpec spec) {
 }
 
 Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
+  GMARK_RETURN_NOT_OK(CheckNodeLimit(layout_.total_nodes()));
   // Hoisted once: every build task captures the tracer pointer instead
   // of paying the global atomic load per task. Null means tracing off.
   Tracer* const tracer = GlobalTracer();
   Span build_span =
       tracer != nullptr ? tracer->StartSpan("csr.build", "build") : Span();
   const NodeId node_limit = static_cast<NodeId>(layout_.total_nodes());
-  // Auto grouping: 2x the workers balances stragglers against
-  // histogram memory; an inline executor gets one group per predicate —
-  // chunking buys nothing serially, it only adds scan passes.
+  // Auto cap: 2x the workers balances stragglers against histogram
+  // memory; an inline executor gets one group per predicate — chunking
+  // buys nothing serially, it only adds scan passes.
   const size_t max_groups =
       max_groups_ > 0
           ? max_groups_
@@ -178,8 +193,9 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     StreamSpec spec;
     NodeId src_begin = 0, src_end = 0;  // Resolved hints.
     NodeId trg_begin = 0, trg_end = 0;
-    std::vector<ChunkGroup> groups;   // Forward counting-sort groups.
-    std::vector<ChunkGroup> tgroups;  // Transpose groups (local nodes).
+    size_t edges = 0;  // Sum of chunk_edges (0 without them).
+    std::vector<ForwardGroup> groups;     // Forward counting-sort groups.
+    std::vector<TransposeGroup> tgroups;  // Transpose groups (local nodes).
     Csr forward;
     Csr backward;
     Status status;
@@ -187,7 +203,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   };
   std::vector<Slot> slots(predicate_count_);
 
-  // Resolve hints and partition each predicate's chunks into groups.
+  // Resolve hints and sum each predicate's chunk weights.
+  size_t build_edges = 0;
   for (PredicateId p = 0; p < predicate_count_; ++p) {
     Slot& slot = slots[p];
     slot.spec = std::move(specs_[p]);
@@ -209,19 +226,31 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     }
     slot.forward.begin = slot.src_begin;
     slot.forward.range = slot.src_end - slot.src_begin;
-    slot.groups = PartitionGroups(slot.spec.chunk_count,
-                                  slot.spec.chunk_edges, max_groups);
+    for (size_t w : slot.spec.chunk_edges) slot.edges += w;
+    build_edges += slot.edges;
+  }
+
+  // One build-wide group budget: a group is worth `weight` edges, the
+  // build's share per group of the cap, so a predicate gets one group
+  // per weight it holds, up to the cap. A predicate below its share is
+  // not split and a skewed one still fans out, while every predicate
+  // keeps running concurrently in every phase.
+  const size_t weight =
+      std::max(CeilDiv(build_edges, max_groups), kMinEdgesPerGroup);
+  for (Slot& slot : slots) {
+    if (!slot.active) continue;
+    slot.groups = PartitionGroups(slot.spec, slot.edges, weight, max_groups);
     if (stats != nullptr) stats->forward_groups += slot.groups.size();
   }
 
   // Phase 1 — count: every group validates its chunk range and counts
-  // out-degrees into its private histogram.
+  // out-degrees into its private histogram's bucket bounds.
   for (PredicateId p = 0; p < predicate_count_; ++p) {
     Slot& slot = slots[p];
     if (!slot.active) continue;
     const Slot* s = &slot;
-    for (ChunkGroup& group : slot.groups) {
-      ChunkGroup* g = &group;
+    for (ForwardGroup& group : slot.groups) {
+      ForwardGroup* g = &group;
       executor->Submit([s, g, p, node_limit, tracer] {
         Span span = tracer != nullptr
                         ? tracer->StartSpan("csr.count", "build")
@@ -229,7 +258,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
         if (span.active()) {
           span.SetAttribute("predicate", static_cast<int64_t>(p));
         }
-        g->counts.assign(static_cast<size_t>(s->src_end - s->src_begin), 0);
+        g->cells.assign(static_cast<size_t>(s->src_end - s->src_begin),
+                        Bucket{0, 0});
         g->status = s->spec.stream(
             g->begin, g->end, [&](std::span<const Edge> block) -> Status {
               for (const Edge& e : block) {
@@ -247,7 +277,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
                   return Status::OutOfRange(
                       "edge outside the stream's declared node range");
                 }
-                uint32_t& c = g->counts[e.source - s->src_begin];
+                uint32_t& c = g->cells[e.source - s->src_begin].end;
                 if (++c == 0) {
                   return Status::OutOfRange(
                       "per-group degree overflows uint32");
@@ -260,9 +290,9 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   }
   executor->Wait();
 
-  // Phase 2 — scan: one task per predicate reduces the group histograms
-  // with an exclusive scan into the forward offsets (local to the source
-  // range) and disjoint per-group scatter slices.
+  // Phase 2 — scan: one task per predicate turns the group histograms,
+  // by one exclusive scan, into the forward offsets (local to the source
+  // range) and each group's disjoint scatter slices, in place.
   for (Slot& slot : slots) {
     if (!slot.active) continue;
     Slot* s = &slot;
@@ -286,8 +316,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     const Slot* s = &slot;
     Csr* fwd = &slot.forward;
     const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (ChunkGroup& group : slot.groups) {
-      ChunkGroup* g = &group;
+    for (ForwardGroup& group : slot.groups) {
+      ForwardGroup* g = &group;
       executor->Submit([s, g, p, fwd, tracer] {
         Span span = tracer != nullptr
                         ? tracer->StartSpan("csr.scatter", "build")
@@ -305,12 +335,13 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
                   return Status::Internal(
                       "edge stream changed between passes");
                 }
-                Bucket& b = g->buckets[e.source - s->src_begin];
+                Bucket& b = g->cells[e.source - s->src_begin];
                 if (b.cur >= b.end) {
                   return Status::Internal(
                       "edge stream changed between passes");
                 }
-                fwd->targets[b.cur++] = e.target;
+                // Fits: CheckNodeLimit bounded every node id.
+                fwd->targets[b.cur++] = static_cast<uint32_t>(e.target);
               }
               return Status::OK();
             });
@@ -319,7 +350,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
           // underfull replay (fewer edges than the count pass saw)
           // would leave value-initialized targets behind, so require
           // every bucket of this group exactly full.
-          for (const Bucket& b : g->buckets) {
+          for (const Bucket& b : g->cells) {
             if (b.cur != b.end) {
               g->status =
                   Status::Internal("edge stream changed between passes");
@@ -327,8 +358,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
             }
           }
         }
-        g->buckets = {};
-        g->buckets.shrink_to_fit();
+        g->cells = {};
+        g->cells.shrink_to_fit();
       });
     }
   }
@@ -338,11 +369,11 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   // predicate's source free what backs it before the transpose
   // allocates. Then plan the transpose groups: contiguous local
   // forward-CSR node ranges balanced by edge count (cheap coordinator
-  // walk over the offsets).
+  // walk over the offsets), none lighter than the build-wide weight.
   for (Slot& slot : slots) {
     if (!slot.active) continue;
     if (slot.spec.release) slot.spec.release();
-    for (const ChunkGroup& g : slot.groups) {
+    for (const ForwardGroup& g : slot.groups) {
       if (slot.status.ok() && !g.status.ok()) slot.status = g.status;
     }
     slot.groups = {};
@@ -350,13 +381,12 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     const std::vector<uint32_t>& offsets = slot.forward.offsets;
     const size_t total_edges = slot.forward.targets.size();
     if (total_edges == 0) continue;  // The backward CSR stays empty.
-    const size_t target = std::max(
-        (total_edges + max_groups - 1) / max_groups, kMinEdgesPerGroup);
+    const size_t target = std::max(CeilDiv(total_edges, max_groups), weight);
     const size_t range = slot.forward.range;
     size_t begin = 0;
     for (size_t v = 0; v < range; ++v) {
       if (offsets[v + 1] - offsets[begin] >= target || v + 1 == range) {
-        ChunkGroup g;
+        TransposeGroup g;
         g.begin = begin;
         g.end = v + 1;
         slot.tgroups.push_back(std::move(g));
@@ -374,18 +404,18 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     if (!slot.active || !slot.status.ok()) continue;
     const Slot* s = &slot;
     const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (ChunkGroup& group : slot.tgroups) {
-      ChunkGroup* g = &group;
+    for (TransposeGroup& group : slot.tgroups) {
+      TransposeGroup* g = &group;
       executor->Submit([s, g, p, tracer] {
         Span span = tracer != nullptr
                         ? tracer->StartSpan("csr.transpose_count", "build")
                         : Span();
         if (span.active()) span.SetAttribute("predicate", p);
-        g->counts.assign(static_cast<size_t>(s->trg_end - s->trg_begin), 0);
+        g->cells.assign(static_cast<size_t>(s->trg_end - s->trg_begin), 0);
         const Csr& fwd = s->forward;
         for (size_t v = g->begin; v < g->end; ++v) {
           for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
-            ++g->counts[fwd.targets[i] - s->trg_begin];
+            ++g->cells[fwd.targets[i] - s->trg_begin];
           }
         }
       });
@@ -393,7 +423,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
   }
   executor->Wait();
 
-  // Phase 5 — transpose scan: same exclusive scan, bucketed by target.
+  // Phase 5 — transpose scan: the same in-place exclusive scan, bucketed
+  // by target, turns each group's counts into bare cursors.
   for (Slot& slot : slots) {
     if (!slot.active || !slot.status.ok() || slot.tgroups.empty()) continue;
     Slot* s = &slot;
@@ -420,8 +451,8 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
     const Slot* s = &slot;
     Csr* bwd = &slot.backward;
     const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (ChunkGroup& group : slot.tgroups) {
-      ChunkGroup* g = &group;
+    for (TransposeGroup& group : slot.tgroups) {
+      TransposeGroup* g = &group;
       executor->Submit([s, g, p, bwd, tracer] {
         Span span = tracer != nullptr
                         ? tracer->StartSpan("csr.transpose_scatter", "build")
@@ -430,12 +461,12 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
         const Csr& fwd = s->forward;
         for (size_t v = g->begin; v < g->end; ++v) {
           for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
-            Bucket& b = g->buckets[fwd.targets[i] - s->trg_begin];
-            bwd->targets[b.cur++] = fwd.begin + v;
+            uint32_t& cur = g->cells[fwd.targets[i] - s->trg_begin];
+            bwd->targets[cur++] = static_cast<uint32_t>(fwd.begin + v);
           }
         }
-        g->buckets = {};
-        g->buckets.shrink_to_fit();
+        g->cells = {};
+        g->cells.shrink_to_fit();
       });
     }
   }
@@ -460,6 +491,7 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
 
 Result<Graph> Graph::Build(NodeLayout layout, size_t predicate_count,
                            std::vector<Edge> edges) {
+  GMARK_RETURN_NOT_OK(CheckNodeLimit(layout.total_nodes()));
   const NodeId n = static_cast<NodeId>(layout.total_nodes());
   // One O(E) pass: validate (a filter stream would silently drop edges
   // with unknown predicates instead of rejecting them), record each

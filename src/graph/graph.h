@@ -10,26 +10,38 @@
 // source range and its backward CSR only its target range (the
 // endpoint type ranges of the schema, passed as StreamSpec hints), so
 // each direction holds `range + 1` uint32_t offsets rather than one
-// per node of the layout. A node outside the range has an empty span.
-// uint32_t offsets cap a predicate at 2^32 - 1 edges; a larger one
-// fails the build with OutOfRange (CheckEdgeLimit), never wraps.
+// per node of the layout, plus one uint32_t node id per edge. A node
+// outside the range has an empty span. uint32_t offsets cap a
+// predicate at 2^32 - 1 edges and uint32_t targets cap the layout at
+// 2^32 - 1 nodes; a larger build fails with OutOfRange (CheckEdgeLimit,
+// CheckNodeLimit), never wraps, and the node limit is checked before
+// anything is allocated.
 //
 // Each predicate's forward CSR is built by a chunked two-pass counting
 // sort over a replayable edge stream: the stream's fixed sub-chunks
 // are grouped into contiguous chunk groups, each group counts degrees
 // into its own private histogram, an exclusive scan across groups
-// turns the histograms into offsets plus per-group per-node scatter
-// bases, and each group then scatters its edges into its disjoint
-// bucket slices — fully lock-free, because no two groups ever touch
-// the same target index. The backward CSR is derived from the finished
-// forward CSR by the same chunked count-scan-scatter transpose over
-// node ranges, so the builder never holds (target, source) pair
-// vectors either. The streams are re-emitted, not staged: the
-// generator (ParallelGenerateGraph) keeps each constraint's shuffled
-// slot vectors, 4 bytes a slot, and replays a chunk by emitting it
-// again. Peak memory during a generated build is therefore the
-// resident slots (released once the forward scatter is done, before
-// the transpose allocates) plus the CSRs and the scatter buckets.
+// rewrites every histogram in place into that group's per-node scatter
+// cursors (and fills the offsets), and each group then scatters its
+// edges into its disjoint bucket slices — fully lock-free, because no
+// two groups ever touch the same target index. The backward CSR is
+// derived from the finished forward CSR by the same chunked
+// count-scan-scatter transpose over node ranges, so the builder never
+// holds (target, source) pair vectors either. The streams are
+// re-emitted, not staged: the generator (ParallelGenerateGraph) keeps
+// each constraint's shuffled slot vectors, 4 bytes a slot, and replays
+// a chunk by emitting it again. Peak memory during a generated build
+// is therefore the resident slots (released once the forward scatter
+// is done, before the transpose allocates) plus the CSRs and the group
+// histograms: 8 bytes per node of the source range per forward group,
+// 4 per node of the target range per transpose group.
+//
+// Group budget. The histograms, not the CSR, set the build's peak, so
+// groups are rationed build-wide: one group is worth the build's total
+// edges over the per-predicate cap (never under 4096 edges), and a
+// predicate gets one group per worth it holds, capped. A predicate
+// below its share is one group; a skewed one still fans out; every
+// predicate still runs concurrently in every phase.
 //
 // Determinism. Group boundaries never change the output: within one
 // bucket, chunk-group order concatenates back to exactly the stream
@@ -123,7 +135,9 @@ class Graph {
     struct BuildStats {
       /// Chunk-group tasks of the forward counting sort / the backward
       /// transpose, summed over predicates. forward_groups above the
-      /// predicate count means intra-predicate parallelism engaged.
+      /// predicate count means intra-predicate parallelism engaged; the
+      /// group budget holds it to at most the cap plus the predicate
+      /// count.
       size_t forward_groups = 0;
       size_t transpose_groups = 0;
     };
@@ -138,16 +152,21 @@ class Graph {
 
     /// \brief Cap the chunk groups one predicate's stream is split
     /// into. 0 (default) = auto: 2x the executor's worker count, or 1
-    /// on an inline executor (serial chunking is pure overhead). 1
-    /// reproduces the one-task-per-predicate build exactly (same bytes
-    /// — group boundaries never change the output — just no
-    /// intra-predicate fan-out); chunked_build_test's reference.
+    /// on an inline executor (serial chunking is pure overhead). The
+    /// cap also sets the group budget (see the header comment); a
+    /// stream without chunk_edges cannot be sized and is split up to
+    /// the cap by chunk count. 1 reproduces the one-task-per-predicate
+    /// build exactly (same bytes — group boundaries never change the
+    /// output — just no intra-predicate fan-out); chunked_build_test's
+    /// reference.
     void set_max_groups(size_t max_groups) { max_groups_ = max_groups; }
 
     /// \brief Consume the streams and assemble the graph. Chunk-group
     /// tasks are submitted to `executor` in barrier phases (count,
     /// scan, scatter; then the same for the transpose); the call blocks
-    /// until all finish. The builder is single-use.
+    /// until all finish. The builder is single-use. A layout over
+    /// CheckNodeLimit fails with OutOfRange before anything is
+    /// allocated or any stream is replayed.
     Result<Graph> Build(Executor* executor, BuildStats* stats = nullptr) &&;
 
    private:
@@ -173,14 +192,15 @@ class Graph {
   TypeId TypeOf(NodeId node) const { return layout_.TypeOf(node); }
 
   /// \brief Targets of a-labeled edges out of `node` (empty outside
-  /// the predicate's source range).
-  std::span<const NodeId> OutNeighbors(PredicateId a, NodeId node) const {
+  /// the predicate's source range). Node ids are stored as uint32_t:
+  /// a built layout never exceeds CheckNodeLimit.
+  std::span<const uint32_t> OutNeighbors(PredicateId a, NodeId node) const {
     return Neighbors(forward_[a], node);
   }
 
   /// \brief Sources of a-labeled edges into `node` (i.e. a^- neighbors;
   /// empty outside the predicate's target range).
-  std::span<const NodeId> InNeighbors(PredicateId a, NodeId node) const {
+  std::span<const uint32_t> InNeighbors(PredicateId a, NodeId node) const {
     return Neighbors(backward_[a], node);
   }
 
@@ -195,7 +215,7 @@ class Graph {
     const Csr& csr = forward_[a];
     for (NodeId v = 0; v < csr.range; ++v) {
       for (uint32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
-        fn(csr.begin + v, csr.targets[i]);
+        fn(csr.begin + v, NodeId{csr.targets[i]});
       }
     }
   }
@@ -208,6 +228,11 @@ class Graph {
   /// per-predicate edge limit of the CSR.
   static Status CheckEdgeLimit(uint64_t edges);
 
+  /// \brief OutOfRange unless every id of a `nodes`-node layout fits a
+  /// uint32_t target: the node limit of the CSR. Every build checks it
+  /// before it allocates anything.
+  static Status CheckNodeLimit(int64_t nodes);
+
  private:
   /// One direction of one predicate: adjacency of the nodes
   /// [begin, begin + range), offsets indexed by `node - begin`.
@@ -215,10 +240,10 @@ class Graph {
     NodeId begin = 0;
     NodeId range = 0;
     std::vector<uint32_t> offsets;  // range + 1 entries, none if empty.
-    std::vector<NodeId> targets;
+    std::vector<uint32_t> targets;  // Global node ids.
   };
 
-  static std::span<const NodeId> Neighbors(const Csr& csr, NodeId node) {
+  static std::span<const uint32_t> Neighbors(const Csr& csr, NodeId node) {
     // Unsigned: a node below `begin` wraps past `range` too.
     const NodeId v = node - csr.begin;
     if (v >= csr.range) return {};

@@ -503,6 +503,8 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
   WallTimer timer;
   Span layout_span = TraceSpan("gen.layout", "gen");
   GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
+  // Before any slot is drawn: a graph of 2^32 nodes cannot be indexed.
+  GMARK_RETURN_NOT_OK(Graph::CheckNodeLimit(layout.total_nodes()));
   layout_span.End();
   const double layout_seconds = timer.ElapsedSeconds();
 

@@ -50,7 +50,10 @@ Status ParallelGenerateToSink(const GraphConfiguration& config,
 /// each predicate's stream re-emits its (constraint, chunk) pairs from
 /// them whenever Graph::Builder replays a chunk, and frees them once
 /// the predicate's forward CSR is built. Peak memory is those slots
-/// plus the CSRs. The CSRs are byte-identical at any thread count.
+/// plus the CSRs and the build's group histograms. The CSRs are
+/// byte-identical at any thread count. A layout of 2^32 or more nodes
+/// fails with OutOfRange (Graph::CheckNodeLimit) before any slot is
+/// drawn or any edge reaches `sink`.
 ///
 /// When `sink` is non-null, every edge is also streamed into it during
 /// the walk, in canonical order and through the same windows as

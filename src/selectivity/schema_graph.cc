@@ -9,8 +9,15 @@
 namespace gmark {
 
 namespace {
-// Path counts are saturated here so weighted draws stay finite.
-constexpr double kCountCap = 1e12;
+
+Status CheckPathLength(IntRange length) {
+  if (length.min < 0 || length.max < length.min) {
+    return Status::InvalidArgument("invalid path length range " +
+                                   length.ToString());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string SchemaGraphNode::ToString(const GraphSchema& schema) const {
@@ -115,19 +122,16 @@ int SchemaGraph::Distance(SchemaNodeId from, SchemaNodeId to) const {
   return dist[to];
 }
 
-std::vector<std::vector<double>> SchemaGraph::CountTable(SchemaNodeId to,
-                                                         int max_len) const {
-  std::vector<std::vector<double>> counts(
-      static_cast<size_t>(max_len) + 1,
-      std::vector<double>(nodes_.size(), 0.0));
-  counts[0][to] = 1.0;
+WalkCounts SchemaGraph::CountWalksTo(SchemaNodeId to, int max_len) const {
+  WalkCounts counts(nodes_.size(), max_len);
+  counts.at(0, to) = 1.0;
   for (int len = 1; len <= max_len; ++len) {
     for (SchemaNodeId v = 0; v < nodes_.size(); ++v) {
       double total = 0.0;
       for (const auto& e : OutEdges(v)) {
-        total += counts[len - 1][e.to];
+        total += counts.at(len - 1, e.to);
       }
-      counts[len][v] = std::min(total, kCountCap);
+      counts.at(len, v) = std::min(total, WalkCounts::kCap);
     }
   }
   return counts;
@@ -136,33 +140,30 @@ std::vector<std::vector<double>> SchemaGraph::CountTable(SchemaNodeId to,
 double SchemaGraph::CountPaths(SchemaNodeId from, SchemaNodeId to,
                                int length) const {
   if (length < 0) return 0.0;
-  auto counts = CountTable(to, length);
-  return counts[length][from];
-}
-
-double SchemaGraph::CountPathsInRange(SchemaNodeId from, SchemaNodeId to,
-                                      IntRange range) const {
-  if (range.max < 0 || range.max < range.min) return 0.0;
-  auto counts = CountTable(to, range.max);
-  double total = 0.0;
-  for (int len = std::max(range.min, 0); len <= range.max; ++len) {
-    total += counts[len][from];
-  }
-  return total;
+  return CountWalksTo(to, length).at(length, from);
 }
 
 Result<PathExpr> SchemaGraph::SamplePath(SchemaNodeId from, SchemaNodeId to,
                                          IntRange length,
                                          RandomEngine* rng) const {
-  if (length.min < 0 || length.max < length.min) {
-    return Status::InvalidArgument("invalid path length range " +
-                                   length.ToString());
+  GMARK_RETURN_NOT_OK(CheckPathLength(length));
+  return SamplePath(from, to, length, CountWalksTo(to, length.max), rng);
+}
+
+Result<PathExpr> SchemaGraph::SamplePath(SchemaNodeId from, SchemaNodeId to,
+                                         IntRange length,
+                                         const WalkCounts& walks_to,
+                                         RandomEngine* rng) const {
+  GMARK_RETURN_NOT_OK(CheckPathLength(length));
+  if (walks_to.max_len() < length.max) {
+    return Status::InvalidArgument(
+        "walk-count table shorter than the path length range " +
+        length.ToString());
   }
-  auto counts = CountTable(to, length.max);
   // Step 1: draw the length, weighted by the number of walks.
   std::vector<double> length_weights;
   for (int len = length.min; len <= length.max; ++len) {
-    length_weights.push_back(counts[len][from]);
+    length_weights.push_back(walks_to.at(len, from));
   }
   size_t pick = rng->WeightedIndex(length_weights);
   if (pick == length_weights.size()) {
@@ -180,7 +181,7 @@ Result<PathExpr> SchemaGraph::SamplePath(SchemaNodeId from, SchemaNodeId to,
     std::vector<double> weights;
     weights.reserve(edges.size());
     for (const auto& e : edges) {
-      weights.push_back(counts[remaining - 1][e.to]);
+      weights.push_back(walks_to.at(remaining - 1, e.to));
     }
     size_t chosen = rng->WeightedIndex(weights);
     if (chosen == weights.size()) {

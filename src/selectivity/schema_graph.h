@@ -8,6 +8,7 @@
 #ifndef GMARK_SELECTIVITY_SCHEMA_GRAPH_H_
 #define GMARK_SELECTIVITY_SCHEMA_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -40,16 +41,56 @@ struct SchemaGraphEdge {
   Symbol symbol;
 };
 
+/// \brief An nb_path walk-count table (§5.2.4): at(len, v) is the
+/// number of walks of exactly `len` edges from node v into the table's
+/// accepting set, saturated at kCap so weighted draws stay finite. Row
+/// `len` does not depend on max_len, so one table serves every length
+/// up to its max_len. Immutable once its builder has filled it.
+class WalkCounts {
+ public:
+  static constexpr double kCap = 1e12;
+
+  WalkCounts(size_t node_count, int max_len)
+      : node_count_(node_count),
+        max_len_(max_len),
+        counts_(static_cast<size_t>(max_len + 1) * node_count, 0.0) {}
+
+  int max_len() const { return max_len_; }
+  double at(int len, SchemaNodeId v) const {
+    return counts_[static_cast<size_t>(len) * node_count_ + v];
+  }
+  double& at(int len, SchemaNodeId v) {
+    return counts_[static_cast<size_t>(len) * node_count_ + v];
+  }
+
+  /// \brief Walks from v of any length in `range` (clipped to
+  /// [0, max_len]), summed shortest first.
+  double InRange(SchemaNodeId v, IntRange range) const {
+    double total = 0.0;
+    for (int len = std::max(range.min, 0);
+         len <= std::min(range.max, max_len_); ++len) {
+      total += at(len, v);
+    }
+    return total;
+  }
+
+ private:
+  size_t node_count_;
+  int max_len_;
+  std::vector<double> counts_;
+};
+
 /// \brief G_S plus its distance matrix and path sampling.
 ///
 /// Thread-safety: after Build returns, every const method is safe to
 /// call from any number of threads concurrently. This is by
-/// construction, not by locking — Distance, CountPaths,
-/// CountPathsInRange, and SamplePath recompute into locals (no mutable
-/// caches), and SamplePath draws only from the caller-owned
+/// construction, not by locking — Distance, CountPaths, CountWalksTo
+/// and SamplePath recompute into locals or read a caller-owned table
+/// (no mutable caches), and SamplePath draws only from the caller-owned
 /// RandomEngine. The parallel workload generator
-/// (workload/parallel_workload.h) relies on this: one SchemaGraph is
-/// shared read-only by every query task.
+/// (workload/parallel_workload.h) relies on this: one SchemaGraph, and
+/// one set of WalkCounts built from it per workload, are shared
+/// read-only by every query task.
 class SchemaGraph {
  public:
   /// \brief Build the reachable part of G_S: starting from the identity
@@ -79,12 +120,12 @@ class SchemaGraph {
   /// `from` to `to`, saturated at a large cap to avoid overflow.
   double CountPaths(SchemaNodeId from, SchemaNodeId to, int length) const;
 
-  /// \brief Sum of CountPaths over every length in `range`, computed
-  /// from one DP table instead of one per length (the table for
-  /// range.max contains every shorter length as a prefix). Saturated
-  /// per length like CountPaths.
-  double CountPathsInRange(SchemaNodeId from, SchemaNodeId to,
-                           IntRange range) const;
+  /// \brief The nb_path DP toward a fixed target: at(len, v) = number
+  /// of walks of `len` edges from v to `to`, for len in [0, max_len].
+  /// What CountPaths and SamplePath compute per call; a caller that
+  /// draws many paths builds it once per target, and sums a length
+  /// range of it with WalkCounts::InRange.
+  WalkCounts CountWalksTo(SchemaNodeId to, int max_len) const;
 
   /// \brief Sample, uniformly over all (from -> to) walks whose length
   /// lies within `length`, one walk; returns its symbol sequence.
@@ -96,15 +137,17 @@ class SchemaGraph {
   Result<PathExpr> SamplePath(SchemaNodeId from, SchemaNodeId to,
                               IntRange length, RandomEngine* rng) const;
 
+  /// \brief SamplePath drawing from `walks_to`, which must be
+  /// CountWalksTo(to, m) for some m >= length.max: the same draws, the
+  /// same result, without rebuilding the table.
+  Result<PathExpr> SamplePath(SchemaNodeId from, SchemaNodeId to,
+                              IntRange length, const WalkCounts& walks_to,
+                              RandomEngine* rng) const;
+
   /// \brief Render the graph for debugging / docs.
   std::string ToString(const GraphSchema& schema) const;
 
  private:
-  // nb_path DP toward a fixed target: counts[i][v] = #walks of length i
-  // from v to `to`.
-  std::vector<std::vector<double>> CountTable(SchemaNodeId to,
-                                              int max_len) const;
-
   std::vector<SchemaGraphNode> nodes_;
   std::vector<SchemaGraphEdge> edges_;   // grouped by source node
   std::vector<size_t> out_offsets_;      // node_count + 1

@@ -4,10 +4,6 @@
 
 namespace gmark {
 
-namespace {
-constexpr double kCountCap = 1e12;
-}  // namespace
-
 SelectivityGraph SelectivityGraph::Build(const SchemaGraph* schema_graph,
                                          IntRange path_length) {
   SelectivityGraph g;
@@ -50,21 +46,20 @@ bool SelectivityGraph::HasEdge(SchemaNodeId from, SchemaNodeId to) const {
   return std::find(succ.begin(), succ.end(), to) != succ.end();
 }
 
-std::vector<std::vector<double>> SelectivityGraph::CountChains(
-    QuerySelectivity target, int max_len) const {
+WalkCounts SelectivityGraph::CountChains(QuerySelectivity target,
+                                         int max_len) const {
   const size_t n = successors_.size();
-  std::vector<std::vector<double>> counts(
-      static_cast<size_t>(max_len) + 1, std::vector<double>(n, 0.0));
+  WalkCounts counts(n, max_len);
   for (SchemaNodeId v = 0; v < n; ++v) {
     if (ClassOf(schema_graph_->nodes()[v].triple) == target) {
-      counts[0][v] = 1.0;
+      counts.at(0, v) = 1.0;
     }
   }
   for (int len = 1; len <= max_len; ++len) {
     for (SchemaNodeId v = 0; v < n; ++v) {
       double total = 0.0;
-      for (SchemaNodeId w : successors_[v]) total += counts[len - 1][w];
-      counts[len][v] = std::min(total, kCountCap);
+      for (SchemaNodeId w : successors_[v]) total += counts.at(len - 1, w);
+      counts.at(len, v) = std::min(total, WalkCounts::kCap);
     }
   }
   return counts;
@@ -75,7 +70,20 @@ Result<std::vector<SchemaNodeId>> SelectivityGraph::SampleConjunctChain(
   if (num_conjuncts < 1) {
     return Status::InvalidArgument("a chain needs at least one conjunct");
   }
-  auto counts = CountChains(target, num_conjuncts);
+  return SampleConjunctChain(target, CountChains(target, num_conjuncts),
+                             num_conjuncts, rng);
+}
+
+Result<std::vector<SchemaNodeId>> SelectivityGraph::SampleConjunctChain(
+    QuerySelectivity target, const WalkCounts& chains, int num_conjuncts,
+    RandomEngine* rng) const {
+  if (num_conjuncts < 1) {
+    return Status::InvalidArgument("a chain needs at least one conjunct");
+  }
+  if (chains.max_len() < num_conjuncts) {
+    return Status::InvalidArgument(
+        "chain-count table shorter than the conjunct count");
+  }
 
   // Choose the starting identity node, weighted by chain counts.
   const auto& nodes = schema_graph_->nodes();
@@ -86,7 +94,7 @@ Result<std::vector<SchemaNodeId>> SelectivityGraph::SampleConjunctChain(
     // walk origins ("a node with selectivity triple (?,=,?)", §5.2.4).
     if (nodes[v].triple == IdentityTriple(nodes[v].triple.left)) {
       starts.push_back(v);
-      weights.push_back(counts[num_conjuncts][v]);
+      weights.push_back(chains.at(num_conjuncts, v));
     }
   }
   size_t pick = rng->WeightedIndex(weights);
@@ -102,7 +110,7 @@ Result<std::vector<SchemaNodeId>> SelectivityGraph::SampleConjunctChain(
     const auto& succ = successors_[current];
     std::vector<double> w;
     w.reserve(succ.size());
-    for (SchemaNodeId s : succ) w.push_back(counts[remaining - 1][s]);
+    for (SchemaNodeId s : succ) w.push_back(chains.at(remaining - 1, s));
     size_t chosen = rng->WeightedIndex(w);
     if (chosen == w.size()) {
       return Status::Internal("conjunct chain sampling dead end");
@@ -115,11 +123,11 @@ Result<std::vector<SchemaNodeId>> SelectivityGraph::SampleConjunctChain(
 
 bool SelectivityGraph::ChainExists(QuerySelectivity target,
                                    int num_conjuncts) const {
-  auto counts = CountChains(target, num_conjuncts);
+  const WalkCounts counts = CountChains(target, num_conjuncts);
   const auto& nodes = schema_graph_->nodes();
   for (SchemaNodeId v = 0; v < nodes.size(); ++v) {
     if (nodes[v].triple == IdentityTriple(nodes[v].triple.left) &&
-        counts[num_conjuncts][v] > 0.0) {
+        counts.at(num_conjuncts, v) > 0.0) {
       return true;
     }
   }

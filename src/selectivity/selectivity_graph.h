@@ -22,9 +22,9 @@ namespace gmark {
 ///
 /// Thread-safety: after Build returns, all const methods are safe for
 /// concurrent callers. CountChains and SampleConjunctChain recompute
-/// into locals (no mutable caches) and draw only from the caller-owned
-/// RandomEngine; the referenced SchemaGraph is itself read-only (it
-/// must outlive this object).
+/// into locals or read a caller-owned table (no mutable caches) and
+/// draw only from the caller-owned RandomEngine; the referenced
+/// SchemaGraph is itself read-only (it must outlive this object).
 class SelectivityGraph {
  public:
   /// \brief Derive G_sel from G_S for a per-conjunct length range.
@@ -47,16 +47,23 @@ class SelectivityGraph {
   Result<std::vector<SchemaNodeId>> SampleConjunctChain(
       QuerySelectivity target, int num_conjuncts, RandomEngine* rng) const;
 
+  /// \brief SampleConjunctChain drawing from `chains`, which must be
+  /// CountChains(target, m) for some m >= num_conjuncts: the same
+  /// draws, the same walk, without rebuilding the table.
+  Result<std::vector<SchemaNodeId>> SampleConjunctChain(
+      QuerySelectivity target, const WalkCounts& chains, int num_conjuncts,
+      RandomEngine* rng) const;
+
+  /// \brief Walk counts toward target-class end nodes: at(i, v) =
+  /// number of G_sel walks of i edges from v to a node whose triple is
+  /// in `target` (saturated), for i in [0, max_len].
+  WalkCounts CountChains(QuerySelectivity target, int max_len) const;
+
   /// \brief True if at least one chain of `num_conjuncts` conjuncts with
   /// the target class exists.
   bool ChainExists(QuerySelectivity target, int num_conjuncts) const;
 
  private:
-  // Walk counts toward target-class end nodes: counts[i][v] = number of
-  // G_sel walks of length i from v to an accepting node (saturated).
-  std::vector<std::vector<double>> CountChains(QuerySelectivity target,
-                                               int max_len) const;
-
   const SchemaGraph* schema_graph_ = nullptr;
   IntRange path_length_;
   std::vector<std::vector<SchemaNodeId>> successors_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "parallel/executor.h"
-#include "selectivity/selectivity_graph.h"
 #include "util/random.h"
 
 namespace gmark {
@@ -26,19 +25,11 @@ struct QuerySlot {
 Result<Workload> ParallelGenerateWorkload(
     const QueryGenerator& generator, const WorkloadConfiguration& config,
     const ParallelWorkloadOptions& options) {
-  GMARK_RETURN_NOT_OK(config.Validate());
-
-  // Hoisted G_sel: built once, shared read-only by every task — but
-  // only when some query will actually consult it (selectivity control
-  // on and at least one chain in the shape rotation).
-  std::optional<SelectivityGraph> gsel;
-  if (config.selectivity_control &&
-      std::find(config.shapes.begin(), config.shapes.end(),
-                QueryShape::kChain) != config.shapes.end()) {
-    gsel.emplace(SelectivityGraph::Build(&generator.schema_graph(),
-                                         config.size.path_length));
-  }
-  const SelectivityGraph* shared_gsel = gsel.has_value() ? &*gsel : nullptr;
+  // Hoisted tables: the walk counts and, when some query is
+  // selectivity-controlled, G_sel — built once, shared read-only by
+  // every task.
+  GMARK_ASSIGN_OR_RETURN(const WorkloadTables tables,
+                         generator.BuildTables(config));
 
   const size_t num_queries = config.num_queries;
   std::vector<QuerySlot> slots(num_queries);
@@ -48,7 +39,7 @@ Result<Workload> ParallelGenerateWorkload(
   Executor executor(options.num_threads);
   for (size_t lo = 0; lo < num_queries; lo += chunk) {
     const size_t hi = std::min(num_queries, lo + chunk);
-    executor.Submit([&generator, &config, &slots, shared_gsel, lo, hi] {
+    executor.Submit([&generator, &config, &slots, &tables, lo, hi] {
       for (size_t i = lo; i < hi; ++i) {
         const QueryShape shape = config.shapes[i % config.shapes.size()];
         std::optional<QuerySelectivity> target;
@@ -60,7 +51,7 @@ Result<Workload> ParallelGenerateWorkload(
         RandomEngine rng(DeriveSeed(config.seed, i,
                                     internal::kWorkloadQueryPhase));
         auto one =
-            generator.GenerateOne(config, shape, target, shared_gsel, &rng);
+            generator.GenerateOne(config, shape, target, tables, &rng);
         if (one.ok()) {
           slots[i].query = std::move(one).ValueOrDie();
         } else {

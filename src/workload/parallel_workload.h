@@ -6,8 +6,9 @@
 // loop chunks over the shared ThreadPool exactly like the graph
 // generator (src/parallel/): query index i draws from the SplitMix64
 // stream DeriveSeed(config.seed, i, phase), shared read-only structures
-// (the schema graph, and G_sel when selectivity control is on) are
-// built once up front, and results merge back in request-index order.
+// (the schema graph, its walk-count tables, and G_sel with its chain
+// tables when selectivity control is on) are built once up front, and
+// results merge back in request-index order.
 // The output is therefore a pure function of the configuration — byte-
 // identical at any thread count and any chunk size, including the
 // 1-thread inline path that QueryGenerator::Generate now delegates to.

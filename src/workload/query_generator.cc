@@ -164,6 +164,32 @@ std::string Workload::ToXml(const GraphSchema& schema) const {
 QueryGenerator::QueryGenerator(const GraphSchema* schema)
     : schema_(schema), graph_(SchemaGraph::Build(*schema)) {}
 
+Result<WorkloadTables> QueryGenerator::BuildTables(
+    const WorkloadConfiguration& config) const {
+  GMARK_RETURN_NOT_OK(config.Validate());
+  WorkloadTables tables;
+  tables.walks_to.reserve(graph_.node_count());
+  for (SchemaNodeId t = 0; t < graph_.node_count(); ++t) {
+    tables.walks_to.push_back(
+        graph_.CountWalksTo(t, config.size.path_length.max));
+  }
+  // Only controlled queries consult G_sel: selectivity control on and
+  // at least one chain in the shape rotation.
+  if (config.selectivity_control &&
+      std::find(config.shapes.begin(), config.shapes.end(),
+                QueryShape::kChain) != config.shapes.end()) {
+    tables.gsel.emplace(
+        SelectivityGraph::Build(&graph_, config.size.path_length));
+    for (QuerySelectivity c : {QuerySelectivity::kConstant,
+                               QuerySelectivity::kLinear,
+                               QuerySelectivity::kQuadratic}) {
+      tables.chains.push_back(
+          tables.gsel->CountChains(c, config.size.conjuncts.max));
+    }
+  }
+  return tables;
+}
+
 Result<std::pair<PathExpr, SchemaNodeId>> QueryGenerator::RandomWalk(
     SchemaNodeId from, IntRange length, RandomEngine* rng) const {
   int target_len = DrawInRange(length, rng);
@@ -188,12 +214,12 @@ Result<std::pair<PathExpr, SchemaNodeId>> QueryGenerator::RandomWalk(
 
 Result<std::pair<PathExpr, SchemaNodeId>> QueryGenerator::SamplePathToType(
     SchemaNodeId from, TypeId target_type, IntRange length,
-    RandomEngine* rng) const {
+    const WorkloadTables& tables, RandomEngine* rng) const {
   std::vector<SchemaNodeId> candidates;
   std::vector<double> weights;
   for (SchemaNodeId v = 0; v < graph_.node_count(); ++v) {
     if (graph_.nodes()[v].type != target_type) continue;
-    double total = graph_.CountPathsInRange(from, v, length);
+    double total = tables.walks_to[v].InRange(from, length);
     if (total > 0.0) {
       candidates.push_back(v);
       weights.push_back(total);
@@ -205,23 +231,25 @@ Result<std::pair<PathExpr, SchemaNodeId>> QueryGenerator::SamplePathToType(
                             " reaching type " +
                             schema_->TypeName(target_type));
   }
-  GMARK_ASSIGN_OR_RETURN(PathExpr path,
-                         graph_.SamplePath(from, candidates[pick], length,
-                                           rng));
+  GMARK_ASSIGN_OR_RETURN(
+      PathExpr path,
+      graph_.SamplePath(from, candidates[pick], length,
+                        tables.walks_to[candidates[pick]], rng));
   return std::make_pair(std::move(path), candidates[pick]);
 }
 
 Result<PathExpr> QueryGenerator::SampleLoopPath(TypeId type, IntRange length,
+                                                const WorkloadTables& tables,
                                                 RandomEngine* rng) const {
   GMARK_ASSIGN_OR_RETURN(
       auto path_and_node,
-      SamplePathToType(graph_.StartNode(type), type, length, rng));
+      SamplePathToType(graph_.StartNode(type), type, length, tables, rng));
   return path_and_node.first;
 }
 
 Result<RegularExpression> QueryGenerator::BuildRegex(
     SchemaNodeId from, SchemaNodeId to, int num_disjuncts, IntRange length,
-    RandomEngine* rng) const {
+    const WorkloadTables& tables, RandomEngine* rng) const {
   RegularExpression expr;
   std::set<PathExpr> seen;
   // A few extra attempts to find distinct disjuncts; duplicates are
@@ -229,7 +257,7 @@ Result<RegularExpression> QueryGenerator::BuildRegex(
   int attempts = num_disjuncts * 3;
   while (static_cast<int>(expr.disjuncts.size()) < num_disjuncts &&
          attempts-- > 0) {
-    auto path = graph_.SamplePath(from, to, length, rng);
+    auto path = graph_.SamplePath(from, to, length, tables.walks_to[to], rng);
     if (!path.ok()) break;
     if (seen.insert(path.ValueOrDie()).second) {
       expr.disjuncts.push_back(std::move(path).ValueOrDie());
@@ -244,8 +272,10 @@ Result<RegularExpression> QueryGenerator::BuildRegex(
 
 Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
     const WorkloadConfiguration& config, QuerySelectivity target,
-    const SelectivityGraph& gsel, RandomEngine* rng) const {
+    const WorkloadTables& tables, RandomEngine* rng) const {
   const IntRange len = config.size.path_length;
+  const SelectivityGraph& gsel = *tables.gsel;
+  const WalkCounts& chains = tables.chains[static_cast<size_t>(target)];
   int c = DrawInRange(config.size.conjuncts, rng);
 
   // Decide which conjuncts carry a Kleene star (probability pr).
@@ -263,7 +293,7 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
   // all-plain chains it always produced, while pr > 0 keeps as much of
   // its drawn recursion as the class allows.
   Result<std::vector<SchemaNodeId>> walk =
-      gsel.SampleConjunctChain(target, non_star, rng);
+      gsel.SampleConjunctChain(target, chains, non_star, rng);
   if (!walk.ok()) {
     for (int k = config.size.conjuncts.min;
          k <= config.size.conjuncts.max && !walk.ok(); ++k) {
@@ -272,7 +302,7 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
       int ns =
           static_cast<int>(std::count(mask.begin(), mask.end(), false));
       while (true) {
-        walk = gsel.SampleConjunctChain(target, ns, rng);
+        walk = gsel.SampleConjunctChain(target, chains, ns, rng);
         if (walk.ok() || ns == k) break;
         UnstarOne(&mask, rng);
         ++ns;
@@ -301,7 +331,7 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
       std::set<PathExpr> seen;
       int want = DrawInRange(config.size.disjuncts, rng);
       for (int attempt = 0; attempt < want * 3; ++attempt) {
-        auto loop = SampleLoopPath(t, len, rng);
+        auto loop = SampleLoopPath(t, len, tables, rng);
         if (!loop.ok()) break;
         if (seen.insert(loop.ValueOrDie()).second) {
           expr.disjuncts.push_back(std::move(loop).ValueOrDie());
@@ -316,8 +346,8 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
       conj.expr = std::move(expr);
     } else {
       int d = DrawInRange(config.size.disjuncts, rng);
-      GMARK_ASSIGN_OR_RETURN(
-          conj.expr, BuildRegex(nodes[wpos], nodes[wpos + 1], d, len, rng));
+      GMARK_ASSIGN_OR_RETURN(conj.expr, BuildRegex(nodes[wpos], nodes[wpos + 1],
+                                                   d, len, tables, rng));
       ++wpos;
     }
     rule.body.push_back(std::move(conj));
@@ -328,7 +358,7 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
 
 Result<QueryRule> QueryGenerator::GenerateFreeRule(
     const WorkloadConfiguration& config, QueryShape shape,
-    RandomEngine* rng) const {
+    const WorkloadTables& tables, RandomEngine* rng) const {
   const IntRange len = config.size.path_length;
   int c = DrawInRange(config.size.conjuncts, rng);
   Skeleton skeleton = BuildSkeleton(shape, c, rng);
@@ -360,7 +390,7 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
 
     if (starred) {
       TypeId t = graph_.nodes()[from].type;
-      auto loop = SampleLoopPath(t, len, rng);
+      auto loop = SampleLoopPath(t, len, tables, rng);
       if (loop.ok()) {
         RegularExpression expr;
         expr.star = true;
@@ -370,7 +400,7 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
         for (int attempt = 1; attempt < d * 3 &&
                               static_cast<int>(expr.disjuncts.size()) < d;
              ++attempt) {
-          auto extra = SampleLoopPath(t, len, rng);
+          auto extra = SampleLoopPath(t, len, tables, rng);
           if (!extra.ok()) break;
           if (seen.insert(extra.ValueOrDie()).second) {
             expr.disjuncts.push_back(std::move(extra).ValueOrDie());
@@ -391,7 +421,8 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
       // Both endpoints typed already: close the pattern.
       TypeId trg_type = graph_.nodes()[anchor[w]].type;
       GMARK_ASSIGN_OR_RETURN(auto first,
-                             SamplePathToType(from, trg_type, len, rng));
+                             SamplePathToType(from, trg_type, len, tables,
+                                              rng));
       RegularExpression expr;
       std::set<PathExpr> seen;
       seen.insert(first.first);
@@ -399,7 +430,7 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
       for (int attempt = 1; attempt < d * 3 &&
                             static_cast<int>(expr.disjuncts.size()) < d;
            ++attempt) {
-        auto extra = SamplePathToType(from, trg_type, len, rng);
+        auto extra = SamplePathToType(from, trg_type, len, tables, rng);
         if (!extra.ok()) break;
         if (seen.insert(extra.ValueOrDie().first).second) {
           expr.disjuncts.push_back(std::move(extra.ValueOrDie().first));
@@ -417,7 +448,7 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
       for (int attempt = 1; attempt < d * 3 &&
                             static_cast<int>(expr.disjuncts.size()) < d;
            ++attempt) {
-        auto extra = SamplePathToType(from, end_type, len, rng);
+        auto extra = SamplePathToType(from, end_type, len, tables, rng);
         if (!extra.ok()) break;
         if (seen.insert(extra.ValueOrDie().first).second) {
           expr.disjuncts.push_back(std::move(extra.ValueOrDie().first));
@@ -432,14 +463,14 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
 
 Result<GeneratedQuery> QueryGenerator::GenerateOne(
     const WorkloadConfiguration& config, QueryShape shape,
-    std::optional<QuerySelectivity> target, const SelectivityGraph* gsel,
+    std::optional<QuerySelectivity> target, const WorkloadTables& tables,
     RandomEngine* rng) const {
   const bool controlled =
       target.has_value() && shape == QueryShape::kChain;
   // G_sel depends only on the per-conjunct path length range, so the
   // caller builds it once per workload and shares it; only controlled
   // queries consult it.
-  if (controlled && gsel == nullptr) {
+  if (controlled && !tables.gsel.has_value()) {
     return Status::InvalidArgument(
         "selectivity-controlled query needs a G_sel");
   }
@@ -455,8 +486,8 @@ Result<GeneratedQuery> QueryGenerator::GenerateOne(
     for (int r = 0; r < num_rules; ++r) {
       Result<QueryRule> rule =
           controlled
-              ? GenerateControlledChainRule(config, *target, *gsel, rng)
-              : GenerateFreeRule(config, shape, rng);
+              ? GenerateControlledChainRule(config, *target, tables, rng)
+              : GenerateFreeRule(config, shape, tables, rng);
       if (!rule.ok()) {
         last_error = rule.status();
         failed = true;

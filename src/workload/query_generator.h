@@ -50,12 +50,30 @@ struct Workload {
   std::string ToXml(const GraphSchema& schema) const;
 };
 
+/// \brief What every query of one workload reads and none writes:
+/// G_sel when some query is selectivity-controlled, and the nb_path
+/// walk-count tables both of its samplers draw from, built once per
+/// workload instead of once per draw. A pure function of (schema
+/// graph, configuration): ParallelGenerateWorkload builds one with
+/// QueryGenerator::BuildTables and shares it with every query task.
+struct WorkloadTables {
+  /// walks_to[t]: G_S walks into schema-graph node t of up to
+  /// config.size.path_length.max edges.
+  std::vector<WalkCounts> walks_to;
+  /// G_sel, present when some query is selectivity-controlled (a chain
+  /// in the shape rotation with selectivity control on).
+  std::optional<SelectivityGraph> gsel;
+  /// With gsel, chains[c]: G_sel walks of up to
+  /// config.size.conjuncts.max conjuncts ending in QuerySelectivity c.
+  std::vector<WalkCounts> chains;
+};
+
 /// \brief Workload generator bound to one schema.
 ///
 /// Thread-safety: construction builds the schema graph; afterwards all
-/// generation methods are const and recompute into locals, so one
-/// generator may serve any number of concurrent callers as long as
-/// each brings its own RandomEngine.
+/// generation methods are const and read only locals and a caller-owned
+/// WorkloadTables, so one generator may serve any number of concurrent
+/// callers as long as each brings its own RandomEngine.
 class QueryGenerator {
  public:
   /// \brief `schema` must outlive the generator.
@@ -72,19 +90,26 @@ class QueryGenerator {
   /// the parallel path at any thread count.
   Result<Workload> Generate(const WorkloadConfiguration& config) const;
 
-  /// \brief Generate a single query with explicit shape/class against a
-  /// caller-provided G_sel built with
-  /// SelectivityGraph::Build(&schema_graph(), config.size.path_length).
-  /// Sharing one immutable G_sel across queries is what makes workload
+  /// \brief The shared read-only state of a workload with `config`:
+  /// the walk-count tables toward every schema-graph node, and G_sel
+  /// with its chain tables when some query is selectivity-controlled.
+  /// InvalidArgument when `config` does not validate.
+  Result<WorkloadTables> BuildTables(
+      const WorkloadConfiguration& config) const;
+
+  /// \brief Generate a single query with explicit shape/class against
+  /// caller-provided tables built by BuildTables(config). Sharing one
+  /// immutable WorkloadTables across queries is what makes workload
   /// generation parallel-friendly: this method is const and touches no
   /// mutable state, so any number of threads may call it concurrently
-  /// with distinct RandomEngines. `gsel` may be null only when the
-  /// query is not selectivity-controlled: a controlled query (a chain
-  /// with a target class) with a null `gsel` returns InvalidArgument.
-  Result<GeneratedQuery> GenerateOne(
-      const WorkloadConfiguration& config, QueryShape shape,
-      std::optional<QuerySelectivity> target, const SelectivityGraph* gsel,
-      RandomEngine* rng) const;
+  /// with distinct RandomEngines. A controlled query (a chain with a
+  /// target class) against tables without G_sel returns
+  /// InvalidArgument.
+  Result<GeneratedQuery> GenerateOne(const WorkloadConfiguration& config,
+                                     QueryShape shape,
+                                     std::optional<QuerySelectivity> target,
+                                     const WorkloadTables& tables,
+                                     RandomEngine* rng) const;
 
   const SchemaGraph& schema_graph() const { return graph_; }
 
@@ -92,21 +117,23 @@ class QueryGenerator {
   // Selectivity-controlled chain generation (§5.2.4).
   Result<QueryRule> GenerateControlledChainRule(
       const WorkloadConfiguration& config, QuerySelectivity target,
-      const SelectivityGraph& gsel, RandomEngine* rng) const;
+      const WorkloadTables& tables, RandomEngine* rng) const;
 
   // General shape-driven generation (§5.1), no selectivity guarantee.
   Result<QueryRule> GenerateFreeRule(const WorkloadConfiguration& config,
                                      QueryShape shape,
+                                     const WorkloadTables& tables,
                                      RandomEngine* rng) const;
 
   // Sample a loop path (type T back to type T) for starred conjuncts.
   Result<PathExpr> SampleLoopPath(TypeId type, IntRange length,
+                                  const WorkloadTables& tables,
                                   RandomEngine* rng) const;
 
   // Sample a path from `from` ending at any node of `target_type`.
   Result<std::pair<PathExpr, SchemaNodeId>> SamplePathToType(
       SchemaNodeId from, TypeId target_type, IntRange length,
-      RandomEngine* rng) const;
+      const WorkloadTables& tables, RandomEngine* rng) const;
 
   // Random walk of length within `length`; returns path and end node.
   Result<std::pair<PathExpr, SchemaNodeId>> RandomWalk(
@@ -116,6 +143,7 @@ class QueryGenerator {
   // going `from` -> `to` (duplicates dropped).
   Result<RegularExpression> BuildRegex(SchemaNodeId from, SchemaNodeId to,
                                        int num_disjuncts, IntRange length,
+                                       const WorkloadTables& tables,
                                        RandomEngine* rng) const;
 
   const GraphSchema* schema_;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/graph_config.h"
+#include "core/use_cases.h"
 #include "csr_spans.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
@@ -107,6 +108,22 @@ TEST(ChunkedBuildTest, AutoGroupingEngagesIntraPredicateParallelism) {
             config.schema.predicate_count());
   EXPECT_GT(chunked_stats.index_transpose_groups,
             config.schema.predicate_count());
+}
+
+TEST(ChunkedBuildTest, GroupBudgetLeavesPredicatesBelowTheirShareWhole) {
+  // LSN spreads its edges over many predicates, none above a quarter
+  // of the total, so at 2 threads (a cap of 4 groups) the build-wide
+  // budget gives every predicate one forward and one transpose group.
+  const GraphConfiguration config = MakeLsnConfig(20000, 7);
+  GeneratorOptions options;
+  options.num_threads = 2;
+  GenerateStats stats;
+  Graph g = ParallelGenerateGraph(config, options, &stats).ValueOrDie();
+  for (PredicateId p = 0; p < g.predicate_count(); ++p) {
+    ASSERT_LE(g.EdgeCount(p) * 4, g.num_edges()) << "predicate " << p;
+  }
+  EXPECT_EQ(stats.index_forward_groups, config.schema.predicate_count());
+  EXPECT_EQ(stats.index_transpose_groups, config.schema.predicate_count());
 }
 
 /// A chunked stream over an in-memory edge set whose second replay of

@@ -17,7 +17,7 @@
 
 namespace gmark {
 
-inline std::vector<NodeId> SpanVec(std::span<const NodeId> s) {
+inline std::vector<NodeId> SpanVec(std::span<const uint32_t> s) {
   return {s.begin(), s.end()};
 }
 

@@ -120,10 +120,11 @@ TEST(GraphTest, ForEachEdgeReportsGlobalSourceIds) {
 
 TEST(GraphTest, IndexBytesCountsOnlyTheEndpointRanges) {
   // Sources 3..5 and targets 0..2: three nodes a side, so each
-  // direction holds four uint32_t offsets and three NodeId targets.
+  // direction holds four uint32_t offsets and three uint32_t targets.
   std::vector<Edge> edges{{3, 0, 1}, {5, 0, 0}, {5, 0, 2}};
   Graph g = Graph::Build(TwoTypeLayout(), 2, edges).ValueOrDie();
-  EXPECT_EQ(g.IndexBytes(), 2 * (4 * sizeof(uint32_t) + 3 * sizeof(NodeId)));
+  EXPECT_EQ(g.IndexBytes(),
+            2 * (4 * sizeof(uint32_t) + 3 * sizeof(uint32_t)));
 }
 
 /// The Builder over `edges` with no node-range hints: every CSR spans
@@ -174,6 +175,77 @@ TEST(GraphTest, EdgeLimitIsTheUint32OffsetSpace) {
   EXPECT_FALSE(over.ok());
   EXPECT_EQ(over.code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(Graph::CheckEdgeLimit(UINT64_MAX).ok());
+}
+
+TEST(GraphTest, NodeLimitIsTheUint32TargetSpace) {
+  EXPECT_TRUE(Graph::CheckNodeLimit(1).ok());
+  EXPECT_TRUE(Graph::CheckNodeLimit(int64_t{UINT32_MAX}).ok());
+  const Status over = Graph::CheckNodeLimit(int64_t{UINT32_MAX} + 1);
+  EXPECT_FALSE(over.ok());
+  EXPECT_EQ(over.code(), StatusCode::kOutOfRange);
+}
+
+constexpr int64_t k2To32 = int64_t{1} << 32;
+
+/// Two 2-node types around 2^32 others: 2^32 + 4 nodes, more than a
+/// uint32_t target can name.
+GraphConfiguration OverLimitConfig() {
+  GraphConfiguration config;
+  config.num_nodes = 1;
+  GraphSchema& s = config.schema;
+  EXPECT_TRUE(s.AddType("a", OccurrenceConstraint::Fixed(2)).ok());
+  EXPECT_TRUE(s.AddType("many", OccurrenceConstraint::Fixed(k2To32)).ok());
+  EXPECT_TRUE(s.AddType("b", OccurrenceConstraint::Fixed(2)).ok());
+  EXPECT_TRUE(s.AddPredicate("p").ok());
+  EXPECT_TRUE(s.AddEdgeConstraintByName("a", "p", "b",
+                                        DistributionSpec::NonSpecified(),
+                                        DistributionSpec::Uniform(1, 1))
+                  .ok());
+  return config;
+}
+
+TEST(GraphTest, OverLimitLayoutFailsBeforeAnyReplay) {
+  // The stream's hints are two nodes wide, so a build that skipped the
+  // node check would allocate almost nothing and silently truncate the
+  // target 2^32 + 2 to 2.
+  const NodeLayout layout =
+      NodeLayout::Create(OverLimitConfig()).ValueOrDie();
+  const NodeId far = static_cast<NodeId>(k2To32) + 2;
+  ASSERT_EQ(layout.OffsetOf(2), far);
+  std::vector<Edge> edges{{0, 0, far}};
+  bool replayed = false;
+  Graph::Builder builder(NodeLayout(layout), 1);
+  Graph::Builder::StreamSpec spec;
+  spec.chunk_count = 1;
+  spec.source_begin = 0;
+  spec.source_end = 1;
+  spec.target_begin = far;
+  spec.target_end = far + 1;
+  spec.stream = [&](size_t, size_t, const Graph::EdgeBlockVisitor& visit) {
+    replayed = true;
+    return visit(edges);
+  };
+  builder.SetChunkedStream(0, std::move(spec));
+  Executor inline_executor(1);
+  Result<Graph> built = std::move(builder).Build(&inline_executor);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(replayed);
+
+  Result<Graph> from_list = Graph::Build(NodeLayout(layout), 1, edges);
+  ASSERT_FALSE(from_list.ok());
+  EXPECT_EQ(from_list.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(GraphTest, OverLimitGenerationFailsBeforeAnyEdge) {
+  // Only the two small types carry edges, so the walk itself would be
+  // tiny: the sink staying empty shows the check runs before it.
+  VectorSink sink;
+  Result<Graph> g =
+      ParallelGenerateGraph(OverLimitConfig(), {}, nullptr, &sink);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(sink.edges().empty());
 }
 
 TEST(GraphTest, RejectsOutOfRangeNodes) {

@@ -209,6 +209,34 @@ TEST(SchemaGraphTest, SamplePathRejectsImpossibleRequests) {
   EXPECT_FALSE(bad_range.ok());
 }
 
+TEST(SchemaGraphTest, PrecomputedWalkCountsDrawTheSamePaths) {
+  // A table longer than the range (what a workload precomputes for
+  // path_length.max) must give the per-call table's draws exactly.
+  GraphSchema schema = Example33Schema();
+  SchemaGraph g = SchemaGraph::Build(schema);
+  const IntRange range{1, 3};
+  for (SchemaNodeId to = 0; to < g.node_count(); ++to) {
+    const WalkCounts walks_to = g.CountWalksTo(to, range.max + 2);
+    for (SchemaNodeId from = 0; from < g.node_count(); ++from) {
+      for (int len = 0; len <= range.max; ++len) {
+        EXPECT_EQ(walks_to.at(len, from), g.CountPaths(from, to, len));
+      }
+      RandomEngine a(11), b(11);
+      auto per_call = g.SamplePath(from, to, range, &a);
+      auto tabled = g.SamplePath(from, to, range, walks_to, &b);
+      ASSERT_EQ(per_call.ok(), tabled.ok());
+      if (per_call.ok()) {
+        EXPECT_EQ(*per_call, *tabled);
+      }
+      EXPECT_EQ(a.raw()(), b.raw()()) << "draw counts diverged";
+    }
+    RandomEngine rng(3);
+    EXPECT_TRUE(g.SamplePath(0, to, IntRange{1, 6}, walks_to, &rng)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
 TEST(SchemaGraphTest, BuildsForAllUseCases) {
   for (UseCase uc : AllUseCases()) {
     GraphConfiguration config = MakeUseCase(uc, 10000);

@@ -90,6 +90,28 @@ TEST_P(ChainSamplingTest, SampledChainsStartAtIdentityAndEndOnTarget) {
   }
 }
 
+TEST_P(ChainSamplingTest, PrecomputedChainCountsDrawTheSameWalks) {
+  GraphConfiguration config = MakeBibConfig(10000);
+  SchemaGraph schema_graph = SchemaGraph::Build(config.schema);
+  SelectivityGraph gsel =
+      SelectivityGraph::Build(&schema_graph, IntRange{1, 3});
+  const WalkCounts chains = gsel.CountChains(GetParam(), 3);
+  for (int c = 1; c <= 3; ++c) {
+    RandomEngine a(17), b(17);
+    auto per_call = gsel.SampleConjunctChain(GetParam(), c, &a);
+    auto tabled = gsel.SampleConjunctChain(GetParam(), chains, c, &b);
+    ASSERT_EQ(per_call.ok(), tabled.ok()) << "c=" << c;
+    if (per_call.ok()) {
+      EXPECT_EQ(*per_call, *tabled) << "c=" << c;
+    }
+    EXPECT_EQ(a.raw()(), b.raw()()) << "c=" << c;
+  }
+  RandomEngine rng(5);
+  EXPECT_TRUE(gsel.SampleConjunctChain(GetParam(), chains, 4, &rng)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Classes, ChainSamplingTest,
     ::testing::Values(QuerySelectivity::kConstant, QuerySelectivity::kLinear,

@@ -62,8 +62,7 @@ TEST(ParallelWorkloadTest, GenerateMatchesTheDocumentedPerIndexContract) {
   QueryGenerator generator(&config.schema);
   WorkloadConfiguration wconfig =
       MakePresetWorkload(WorkloadPreset::kCon, 12, 7);
-  SelectivityGraph gsel = SelectivityGraph::Build(
-      &generator.schema_graph(), wconfig.size.path_length);
+  const WorkloadTables tables = generator.BuildTables(wconfig).ValueOrDie();
 
   Workload expected;
   expected.name = wconfig.name;
@@ -73,7 +72,7 @@ TEST(ParallelWorkloadTest, GenerateMatchesTheDocumentedPerIndexContract) {
         wconfig.selectivities[i % wconfig.selectivities.size()];
     RandomEngine rng(DeriveSeed(wconfig.seed, i,
                                 internal::kWorkloadQueryPhase));
-    auto one = generator.GenerateOne(wconfig, shape, target, &gsel, &rng);
+    auto one = generator.GenerateOne(wconfig, shape, target, tables, &rng);
     if (!one.ok()) continue;
     GeneratedQuery gq = std::move(one).ValueOrDie();
     gq.query.name = "q" + std::to_string(i);
