@@ -285,6 +285,40 @@ void BM_NTriplesFormat(benchmark::State& state) {
 BENCHMARK(BM_NTriplesFormat)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+void BM_CsvFormat(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
+  NullBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    Status st = WriteCsv(graph, config.schema, &out);
+    benchmark::DoNotOptimize(st.ok());
+  }
+  state.SetBytesProcessed(buf.bytes());
+}
+BENCHMARK(BM_CsvFormat)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// The per-line path: every edge through NTriplesSink::Append, one
+/// stream write per line, as the streaming generator drives it.
+void BM_NTriplesSinkAppend(benchmark::State& state) {
+  GraphConfiguration config = MakeBibConfig(state.range(0), 7);
+  Graph graph = ParallelGenerateGraph(config).ValueOrDie();
+  NullBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    NTriplesSink sink(&out, &config.schema);
+    for (PredicateId p = 0; p < graph.predicate_count(); ++p) {
+      graph.ForEachEdge(p, [&sink, p](NodeId src, NodeId trg) {
+        sink.Append(src, p, trg);
+      });
+    }
+    benchmark::DoNotOptimize(sink.count());
+  }
+  state.SetBytesProcessed(buf.bytes());
+}
+BENCHMARK(BM_NTriplesSinkAppend)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
 /// The generate workload's query mix: every shape and selectivity
 /// class, recursion probability 0.3.
 WorkloadConfiguration MixedWorkloadConfig(int64_t queries) {

@@ -6,6 +6,7 @@
 #define GMARK_GRAPH_GRAPH_IO_H_
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,30 +17,32 @@
 
 namespace gmark {
 
+/// The text of one edge line; defined in graph_io.cc and shared by the
+/// sinks and the whole-graph writers, so both produce the same bytes.
+class LineFormat;
+
 /// \brief Base of the text sinks. Each edge becomes one line
 /// `<prefix><source><infix><target><suffix>`, where the infix is fixed
 /// per predicate when the sink is built. Ids are formatted with
 /// std::to_chars, so the bytes never depend on the stream's locale or
-/// format flags. Each line reaches the stream in one `write` and the
-/// sink buffers nothing itself, so the stream holds every line as soon
-/// as Append returns. Stream errors are the caller's to check (e.g. via
-/// WriteCsv or by testing the stream after a drain); the sink itself
-/// only counts what it emitted.
+/// format flags. Append formats the line into a buffer of the sink's
+/// own, sized for the longest line, and hands it to the stream in one
+/// `write`, so the stream holds every line as soon as Append returns.
+/// Stream errors are the caller's to check (e.g. by testing the stream
+/// after a drain); the sink itself only counts what it emitted.
 class LineSink : public EdgeSink {
  public:
+  ~LineSink() override;
   void Append(NodeId source, PredicateId predicate, NodeId target) override;
   size_t count() const override { return count_; }
 
  protected:
-  LineSink(std::ostream* out, std::string prefix,
-           std::vector<std::string> infixes, std::string suffix);
+  LineSink(std::ostream* out, LineFormat format);
 
  private:
   std::ostream* out_;
-  std::string prefix_;
-  std::vector<std::string> infixes_;
-  std::string suffix_;
-  std::string line_;  // Reused for every line.
+  std::unique_ptr<const LineFormat> format_;
+  std::unique_ptr<char[]> line_;  // Room for the longest line.
   size_t count_ = 0;
 };
 
@@ -60,21 +63,26 @@ class CsvSink : public LineSink {
 
 /// \brief Write an indexed graph as N-triples, plus one
 /// `<node> <http://gmark/type> "<typename>" .` triple per node when
-/// `include_node_types`, failing with IOError if the stream goes bad.
-/// As with the sinks, the bytes do not depend on the stream's locale or
-/// format flags.
+/// `include_node_types`: the bytes NTriplesSink gives for every edge,
+/// predicate by predicate, then the type triples in node order. The
+/// lines are formatted into one reused 64 KB block that goes to the
+/// stream in one `write` each time it fills, and once at the end. The
+/// stream is tested after that last write: IOError if any write failed
+/// (a failed stream skips every later write). As with the sinks, the
+/// bytes do not depend on the stream's locale or format flags.
 Status WriteNTriples(const Graph& graph, const GraphSchema& schema,
                      std::ostream* out, bool include_node_types = false);
 
 /// \brief Write an indexed graph as a CSV edge list (header row plus one
-/// `source,predicate,target` row per edge), failing with IOError if the
-/// stream goes bad. The bytes do not depend on the stream's locale or
-/// format flags.
+/// `source,predicate,target` row per edge): the bytes CsvSink gives,
+/// written in 64 KB blocks and tested for failure as WriteNTriples does.
 Status WriteCsv(const Graph& graph, const GraphSchema& schema,
                 std::ostream* out);
 
 /// \brief Parse the N-triples dialect produced by NTriplesSink back into
-/// an edge list (type triples are skipped).
+/// an edge list (type triples are skipped). A node id is decimal digits
+/// that fit a NodeId; anything else (a sign, no digits, an overflow) is
+/// InvalidArgument naming the line.
 Result<std::vector<Edge>> ReadNTriples(std::istream* in,
                                        const GraphSchema& schema);
 

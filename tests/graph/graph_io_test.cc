@@ -2,13 +2,99 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/use_cases.h"
 #include "parallel/parallel_generator.h"
+#include "util/string_util.h"
 
 namespace gmark {
 namespace {
+
+// Two types of `per_type` nodes with multi-word names, joined by one
+// predicate whose name is 1000 'c's.
+GraphConfiguration LongNameConfig(int64_t per_type) {
+  const std::string cites(1000, 'c');
+  GraphConfiguration config;
+  config.num_nodes = 2 * per_type;
+  config.seed = 5;
+  GraphSchema& s = config.schema;
+  EXPECT_TRUE(
+      s.AddType("white paper", OccurrenceConstraint::Fixed(per_type)).ok());
+  EXPECT_TRUE(
+      s.AddType("review board", OccurrenceConstraint::Fixed(per_type)).ok());
+  EXPECT_TRUE(s.AddPredicate(cites).ok());
+  EXPECT_TRUE(s.AddEdgeConstraintByName(
+                   "white paper", cites, "review board",
+                   DistributionSpec::NonSpecified(),
+                   DistributionSpec::Uniform(1, 3))
+                  .ok());
+  return config;
+}
+
+// Every edge of `g` through `sink`, predicate by predicate.
+void AppendAll(const Graph& g, EdgeSink* sink) {
+  for (PredicateId p = 0; p < g.predicate_count(); ++p) {
+    g.ForEachEdge(p, [&](NodeId src, NodeId trg) {
+      sink->Append(src, p, trg);
+    });
+  }
+}
+
+// What NTriplesSink gives for every edge, then (with `types`) each
+// node's type triple in node order.
+std::string SinkNTriples(const Graph& g, const GraphSchema& schema,
+                         bool types) {
+  std::ostringstream out;
+  NTriplesSink sink(&out, &schema);
+  AppendAll(g, &sink);
+  EXPECT_EQ(sink.count(), g.num_edges());
+  for (NodeId v = 0; types && v < static_cast<NodeId>(g.num_nodes()); ++v) {
+    out << StrCat("<http://gmark/n", v, "> <http://gmark/type> \"",
+                  schema.TypeName(g.TypeOf(v)), "\" .\n");
+  }
+  return out.str();
+}
+
+// What CsvSink gives: its header, then every edge.
+std::string SinkCsv(const Graph& g, const GraphSchema& schema) {
+  std::ostringstream out;
+  CsvSink sink(&out, &schema);
+  AppendAll(g, &sink);
+  return out.str();
+}
+
+// Accepts the first `limit` bytes, then fails every write. Records the
+// size of each write it is handed.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(size_t limit) : limit_(limit) {}
+  size_t accepted() const { return accepted_; }
+  const std::vector<size_t>& writes() const { return writes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    writes_.push_back(static_cast<size_t>(n));
+    const size_t take =
+        std::min(static_cast<size_t>(n), limit_ - accepted_);
+    accepted_ += take;
+    return static_cast<std::streamsize>(take);
+  }
+  int_type overflow(int_type ch) override {
+    if (accepted_ == limit_) return traits_type::eof();
+    ++accepted_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  size_t limit_;
+  size_t accepted_ = 0;
+  std::vector<size_t> writes_;
+};
 
 TEST(GraphIoTest, NTriplesSinkFormat) {
   GraphConfiguration config = MakeBibConfig(1000);
@@ -62,6 +148,58 @@ TEST(GraphIoTest, WriteNTriplesReportsStreamFailure) {
     Status st = WriteNTriples(g, config.schema, &out, types);
     EXPECT_TRUE(st.IsIOError()) << st;
   }
+}
+
+TEST(GraphIoTest, WritersMatchTheSinksByteForByte) {
+  // Bib 20k spans dozens of 64 KB blocks; each line of the long-name
+  // schema holds a 1000-character predicate IRI, so blocks end mid-way
+  // through its lines.
+  for (const GraphConfiguration& config :
+       {MakeBibConfig(20000, 3), LongNameConfig(200)}) {
+    Graph g = ParallelGenerateGraph(config).ValueOrDie();
+    for (bool types : {false, true}) {
+      SCOPED_TRACE(types);
+      std::ostringstream out;
+      ASSERT_TRUE(WriteNTriples(g, config.schema, &out, types).ok());
+      EXPECT_GT(out.str().size(), size_t{6} << 16);
+      EXPECT_EQ(out.str(), SinkNTriples(g, config.schema, types));
+    }
+    std::ostringstream csv;
+    ASSERT_TRUE(WriteCsv(g, config.schema, &csv).ok());
+    EXPECT_EQ(csv.str(), SinkCsv(g, config.schema));
+  }
+}
+
+TEST(GraphIoTest, WritersHandTheStreamWholeBlocks) {
+  GraphConfiguration config = MakeBibConfig(5000, 3);
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
+  FailingBuf buf(SIZE_MAX);
+  std::ostream out(&buf);
+  ASSERT_TRUE(WriteNTriples(g, config.schema, &out).ok());
+  ASSERT_GT(buf.writes().size(), 2u);
+  // Every write but the last is one block: 64 KB plus less than a line.
+  for (size_t i = 0; i + 1 < buf.writes().size(); ++i) {
+    EXPECT_GE(buf.writes()[i], size_t{1} << 16);
+    EXPECT_LT(buf.writes()[i], (size_t{1} << 16) + 200);
+  }
+}
+
+TEST(GraphIoTest, WritersReportAStreamThatFailsMidWrite) {
+  GraphConfiguration config = MakeBibConfig(5000, 3);
+  Graph g = ParallelGenerateGraph(config).ValueOrDie();
+  for (bool types : {false, true}) {
+    FailingBuf buf(100000);
+    std::ostream out(&buf);
+    Status st = WriteNTriples(g, config.schema, &out, types);
+    EXPECT_TRUE(st.IsIOError()) << st;
+    // The first block went through, the second only in part.
+    EXPECT_EQ(buf.accepted(), 100000u);
+  }
+  FailingBuf buf(100000);
+  std::ostream out(&buf);
+  Status st = WriteCsv(g, config.schema, &out);
+  EXPECT_TRUE(st.IsIOError()) << st;
+  EXPECT_EQ(buf.accepted(), 100000u);
 }
 
 TEST(GraphIoTest, NodeIdExtremesAreFormattedExactly) {
@@ -124,19 +262,7 @@ TEST(GraphIoTest, RoundTripSurvivesMultiWordTypeNames) {
   // A 1000-character predicate checks that no line is cut at a fixed
   // buffer size.
   const std::string cites(1000, 'c');
-  GraphConfiguration config;
-  config.num_nodes = 40;
-  config.seed = 5;
-  GraphSchema& s = config.schema;
-  ASSERT_TRUE(s.AddType("white paper", OccurrenceConstraint::Fixed(20)).ok());
-  ASSERT_TRUE(
-      s.AddType("review board", OccurrenceConstraint::Fixed(20)).ok());
-  ASSERT_TRUE(s.AddPredicate(cites).ok());
-  ASSERT_TRUE(s.AddEdgeConstraintByName(
-                   "white paper", cites, "review board",
-                   DistributionSpec::NonSpecified(),
-                   DistributionSpec::Uniform(1, 3))
-                  .ok());
+  const GraphConfiguration config = LongNameConfig(20);
   Graph g = ParallelGenerateGraph(config).ValueOrDie();
   ASSERT_GT(g.num_edges(), 0u);
   std::ostringstream out;
@@ -196,6 +322,36 @@ TEST(GraphIoTest, ReadRejectsMalformedLines) {
         "<bad> <http://gmark/p/authors> <http://gmark/n2> .\n");
     EXPECT_FALSE(ReadNTriples(&in, config.schema).ok());
   }
+}
+
+TEST(GraphIoTest, ReadRejectsSignedEmptyAndOverflowingIds) {
+  GraphConfiguration config = MakeBibConfig(100);
+  const std::string good =
+      "<http://gmark/n1> <http://gmark/p/authors> <http://gmark/n2> .\n";
+  for (const char* id :
+       {"-5", "+7", "", "18446744073709551616", "1x"}) {
+    SCOPED_TRACE(id);
+    std::istringstream in(good + "<http://gmark/n" + id +
+                          "> <http://gmark/p/authors> <http://gmark/n2> .\n");
+    Result<std::vector<Edge>> edges = ReadNTriples(&in, config.schema);
+    ASSERT_FALSE(edges.ok());
+    EXPECT_TRUE(edges.status().IsInvalidArgument()) << edges.status();
+    EXPECT_NE(edges.status().message().find("line 2"), std::string::npos)
+        << edges.status();
+  }
+}
+
+TEST(GraphIoTest, ReadAcceptsTheExtremeIdsTheSinkWrites) {
+  GraphConfiguration config = MakeBibConfig(100);
+  std::ostringstream out;
+  NTriplesSink sink(&out, &config.schema);
+  sink.Append(0, 0, UINT64_MAX);
+  sink.Append(UINT64_MAX, 1, 0);
+  std::istringstream in(out.str());
+  Result<std::vector<Edge>> edges = ReadNTriples(&in, config.schema);
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ(*edges, (std::vector<Edge>{{0, 0, UINT64_MAX},
+                                       {UINT64_MAX, 1, 0}}));
 }
 
 }  // namespace
