@@ -72,22 +72,31 @@ void BM_RpqProductBfs(benchmark::State& state) {
 BENCHMARK(BM_RpqProductBfs)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-/// The indexed build: generate an LSN graph on 2 threads and build its
-/// CSRs (the build-wide group budget, the in-place histograms).
-void BM_CsrBuild(benchmark::State& state) {
-  GraphConfiguration config = MakeLsnConfig(state.range(0), 7);
+/// The indexed build: generate a graph and build its CSRs (the
+/// build-wide group budget, the in-place histograms). LSN on 2 threads
+/// is the shape of pipebench `generate`; WD on 4 threads splits
+/// predicates into several chunk groups. `groups` counts the forward
+/// plus transpose groups of one build.
+void BM_CsrBuild(benchmark::State& state,
+                 GraphConfiguration (*make_config)(int64_t, uint64_t),
+                 int threads) {
+  GraphConfiguration config = make_config(state.range(0), 7);
   GeneratorOptions options;
-  options.num_threads = 2;
-  size_t edges = 0;
+  options.num_threads = threads;
+  GenerateStats stats;
   for (auto _ : state) {
-    Graph graph = ParallelGenerateGraph(config, options).ValueOrDie();
-    edges = graph.num_edges();
+    Graph graph = ParallelGenerateGraph(config, options, &stats).ValueOrDie();
     benchmark::DoNotOptimize(graph.IndexBytes());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(edges));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stats.total_edges));
+  state.counters["groups"] = static_cast<double>(
+      stats.index_forward_groups + stats.index_transpose_groups);
 }
-BENCHMARK(BM_CsrBuild)->Arg(100000)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CsrBuild, lsn_2_threads, MakeLsnConfig, 2)
+    ->Arg(100000)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CsrBuild, wd_4_threads, MakeWdConfig, 4)
+    ->Arg(100000)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// The engines' adjacency access: fetch the forward and backward span of
 /// every node of an LSN graph for every predicate (so nodes outside a

@@ -77,19 +77,6 @@ struct GeneratorOptions {
   /// num_threads; constraints smaller than one chunk run as a single
   /// task.
   int64_t chunk_size = 1 << 16;
-
-  /// Intra-predicate parallelism cap for ParallelGenerateGraph's CSR
-  /// build: each predicate's edge stream is split into at most this many
-  /// contiguous chunk groups (chunked count-scan-scatter; see
-  /// graph/graph.h). 0 = auto (2x the worker count; 1 when running
-  /// inline on one thread). Within the cap, a predicate gets one group
-  /// per (total edges / cap) edges it holds — the build-wide group
-  /// budget — so only predicates above their share are split. 1
-  /// everywhere reproduces the historical one-task-per-predicate build
-  /// — same bytes, group boundaries never change the output, just no
-  /// intra-predicate fan-out (chunked_build_test's max_groups=1
-  /// reference).
-  int index_max_groups = 0;
 };
 
 /// \brief Observability for one generation run (benchmarks, tests, and
@@ -111,10 +98,11 @@ struct GenerateStats {
   double generate_seconds = 0.0;
   double index_seconds = 0.0;
   /// Chunk-group tasks of the CSR build (forward counting sort /
-  /// backward transpose), summed over predicates. More forward groups
-  /// than predicates means intra-predicate parallelism engaged; the
-  /// group budget holds the forward total to at most the group cap
-  /// plus the predicate count.
+  /// backward transpose; Graph::BuildStats), summed over predicates.
+  /// More forward groups than predicates means intra-predicate
+  /// parallelism engaged. The cap is 2x num_threads (1 on one thread),
+  /// and the build-wide group budget holds the forward total to at most
+  /// the cap plus the predicate count.
   size_t index_forward_groups = 0;
   size_t index_transpose_groups = 0;
   /// Graph::IndexBytes() of the built graph: the CSR offsets and

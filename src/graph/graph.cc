@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -44,8 +44,18 @@ struct ChunkGroup {
   std::vector<Cell> cells;
   Status status;
 };
-using ForwardGroup = ChunkGroup<Bucket>;
-using TransposeGroup = ChunkGroup<uint32_t>;
+
+/// One predicate's build in one direction: its chunk groups, the bucket
+/// range their histograms and the CSR offsets span, the CSR arrays the
+/// scan sizes and the scatter fills, and the first failure.
+template <typename Cell>
+struct Direction {
+  std::vector<ChunkGroup<Cell>> groups;  // None: the predicate is skipped.
+  size_t range = 0;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> targets;
+  Status status;
+};
 
 /// Below this many edges a chunk group is not worth its task and
 /// histogram: the floor of the build-wide group weight.
@@ -53,54 +63,31 @@ constexpr size_t kMinEdgesPerGroup = 4096;
 
 size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
-/// Split a stream of `edges` edges into contiguous chunk groups. With
-/// chunk weights it gets one group per `weight` edges, at most
-/// `max_groups`, of roughly equal edge count; without them it cannot be
-/// sized and gets `max_groups` groups of equal chunk count. Group
-/// boundaries never change the build output (chunk order fixes
-/// within-bucket order), only its parallelism. Pre: chunk_count >= 1.
-std::vector<ForwardGroup> PartitionGroups(
-    const Graph::Builder::StreamSpec& spec, size_t edges, size_t weight,
-    size_t max_groups) {
-  const size_t chunk_count = spec.chunk_count;
-  const std::vector<size_t>& chunk_edges = spec.chunk_edges;
-  const bool weighted = chunk_edges.size() == chunk_count;
-  const size_t groups = std::min(
-      weighted ? std::clamp<size_t>(CeilDiv(edges, weight), 1, max_groups)
-               : max_groups,
-      chunk_count);
-  std::vector<ForwardGroup> out;
+/// Split inputs 0..n-1 into contiguous chunk groups of at least `target`
+/// weight, `weight(i)` being input i's edges, and at most `cap` of them:
+/// the tail always lands in the final group. Group boundaries never
+/// change the build output (input order fixes within-bucket order), only
+/// its parallelism.
+template <typename Cell, typename Weight>
+std::vector<ChunkGroup<Cell>> SplitGroups(size_t n, size_t target,
+                                          size_t cap, const Weight& weight) {
+  std::vector<ChunkGroup<Cell>> out;
   auto close = [&out](size_t begin, size_t end) {
-    ForwardGroup g;
+    ChunkGroup<Cell>& g = out.emplace_back();
     g.begin = begin;
     g.end = end;
-    out.push_back(std::move(g));
   };
-
-  if (weighted && groups > 1) {
-    const size_t target =
-        std::max(CeilDiv(edges, groups), kMinEdgesPerGroup);
-    size_t begin = 0;
-    size_t acc = 0;
-    for (size_t i = 0; i < chunk_count; ++i) {
-      acc += chunk_edges[i];
-      // Close a group once it reached its weight share; the tail always
-      // lands in the final group, so the count never exceeds the cap.
-      if (acc >= target && out.size() + 1 < groups) {
-        close(begin, i + 1);
-        begin = i + 1;
-        acc = 0;
-      }
+  size_t begin = 0;
+  size_t acc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += weight(i);
+    if (acc >= target && out.size() + 1 < cap) {
+      close(begin, i + 1);
+      begin = i + 1;
+      acc = 0;
     }
-    if (begin < chunk_count) close(begin, chunk_count);
-    return out;
   }
-
-  // One group, or no weights: equal chunk counts.
-  const size_t per_group = CeilDiv(chunk_count, groups);
-  for (size_t begin = 0; begin < chunk_count; begin += per_group) {
-    close(begin, std::min(begin + per_group, chunk_count));
-  }
+  if (begin < n) close(begin, n);
   return out;
 }
 
@@ -112,24 +99,90 @@ std::vector<ForwardGroup> PartitionGroups(
 /// uint32_t limit before sizing the targets; the cursors a failing scan
 /// leaves behind are never used.
 template <typename Cell>
-Status ScanGroups(std::vector<ChunkGroup<Cell>>& groups, size_t range,
-                  std::vector<uint32_t>& offsets,
-                  std::vector<uint32_t>& targets) {
-  for (const ChunkGroup<Cell>& g : groups) GMARK_RETURN_NOT_OK(g.status);
-  if (range == 0) return Status::OK();
-  offsets.assign(range + 1, 0);
+Status ScanGroups(Direction<Cell>& d) {
+  for (const ChunkGroup<Cell>& g : d.groups) GMARK_RETURN_NOT_OK(g.status);
+  if (d.range == 0) return Status::OK();
+  d.offsets.assign(d.range + 1, 0);
   uint64_t total = 0;
-  for (size_t v = 0; v < range; ++v) {
-    for (ChunkGroup<Cell>& g : groups) {
+  for (size_t v = 0; v < d.range; ++v) {
+    for (ChunkGroup<Cell>& g : d.groups) {
       const uint32_t n = CountOf(g.cells[v]);
       ToCursor(g.cells[v], static_cast<uint32_t>(total));
       total += n;
     }
-    offsets[v + 1] = static_cast<uint32_t>(total);
+    d.offsets[v + 1] = static_cast<uint32_t>(total);
   }
   GMARK_RETURN_NOT_OK(Graph::CheckEdgeLimit(total));
-  targets.resize(total);
+  d.targets.resize(total);
   return Status::OK();
+}
+
+/// Trace span names of one direction's three phases.
+struct PhaseNames {
+  const char* count;
+  const char* scan;
+  const char* scatter;
+};
+
+/// The counting sort of one direction, for every predicate at once, in
+/// three barrier phases. Count: every group zeroes its histogram and
+/// `count(p, group)` fills it. Scan: one task per predicate runs
+/// ScanGroups. Scatter: `scatter(p, group, targets)` writes each group's
+/// input through its cursors into the predicate's targets. Each phase
+/// submits every predicate's groups before its one Wait, so predicates
+/// overlap in every phase. A failure is left in the predicate's status,
+/// which skips its later phases; the groups are dropped at the end.
+template <typename Cell, typename Count, typename Scatter>
+void CountScanScatter(std::vector<Direction<Cell>>& dirs,
+                      const PhaseNames& names, Executor* executor,
+                      Tracer* tracer, const Count& count,
+                      const Scatter& scatter) {
+  auto submit = [executor, tracer](const char* name, size_t p, auto task) {
+    executor->Submit([name, p, tracer, task] {
+      Span span =
+          tracer != nullptr ? tracer->StartSpan(name, "build") : Span();
+      if (span.active()) {
+        span.SetAttribute("predicate", static_cast<int64_t>(p));
+      }
+      task();
+    });
+  };
+  for (size_t p = 0; p < dirs.size(); ++p) {
+    for (ChunkGroup<Cell>& group : dirs[p].groups) {
+      submit(names.count, p, [&count, g = &group, p, range = dirs[p].range] {
+        g->cells.assign(range, Cell{});
+        g->status = count(p, *g);
+      });
+    }
+  }
+  executor->Wait();
+
+  for (size_t p = 0; p < dirs.size(); ++p) {
+    Direction<Cell>* d = &dirs[p];
+    if (d->groups.empty()) continue;
+    submit(names.scan, p, [d] { d->status = ScanGroups(*d); });
+  }
+  executor->Wait();
+
+  for (size_t p = 0; p < dirs.size(); ++p) {
+    if (!dirs[p].status.ok()) continue;
+    uint32_t* targets = dirs[p].targets.data();
+    for (ChunkGroup<Cell>& group : dirs[p].groups) {
+      submit(names.scatter, p, [&scatter, g = &group, p, targets] {
+        g->status = scatter(p, *g, targets);
+        g->cells = {};
+        g->cells.shrink_to_fit();
+      });
+    }
+  }
+  executor->Wait();
+
+  for (Direction<Cell>& d : dirs) {
+    for (const ChunkGroup<Cell>& g : d.groups) {
+      if (d.status.ok() && !g.status.ok()) d.status = g.status;
+    }
+    d.groups = {};
+  }
 }
 
 }  // namespace
@@ -161,107 +214,69 @@ size_t Graph::IndexBytes() const {
   return bytes;
 }
 
-Graph::Builder::Builder(NodeLayout layout, size_t predicate_count)
-    : layout_(std::move(layout)),
-      predicate_count_(predicate_count),
-      specs_(predicate_count) {}
-
-void Graph::Builder::SetChunkedStream(PredicateId a, StreamSpec spec) {
-  specs_[a] = std::move(spec);
-}
-
-Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
-  GMARK_RETURN_NOT_OK(CheckNodeLimit(layout_.total_nodes()));
+Result<Graph> Graph::Build(NodeLayout layout,
+                           std::vector<StreamSpec> streams,
+                           Executor* executor, BuildStats* stats) {
+  GMARK_RETURN_NOT_OK(CheckNodeLimit(layout.total_nodes()));
+  const NodeId node_limit = static_cast<NodeId>(layout.total_nodes());
+  for (const StreamSpec& s : streams) {
+    if (s.source_end > node_limit || s.target_end > node_limit ||
+        s.source_begin > s.source_end || s.target_begin > s.target_end) {
+      return Status::OutOfRange("stream node-range hint exceeds the layout");
+    }
+  }
   // Hoisted once: every build task captures the tracer pointer instead
   // of paying the global atomic load per task. Null means tracing off.
   Tracer* const tracer = GlobalTracer();
   Span build_span =
       tracer != nullptr ? tracer->StartSpan("csr.build", "build") : Span();
-  const NodeId node_limit = static_cast<NodeId>(layout_.total_nodes());
-  // Auto cap: 2x the workers balances stragglers against histogram
+  const size_t predicate_count = streams.size();
+  // The group cap: 2x the workers balances stragglers against histogram
   // memory; an inline executor gets one group per predicate — chunking
   // buys nothing serially, it only adds scan passes.
   const size_t max_groups =
-      max_groups_ > 0
-          ? max_groups_
-          : (executor->workers() > 1
-                 ? static_cast<size_t>(executor->workers()) * 2
-                 : 1);
-
-  /// One predicate's build slot.
-  struct Slot {
-    StreamSpec spec;
-    NodeId src_begin = 0, src_end = 0;  // Resolved hints.
-    NodeId trg_begin = 0, trg_end = 0;
-    size_t edges = 0;  // Sum of chunk_edges (0 without them).
-    std::vector<ForwardGroup> groups;     // Forward counting-sort groups.
-    std::vector<TransposeGroup> tgroups;  // Transpose groups (local nodes).
-    Csr forward;
-    Csr backward;
-    Status status;
-    bool active = false;
-  };
-  std::vector<Slot> slots(predicate_count_);
-
-  // Resolve hints and sum each predicate's chunk weights.
-  size_t build_edges = 0;
-  for (PredicateId p = 0; p < predicate_count_; ++p) {
-    Slot& slot = slots[p];
-    slot.spec = std::move(specs_[p]);
-    // Unregistered predicate: empty adjacency both ways.
-    if (slot.spec.chunk_count == 0 || !slot.spec.stream) continue;
-    slot.active = true;
-    slot.src_begin = slot.spec.source_begin;
-    slot.src_end = slot.spec.source_end;
-    if (slot.src_begin == 0 && slot.src_end == 0) slot.src_end = node_limit;
-    slot.trg_begin = slot.spec.target_begin;
-    slot.trg_end = slot.spec.target_end;
-    if (slot.trg_begin == 0 && slot.trg_end == 0) slot.trg_end = node_limit;
-    if (slot.src_end > node_limit || slot.trg_end > node_limit ||
-        slot.src_begin > slot.src_end || slot.trg_begin > slot.trg_end) {
-      slot.status = Status::OutOfRange(
-          "stream node-range hint exceeds the layout");
-      slot.active = false;
-      continue;
-    }
-    slot.forward.begin = slot.src_begin;
-    slot.forward.range = slot.src_end - slot.src_begin;
-    for (size_t w : slot.spec.chunk_edges) slot.edges += w;
-    build_edges += slot.edges;
-  }
+      executor->workers() > 1 ? static_cast<size_t>(executor->workers()) * 2
+                              : 1;
 
   // One build-wide group budget: a group is worth `weight` edges, the
   // build's share per group of the cap, so a predicate gets one group
   // per weight it holds, up to the cap. A predicate below its share is
   // not split and a skewed one still fans out, while every predicate
-  // keeps running concurrently in every phase.
+  // keeps running concurrently in every phase. Groups of one predicate
+  // are balanced by edge count.
+  size_t build_edges = 0;
+  for (const StreamSpec& s : streams) {
+    for (size_t w : s.chunk_edges) build_edges += w;
+  }
   const size_t weight =
       std::max(CeilDiv(build_edges, max_groups), kMinEdgesPerGroup);
-  for (Slot& slot : slots) {
-    if (!slot.active) continue;
-    slot.groups = PartitionGroups(slot.spec, slot.edges, weight, max_groups);
-    if (stats != nullptr) stats->forward_groups += slot.groups.size();
+  std::vector<Direction<Bucket>> fwd(predicate_count);
+  for (size_t p = 0; p < predicate_count; ++p) {
+    const std::vector<size_t>& chunk_edges = streams[p].chunk_edges;
+    if (chunk_edges.empty()) continue;  // Empty adjacency both ways.
+    size_t edges = 0;
+    for (size_t w : chunk_edges) edges += w;
+    const size_t groups =
+        std::min(std::clamp<size_t>(CeilDiv(edges, weight), 1, max_groups),
+                 chunk_edges.size());
+    fwd[p].range = streams[p].source_end - streams[p].source_begin;
+    fwd[p].groups = SplitGroups<Bucket>(
+        chunk_edges.size(), std::max(CeilDiv(edges, groups), kMinEdgesPerGroup),
+        groups, [&chunk_edges](size_t i) { return chunk_edges[i]; });
+    if (stats != nullptr) stats->forward_groups += fwd[p].groups.size();
   }
 
-  // Phase 1 — count: every group validates its chunk range and counts
-  // out-degrees into its private histogram's bucket bounds.
-  for (PredicateId p = 0; p < predicate_count_; ++p) {
-    Slot& slot = slots[p];
-    if (!slot.active) continue;
-    const Slot* s = &slot;
-    for (ForwardGroup& group : slot.groups) {
-      ForwardGroup* g = &group;
-      executor->Submit([s, g, p, node_limit, tracer] {
-        Span span = tracer != nullptr
-                        ? tracer->StartSpan("csr.count", "build")
-                        : Span();
-        if (span.active()) {
-          span.SetAttribute("predicate", static_cast<int64_t>(p));
-        }
-        g->cells.assign(static_cast<size_t>(s->src_end - s->src_begin),
-                        Bucket{0, 0});
-        g->status = s->spec.stream(
-            g->begin, g->end, [&](std::span<const Edge> block) -> Status {
+  // Forward: every group validates its chunk range while counting
+  // out-degrees into its histogram's bucket bounds, then replays it into
+  // its disjoint bucket slices. The scatter's guards catch a stream that
+  // failed to replay identically (it would otherwise corrupt
+  // neighboring slices).
+  CountScanScatter(
+      fwd, {"csr.count", "csr.scan", "csr.scatter"}, executor, tracer,
+      [&streams, node_limit](size_t p, ChunkGroup<Bucket>& g) -> Status {
+        const StreamSpec& s = streams[p];
+        return s.stream(
+            g.begin, g.end, [&](std::span<const Edge> block) -> Status {
               for (const Edge& e : block) {
                 if (e.predicate != p) {
                   return Status::Internal(
@@ -272,12 +287,12 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
                   return Status::OutOfRange(
                       "edge references node outside the layout");
                 }
-                if (e.source < s->src_begin || e.source >= s->src_end ||
-                    e.target < s->trg_begin || e.target >= s->trg_end) {
+                if (e.source < s.source_begin || e.source >= s.source_end ||
+                    e.target < s.target_begin || e.target >= s.target_end) {
                   return Status::OutOfRange(
                       "edge outside the stream's declared node range");
                 }
-                uint32_t& c = g->cells[e.source - s->src_begin].end;
+                uint32_t& c = g.cells[e.source - s.source_begin].end;
                 if (++c == 0) {
                   return Status::OutOfRange(
                       "per-group degree overflows uint32");
@@ -285,206 +300,119 @@ Result<Graph> Graph::Builder::Build(Executor* executor, BuildStats* stats) && {
               }
               return Status::OK();
             });
-      });
-    }
-  }
-  executor->Wait();
-
-  // Phase 2 — scan: one task per predicate turns the group histograms,
-  // by one exclusive scan, into the forward offsets (local to the source
-  // range) and each group's disjoint scatter slices, in place.
-  for (Slot& slot : slots) {
-    if (!slot.active) continue;
-    Slot* s = &slot;
-    const auto p = static_cast<int64_t>(&slot - slots.data());
-    executor->Submit([s, p, tracer] {
-      Span span = tracer != nullptr ? tracer->StartSpan("csr.scan", "build")
-                                    : Span();
-      if (span.active()) span.SetAttribute("predicate", p);
-      s->status = ScanGroups(s->groups, s->forward.range, s->forward.offsets,
-                             s->forward.targets);
-    });
-  }
-  executor->Wait();
-
-  // Phase 3 — scatter: every group writes its edges into its disjoint
-  // bucket slices. The per-bucket bound check catches a stream that
-  // failed to replay identically (it would otherwise corrupt
-  // neighboring slices).
-  for (Slot& slot : slots) {
-    if (!slot.active || !slot.status.ok()) continue;
-    const Slot* s = &slot;
-    Csr* fwd = &slot.forward;
-    const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (ForwardGroup& group : slot.groups) {
-      ForwardGroup* g = &group;
-      executor->Submit([s, g, p, fwd, tracer] {
-        Span span = tracer != nullptr
-                        ? tracer->StartSpan("csr.scatter", "build")
-                        : Span();
-        if (span.active()) span.SetAttribute("predicate", p);
-        g->status = s->spec.stream(
-            g->begin, g->end, [&](std::span<const Edge> block) -> Status {
+      },
+      [&streams](size_t p, ChunkGroup<Bucket>& g, uint32_t* targets)
+          -> Status {
+        const StreamSpec& s = streams[p];
+        GMARK_RETURN_NOT_OK(s.stream(
+            g.begin, g.end, [&](std::span<const Edge> block) -> Status {
               for (const Edge& e : block) {
                 // Targets must be re-validated too: they index the
-                // transpose histograms over [trg_begin, trg_end), so a
+                // transpose histograms over the target range, so a
                 // replay that swaps a target would otherwise pass the
-                // bucket guards and corrupt memory in phase 4.
-                if (e.source < s->src_begin || e.source >= s->src_end ||
-                    e.target < s->trg_begin || e.target >= s->trg_end) {
+                // bucket guards and corrupt memory in the transpose.
+                if (e.source < s.source_begin || e.source >= s.source_end ||
+                    e.target < s.target_begin || e.target >= s.target_end) {
                   return Status::Internal(
                       "edge stream changed between passes");
                 }
-                Bucket& b = g->cells[e.source - s->src_begin];
+                Bucket& b = g.cells[e.source - s.source_begin];
                 if (b.cur >= b.end) {
                   return Status::Internal(
                       "edge stream changed between passes");
                 }
                 // Fits: CheckNodeLimit bounded every node id.
-                fwd->targets[b.cur++] = static_cast<uint32_t>(e.target);
+                targets[b.cur++] = static_cast<uint32_t>(e.target);
               }
               return Status::OK();
-            });
-        if (g->status.ok()) {
-          // The in-loop guard only catches overfull buckets; an
-          // underfull replay (fewer edges than the count pass saw)
-          // would leave value-initialized targets behind, so require
-          // every bucket of this group exactly full.
-          for (const Bucket& b : g->cells) {
-            if (b.cur != b.end) {
-              g->status =
-                  Status::Internal("edge stream changed between passes");
-              break;
-            }
+            }));
+        // The in-loop guard only catches overfull buckets; an underfull
+        // replay (fewer edges than the count pass saw) would leave
+        // value-initialized targets behind, so require every bucket of
+        // this group exactly full.
+        for (const Bucket& b : g.cells) {
+          if (b.cur != b.end) {
+            return Status::Internal("edge stream changed between passes");
           }
         }
-        g->cells = {};
-        g->cells.shrink_to_fit();
+        return Status::OK();
       });
-    }
-  }
-  executor->Wait();
 
   // Between passes — the streams are never read again: let each
   // predicate's source free what backs it before the transpose
   // allocates. Then plan the transpose groups: contiguous local
-  // forward-CSR node ranges balanced by edge count (cheap coordinator
-  // walk over the offsets), none lighter than the build-wide weight.
-  for (Slot& slot : slots) {
-    if (!slot.active) continue;
-    if (slot.spec.release) slot.spec.release();
-    for (const ForwardGroup& g : slot.groups) {
-      if (slot.status.ok() && !g.status.ok()) slot.status = g.status;
-    }
-    slot.groups = {};
-    if (!slot.status.ok()) continue;
-    const std::vector<uint32_t>& offsets = slot.forward.offsets;
-    const size_t total_edges = slot.forward.targets.size();
-    if (total_edges == 0) continue;  // The backward CSR stays empty.
-    const size_t target = std::max(CeilDiv(total_edges, max_groups), weight);
-    const size_t range = slot.forward.range;
-    size_t begin = 0;
-    for (size_t v = 0; v < range; ++v) {
-      if (offsets[v + 1] - offsets[begin] >= target || v + 1 == range) {
-        TransposeGroup g;
-        g.begin = begin;
-        g.end = v + 1;
-        slot.tgroups.push_back(std::move(g));
-        begin = v + 1;
-      }
-    }
-    if (stats != nullptr) stats->transpose_groups += slot.tgroups.size();
+  // forward-CSR node ranges balanced by edge count, none lighter than
+  // the build-wide weight (which alone bounds their number).
+  std::vector<Direction<uint32_t>> bwd(predicate_count);
+  for (size_t p = 0; p < predicate_count; ++p) {
+    if (streams[p].release) streams[p].release();
+    const Direction<Bucket>& f = fwd[p];
+    // A failed predicate is not transposed; an edgeless one keeps an
+    // empty backward CSR.
+    if (!f.status.ok() || f.targets.empty()) continue;
+    bwd[p].range = streams[p].target_end - streams[p].target_begin;
+    bwd[p].groups = SplitGroups<uint32_t>(
+        f.range, std::max(CeilDiv(f.targets.size(), max_groups), weight),
+        std::numeric_limits<size_t>::max(),
+        [&f](size_t v) { return f.offsets[v + 1] - f.offsets[v]; });
+    if (stats != nullptr) stats->transpose_groups += bwd[p].groups.size();
   }
 
-  // Phase 4 — transpose count: every group counts the in-degrees of its
-  // forward-CSR node range into its private histogram. The input is the
-  // immutable forward CSR, so no validation is needed, and no count can
-  // overflow: phase 2 held the predicate under 2^32 edges.
-  for (Slot& slot : slots) {
-    if (!slot.active || !slot.status.ok()) continue;
-    const Slot* s = &slot;
-    const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (TransposeGroup& group : slot.tgroups) {
-      TransposeGroup* g = &group;
-      executor->Submit([s, g, p, tracer] {
-        Span span = tracer != nullptr
-                        ? tracer->StartSpan("csr.transpose_count", "build")
-                        : Span();
-        if (span.active()) span.SetAttribute("predicate", p);
-        g->cells.assign(static_cast<size_t>(s->trg_end - s->trg_begin), 0);
-        const Csr& fwd = s->forward;
-        for (size_t v = g->begin; v < g->end; ++v) {
-          for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
-            ++g->cells[fwd.targets[i] - s->trg_begin];
+  // Backward: every group counts the in-degrees of its forward-CSR node
+  // range, then scatters its sources. The input is the immutable forward
+  // CSR, so nothing needs validating and no count can overflow (the
+  // forward scan held the predicate under 2^32 edges). Node ranges
+  // ascend across groups, so within one backward bucket sources land in
+  // forward-CSR order — the documented deterministic order, independent
+  // of thread and group counts.
+  CountScanScatter(
+      bwd, {"csr.transpose_count", "csr.transpose_scan",
+            "csr.transpose_scatter"},
+      executor, tracer,
+      [&streams, &fwd](size_t p, ChunkGroup<uint32_t>& g) -> Status {
+        const Direction<Bucket>& f = fwd[p];
+        const NodeId base = streams[p].target_begin;
+        for (size_t v = g.begin; v < g.end; ++v) {
+          for (uint32_t i = f.offsets[v]; i < f.offsets[v + 1]; ++i) {
+            ++g.cells[f.targets[i] - base];
           }
         }
-      });
-    }
-  }
-  executor->Wait();
-
-  // Phase 5 — transpose scan: the same in-place exclusive scan, bucketed
-  // by target, turns each group's counts into bare cursors.
-  for (Slot& slot : slots) {
-    if (!slot.active || !slot.status.ok() || slot.tgroups.empty()) continue;
-    Slot* s = &slot;
-    const auto p = static_cast<int64_t>(&slot - slots.data());
-    executor->Submit([s, p, tracer] {
-      Span span = tracer != nullptr
-                      ? tracer->StartSpan("csr.transpose_scan", "build")
-                      : Span();
-      if (span.active()) span.SetAttribute("predicate", p);
-      s->backward.begin = s->trg_begin;
-      s->backward.range = s->trg_end - s->trg_begin;
-      s->status = ScanGroups(s->tgroups, s->backward.range,
-                             s->backward.offsets, s->backward.targets);
-    });
-  }
-  executor->Wait();
-
-  // Phase 6 — transpose scatter: node ranges ascend across groups and
-  // the forward CSR cannot change between passes, so within one
-  // backward bucket sources land in forward-CSR order — the documented
-  // deterministic order, independent of thread and group counts.
-  for (Slot& slot : slots) {
-    if (!slot.active || !slot.status.ok()) continue;
-    const Slot* s = &slot;
-    Csr* bwd = &slot.backward;
-    const auto p = static_cast<int64_t>(&slot - slots.data());
-    for (TransposeGroup& group : slot.tgroups) {
-      TransposeGroup* g = &group;
-      executor->Submit([s, g, p, bwd, tracer] {
-        Span span = tracer != nullptr
-                        ? tracer->StartSpan("csr.transpose_scatter", "build")
-                        : Span();
-        if (span.active()) span.SetAttribute("predicate", p);
-        const Csr& fwd = s->forward;
-        for (size_t v = g->begin; v < g->end; ++v) {
-          for (uint32_t i = fwd.offsets[v]; i < fwd.offsets[v + 1]; ++i) {
-            uint32_t& cur = g->cells[fwd.targets[i] - s->trg_begin];
-            bwd->targets[cur++] = static_cast<uint32_t>(fwd.begin + v);
+        return Status::OK();
+      },
+      [&streams, &fwd](size_t p, ChunkGroup<uint32_t>& g, uint32_t* targets)
+          -> Status {
+        const Direction<Bucket>& f = fwd[p];
+        const NodeId base = streams[p].target_begin;
+        const NodeId source_begin = streams[p].source_begin;
+        for (size_t v = g.begin; v < g.end; ++v) {
+          for (uint32_t i = f.offsets[v]; i < f.offsets[v + 1]; ++i) {
+            uint32_t& cur = g.cells[f.targets[i] - base];
+            targets[cur++] = static_cast<uint32_t>(source_begin + v);
           }
         }
-        g->cells = {};
-        g->cells.shrink_to_fit();
+        return Status::OK();
       });
-    }
-  }
-  executor->Wait();
 
-  for (const Slot& slot : slots) {
-    GMARK_RETURN_NOT_OK(slot.status);
+  for (size_t p = 0; p < predicate_count; ++p) {
+    GMARK_RETURN_NOT_OK(fwd[p].status);
+    GMARK_RETURN_NOT_OK(bwd[p].status);
   }
 
   Graph g;
-  g.layout_ = std::move(layout_);
-  g.predicate_count_ = predicate_count_;
-  g.forward_.reserve(predicate_count_);
-  g.backward_.reserve(predicate_count_);
-  for (Slot& slot : slots) {
-    g.num_edges_ += slot.forward.targets.size();
-    g.forward_.push_back(std::move(slot.forward));
-    g.backward_.push_back(std::move(slot.backward));
+  g.layout_ = std::move(layout);
+  g.predicate_count_ = predicate_count;
+  g.forward_.reserve(predicate_count);
+  g.backward_.reserve(predicate_count);
+  for (size_t p = 0; p < predicate_count; ++p) {
+    g.num_edges_ += fwd[p].targets.size();
+    g.forward_.push_back(Csr{streams[p].source_begin,
+                             static_cast<NodeId>(fwd[p].range),
+                             std::move(fwd[p].offsets),
+                             std::move(fwd[p].targets)});
+    g.backward_.push_back(Csr{streams[p].target_begin,
+                              static_cast<NodeId>(bwd[p].range),
+                              std::move(bwd[p].offsets),
+                              std::move(bwd[p].targets)});
   }
   return g;
 }
@@ -526,13 +454,11 @@ Result<Graph> Graph::Build(NodeLayout layout, size_t predicate_count,
     pr.trg_max = std::max(pr.trg_max, e.target);
   }
 
-  Builder builder(std::move(layout), predicate_count);
+  std::vector<StreamSpec> streams(predicate_count);
   for (PredicateId p = 0; p < predicate_count; ++p) {
     const PredicateRuns& pr = per_pred[p];
     if (pr.runs.empty()) continue;
-    Builder::StreamSpec spec;
-    spec.chunk_count = pr.runs.size();
-    spec.chunk_edges.reserve(pr.runs.size());
+    StreamSpec& spec = streams[p];
     for (const auto& [offset, length] : pr.runs) {
       (void)offset;
       spec.chunk_edges.push_back(length);
@@ -550,10 +476,9 @@ Result<Graph> Graph::Build(NodeLayout layout, size_t predicate_count,
       }
       return Status::OK();
     };
-    builder.SetChunkedStream(p, std::move(spec));
   }
   Executor inline_executor(1);
-  return std::move(builder).Build(&inline_executor);
+  return Build(std::move(layout), std::move(streams), &inline_executor);
 }
 
 }  // namespace gmark

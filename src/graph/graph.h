@@ -25,8 +25,8 @@
 // cursors (and fills the offsets), and each group then scatters its
 // edges into its disjoint bucket slices — fully lock-free, because no
 // two groups ever touch the same target index. The backward CSR is
-// derived from the finished forward CSR by the same chunked
-// count-scan-scatter transpose over node ranges, so the builder never
+// derived from the finished forward CSR by the same count-scan-scatter
+// routine run over its node ranges (a transpose), so the build never
 // holds (target, source) pair vectors either. The streams are
 // re-emitted, not staged: the generator (ParallelGenerateGraph) keeps
 // each constraint's shuffled slot vectors, 4 bytes a slot, and replays
@@ -37,11 +37,13 @@
 // 4 per node of the target range per transpose group.
 //
 // Group budget. The histograms, not the CSR, set the build's peak, so
-// groups are rationed build-wide: one group is worth the build's total
-// edges over the per-predicate cap (never under 4096 edges), and a
-// predicate gets one group per worth it holds, capped. A predicate
-// below its share is one group; a skewed one still fans out; every
-// predicate still runs concurrently in every phase.
+// groups are rationed build-wide. The per-predicate cap is 2x the
+// executor's workers, or 1 on an inline executor (serial chunking only
+// adds scan passes). One group is worth the build's total edges over
+// the cap (never under 4096 edges), and a predicate gets one group per
+// worth it holds, up to the cap. A predicate below its share is one
+// group; a skewed one still fans out; every predicate still runs
+// concurrently in every phase.
 //
 // Determinism. Group boundaries never change the output: within one
 // bucket, chunk-group order concatenates back to exactly the stream
@@ -87,99 +89,70 @@ class Graph {
 
   /// \brief A chunk-addressable replayable stream: invoking it replays
   /// the sub-chunks [chunk_begin, chunk_end) of one predicate's edge
-  /// stream, in chunk order, through the visitor. Concatenating chunks
-  /// 0..chunk_count-1 yields the canonical stream. The builder replays
+  /// stream, in chunk order, through the visitor. Concatenating every
+  /// chunk in order yields the canonical stream. The build replays
   /// every chunk twice (degree-count pass, then scatter pass), so any
   /// chunk range must yield identical edges across passes.
   using ChunkedEdgeStream = std::function<Status(
       size_t chunk_begin, size_t chunk_end, const EdgeBlockVisitor&)>;
 
-  /// \brief Streaming per-predicate CSR construction. Each registered
-  /// predicate stream is split into contiguous chunk groups that run as
-  /// independent tasks: chunked counting sort for the forward CSR, then
-  /// a chunked counting transpose for the backward CSR — no pair
-  /// vectors, no global edge list, no locks (groups write disjoint
-  /// bucket slices). Tasks run on the supplied Executor, so the build
-  /// parallelizes across predicates AND within one predicate; with an
-  /// inline (1-thread) executor the same code is the serial path,
-  /// byte-identical output either way.
-  class Builder {
-   public:
-    /// \brief One predicate's chunked edge stream plus its metadata.
-    struct StreamSpec {
-      /// Number of independently replayable sub-chunks. 0 behaves like
-      /// an unregistered predicate (empty adjacency).
-      size_t chunk_count = 0;
-      ChunkedEdgeStream stream;
-      /// Optional per-chunk edge counts (size chunk_count). When given,
-      /// chunk groups are balanced by edge count instead of chunk
-      /// count — what keeps a skewed predicate's groups even.
-      std::vector<size_t> chunk_edges;
-      /// Called once the stream has been consumed for the last time —
-      /// the hook that lets the generator free a predicate's slot
-      /// vectors as soon as its forward CSR is built.
-      std::function<void()> release;
-      /// Node-range hints: every source in [source_begin, source_end),
-      /// every target in [target_begin, target_end). Both default (0,0)
-      /// to the whole layout. The forward CSR's offsets and the count
-      /// histograms span the source range, the backward ones the
-      /// target range; an edge outside a declared range fails the
-      /// build.
-      NodeId source_begin = 0;
-      NodeId source_end = 0;
-      NodeId target_begin = 0;
-      NodeId target_end = 0;
-    };
-
-    /// \brief Per-build observability (benchmarks and `--stats`).
-    struct BuildStats {
-      /// Chunk-group tasks of the forward counting sort / the backward
-      /// transpose, summed over predicates. forward_groups above the
-      /// predicate count means intra-predicate parallelism engaged; the
-      /// group budget holds it to at most the cap plus the predicate
-      /// count.
-      size_t forward_groups = 0;
-      size_t transpose_groups = 0;
-    };
-
-    Builder(NodeLayout layout, size_t predicate_count);
-
-    /// \brief Register predicate `a`'s chunk-addressable edge stream.
-    /// Unregistered predicates get empty adjacency. Streaming an edge
-    /// whose predicate is not `a`, or whose endpoints fall outside the
-    /// layout, fails the build.
-    void SetChunkedStream(PredicateId a, StreamSpec spec);
-
-    /// \brief Cap the chunk groups one predicate's stream is split
-    /// into. 0 (default) = auto: 2x the executor's worker count, or 1
-    /// on an inline executor (serial chunking is pure overhead). The
-    /// cap also sets the group budget (see the header comment); a
-    /// stream without chunk_edges cannot be sized and is split up to
-    /// the cap by chunk count. 1 reproduces the one-task-per-predicate
-    /// build exactly (same bytes — group boundaries never change the
-    /// output — just no intra-predicate fan-out); chunked_build_test's
-    /// reference.
-    void set_max_groups(size_t max_groups) { max_groups_ = max_groups; }
-
-    /// \brief Consume the streams and assemble the graph. Chunk-group
-    /// tasks are submitted to `executor` in barrier phases (count,
-    /// scan, scatter; then the same for the transpose); the call blocks
-    /// until all finish. The builder is single-use. A layout over
-    /// CheckNodeLimit fails with OutOfRange before anything is
-    /// allocated or any stream is replayed.
-    Result<Graph> Build(Executor* executor, BuildStats* stats = nullptr) &&;
-
-   private:
-    NodeLayout layout_;
-    size_t predicate_count_;
-    size_t max_groups_ = 0;
-    std::vector<StreamSpec> specs_;
+  /// \brief One predicate's chunked edge stream plus its metadata.
+  struct StreamSpec {
+    ChunkedEdgeStream stream;
+    /// Edge count of each sub-chunk; its size is the chunk count, and
+    /// no chunks means empty adjacency. Chunk groups are balanced by
+    /// these counts, which keeps a skewed predicate's groups even.
+    std::vector<size_t> chunk_edges;
+    /// Node-range hints: every source in [source_begin, source_end),
+    /// every target in [target_begin, target_end). The forward CSR's
+    /// offsets and the count histograms span the source range, the
+    /// backward ones the target range. A hint past the layout or with
+    /// begin > end fails the build before any stream is replayed; an
+    /// edge outside its declared range fails it too.
+    NodeId source_begin = 0;
+    NodeId source_end = 0;
+    NodeId target_begin = 0;
+    NodeId target_end = 0;
+    /// Called once the stream has been consumed for the last time —
+    /// the hook that lets the generator free a predicate's slot
+    /// vectors as soon as its forward CSR is built.
+    std::function<void()> release;
   };
+
+  /// \brief Per-build observability (benchmarks and `--stats`).
+  struct BuildStats {
+    /// Chunk-group tasks of the forward counting sort / the backward
+    /// transpose, summed over predicates. forward_groups above the
+    /// predicate count means intra-predicate parallelism engaged; the
+    /// group budget holds it to at most the cap plus the predicate
+    /// count.
+    size_t forward_groups = 0;
+    size_t transpose_groups = 0;
+  };
+
+  /// \brief Streaming per-predicate CSR construction: predicate p is
+  /// `streams[p]`. Each stream is split into contiguous chunk groups
+  /// that run as independent tasks on `executor`: chunked counting sort
+  /// for the forward CSR, then a chunked counting transpose for the
+  /// backward CSR — no pair vectors, no global edge list, no locks
+  /// (groups write disjoint bucket slices). Both run the same barrier
+  /// phases (count, scan, scatter), each submitting every predicate's
+  /// groups before one wait, so the build parallelizes across
+  /// predicates AND within one predicate; with an inline (1-thread)
+  /// executor the same code is the serial path, byte-identical output
+  /// either way. Streaming an edge whose predicate is not p, or whose
+  /// endpoints fall outside the layout, fails the build. A layout over
+  /// CheckNodeLimit or a bad hint fails with OutOfRange before anything
+  /// is allocated or any stream is replayed.
+  static Result<Graph> Build(NodeLayout layout,
+                             std::vector<StreamSpec> streams,
+                             Executor* executor,
+                             BuildStats* stats = nullptr);
 
   /// \brief Build from a node layout and an edge list. Edges referencing
   /// nodes outside the layout or unknown predicates are rejected. This
-  /// is the Builder run on per-predicate filter streams over `edges`
-  /// with an inline executor (the 1-thread special case); each stream's
+  /// is the stream build over per-predicate runs of `edges` with an
+  /// inline executor (the 1-thread special case); each stream's
   /// node-range hints are its predicate's min/max source and target.
   static Result<Graph> Build(NodeLayout layout, size_t predicate_count,
                              std::vector<Edge> edges);

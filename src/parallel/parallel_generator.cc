@@ -434,11 +434,10 @@ struct ChunkRef {
 /// One predicate's replayable edge stream over its kept constraints:
 /// the (constraint, chunk) pairs in canonical order, each weighted by
 /// its exact edge count and re-emitted from the slot vectors whenever
-/// the builder replays it; the hints are the union of the constraints'
+/// the build replays it; the hints are the union of the constraints'
 /// endpoint ranges, and `release` frees the slot vectors.
-Graph::Builder::StreamSpec PredicateStream(
-    std::vector<ReadyConstraint>* kept) {
-  Graph::Builder::StreamSpec spec;
+Graph::StreamSpec PredicateStream(std::vector<ReadyConstraint>* kept) {
+  Graph::StreamSpec spec;
   std::vector<ChunkRef> chunks;
   spec.source_begin = spec.target_begin = std::numeric_limits<NodeId>::max();
   for (const ReadyConstraint& ready : *kept) {
@@ -454,7 +453,6 @@ Graph::Builder::StreamSpec PredicateStream(
       spec.chunk_edges.push_back(ready.ChunkEdges(k));
     }
   }
-  spec.chunk_count = chunks.size();
   spec.stream = [chunks = std::move(chunks)](
                     size_t chunk_begin, size_t chunk_end,
                     const Graph::EdgeBlockVisitor& visit) -> Status {
@@ -509,7 +507,7 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
   const double layout_seconds = timer.ElapsedSeconds();
 
   // The walk keeps every constraint's (trimmed) slot vectors, grouped
-  // by predicate in canonical order: they are all the builder needs to
+  // by predicate in canonical order: they are all the build needs to
   // re-emit any chunk, at 4 bytes per slot where a staged edge costs
   // 24. With a sink, each constraint is also drained into it first.
   timer.Restart();
@@ -538,21 +536,19 @@ Result<Graph> ParallelGenerateGraph(const GraphConfiguration& config,
 
   // One chunked stream per predicate, weighted by exact chunk edge
   // counts, with the union of its constraints' endpoint ranges as
-  // hints. The builder splits each stream into balanced chunk groups on
+  // hints. The build splits each stream into balanced chunk groups on
   // the same executor; every group re-emits its chunks once to count
   // and once to scatter, and `release` frees the predicate's slots
   // after the scatter.
   timer.Restart();
-  Graph::Builder builder(std::move(layout), predicate_count);
-  builder.set_max_groups(static_cast<size_t>(
-      options.index_max_groups < 0 ? 0 : options.index_max_groups));
+  std::vector<Graph::StreamSpec> streams(predicate_count);
   for (PredicateId p = 0; p < predicate_count; ++p) {
-    if (kept[p].empty()) continue;
-    builder.SetChunkedStream(p, PredicateStream(&kept[p]));
+    if (!kept[p].empty()) streams[p] = PredicateStream(&kept[p]);
   }
-  Graph::Builder::BuildStats build_stats;
+  Graph::BuildStats build_stats;
   Span index_span = TraceSpan("gen.index", "gen");
-  Result<Graph> graph = std::move(builder).Build(&executor, &build_stats);
+  Result<Graph> graph = Graph::Build(std::move(layout), std::move(streams),
+                                     &executor, &build_stats);
   index_span.End();
   if (stats != nullptr) {
     stats->index_seconds = timer.ElapsedSeconds();

@@ -48,7 +48,7 @@ Status ParallelGenerateToSink(const GraphConfiguration& config,
 /// without staging its edges. The walk keeps each constraint's shuffled
 /// slot vectors, trimmed to its edge count (at most 8 bytes per edge);
 /// each predicate's stream re-emits its (constraint, chunk) pairs from
-/// them whenever Graph::Builder replays a chunk, and frees them once
+/// them whenever Graph::Build replays a chunk, and frees them once
 /// the predicate's forward CSR is built. Peak memory is those slots
 /// plus the CSRs and the build's group histograms. The CSRs are
 /// byte-identical at any thread count. A layout of 2^32 or more nodes

@@ -260,11 +260,6 @@ std::map<TypeId, SelTriple> SelectivityEstimator::EstimateRegex(
   return starred;
 }
 
-std::map<TypeId, SelTriple> SelectivityEstimator::ApplyRegexFrom(
-    TypeId source, const RegularExpression& expr) const {
-  return EstimateRegex(source, expr);
-}
-
 Result<std::vector<Conjunct>> AsChain(const QueryRule& rule) {
   if (rule.body.empty()) return Status::NotFound("empty body");
   if (rule.body.size() == 1) return rule.body;

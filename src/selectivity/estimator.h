@@ -79,11 +79,6 @@ class SelectivityEstimator {
   std::vector<SchemaNodeId> WalkPath(
       const std::vector<SchemaNodeId>& from, const PathExpr& path) const;
 
-  // States reachable by applying `expr` from schema-graph node `from`
-  // (type-level start states), with triples re-accumulated from `from`.
-  std::map<TypeId, SelTriple> ApplyRegexFrom(
-      TypeId source, const RegularExpression& expr) const;
-
   const GraphSchema* schema_;
   SchemaGraph graph_;
 };

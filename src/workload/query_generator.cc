@@ -52,6 +52,23 @@ void UnstarOne(std::vector<bool>* mask, RandomEngine* rng) {
   (*mask)[static_cast<size_t>(starred_at[pick])] = false;
 }
 
+/// Append distinct disjuncts from `draw` to `expr` until it holds
+/// `want` of them, `attempts` draws are spent, or a draw fails.
+/// Duplicates are semantically void, so they are dropped rather than
+/// emitted.
+template <typename Draw>
+void AddDistinctDisjuncts(int want, int attempts, const Draw& draw,
+                          RegularExpression* expr) {
+  std::set<PathExpr> seen(expr->disjuncts.begin(), expr->disjuncts.end());
+  while (static_cast<int>(expr->disjuncts.size()) < want && attempts-- > 0) {
+    Result<PathExpr> path = draw();
+    if (!path.ok()) break;
+    if (seen.insert(path.ValueOrDie()).second) {
+      expr->disjuncts.push_back(std::move(path).ValueOrDie());
+    }
+  }
+}
+
 /// Variable-level query skeleton (Fig. 6 line 2): conjuncts as
 /// (source var, target var) pairs.
 struct Skeleton {
@@ -251,18 +268,13 @@ Result<RegularExpression> QueryGenerator::BuildRegex(
     SchemaNodeId from, SchemaNodeId to, int num_disjuncts, IntRange length,
     const WorkloadTables& tables, RandomEngine* rng) const {
   RegularExpression expr;
-  std::set<PathExpr> seen;
-  // A few extra attempts to find distinct disjuncts; duplicates are
-  // semantically void, so they are dropped rather than emitted.
-  int attempts = num_disjuncts * 3;
-  while (static_cast<int>(expr.disjuncts.size()) < num_disjuncts &&
-         attempts-- > 0) {
-    auto path = graph_.SamplePath(from, to, length, tables.walks_to[to], rng);
-    if (!path.ok()) break;
-    if (seen.insert(path.ValueOrDie()).second) {
-      expr.disjuncts.push_back(std::move(path).ValueOrDie());
-    }
-  }
+  // A few extra attempts to find distinct disjuncts.
+  AddDistinctDisjuncts(
+      num_disjuncts, num_disjuncts * 3,
+      [&] {
+        return graph_.SamplePath(from, to, length, tables.walks_to[to], rng);
+      },
+      &expr);
   if (expr.disjuncts.empty()) {
     return Status::NotFound("no disjunct path available between the "
                             "requested schema-graph nodes");
@@ -328,16 +340,10 @@ Result<QueryRule> QueryGenerator::GenerateControlledChainRule(
       // accumulated class unchanged (operator '=', §5.2.4).
       TypeId t = graph_.nodes()[nodes[wpos]].type;
       RegularExpression expr;
-      std::set<PathExpr> seen;
-      int want = DrawInRange(config.size.disjuncts, rng);
-      for (int attempt = 0; attempt < want * 3; ++attempt) {
-        auto loop = SampleLoopPath(t, len, tables, rng);
-        if (!loop.ok()) break;
-        if (seen.insert(loop.ValueOrDie()).second) {
-          expr.disjuncts.push_back(std::move(loop).ValueOrDie());
-        }
-        if (static_cast<int>(expr.disjuncts.size()) >= want) break;
-      }
+      const int want = DrawInRange(config.size.disjuncts, rng);
+      AddDistinctDisjuncts(
+          want, want * 3,
+          [&] { return SampleLoopPath(t, len, tables, rng); }, &expr);
       if (expr.disjuncts.empty()) {
         return Status::NotFound("no loop path for a starred conjunct at " +
                                 schema_->TypeName(t));
@@ -394,18 +400,10 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
       if (loop.ok()) {
         RegularExpression expr;
         expr.star = true;
-        std::set<PathExpr> seen;
-        seen.insert(loop.ValueOrDie());
         expr.disjuncts.push_back(std::move(loop).ValueOrDie());
-        for (int attempt = 1; attempt < d * 3 &&
-                              static_cast<int>(expr.disjuncts.size()) < d;
-             ++attempt) {
-          auto extra = SampleLoopPath(t, len, tables, rng);
-          if (!extra.ok()) break;
-          if (seen.insert(extra.ValueOrDie()).second) {
-            expr.disjuncts.push_back(std::move(extra).ValueOrDie());
-          }
-        }
+        AddDistinctDisjuncts(
+            d, d * 3 - 1,
+            [&] { return SampleLoopPath(t, len, tables, rng); }, &expr);
         conj.expr = std::move(expr);
         // A starred conjunct loops on its own type.
         if (anchor.find(w) == anchor.end()) {
@@ -417,45 +415,30 @@ Result<QueryRule> QueryGenerator::GenerateFreeRule(
       // No loop exists here: fall through to a plain conjunct.
     }
 
+    // A plain conjunct: its first path closes the pattern when both
+    // endpoints are typed already, or walks out to type a fresh target;
+    // further disjuncts reach the same target type.
+    TypeId trg_type;
     if (anchor.find(w) != anchor.end()) {
-      // Both endpoints typed already: close the pattern.
-      TypeId trg_type = graph_.nodes()[anchor[w]].type;
+      trg_type = graph_.nodes()[anchor[w]].type;
       GMARK_ASSIGN_OR_RETURN(auto first,
                              SamplePathToType(from, trg_type, len, tables,
                                               rng));
-      RegularExpression expr;
-      std::set<PathExpr> seen;
-      seen.insert(first.first);
-      expr.disjuncts.push_back(std::move(first.first));
-      for (int attempt = 1; attempt < d * 3 &&
-                            static_cast<int>(expr.disjuncts.size()) < d;
-           ++attempt) {
-        auto extra = SamplePathToType(from, trg_type, len, tables, rng);
-        if (!extra.ok()) break;
-        if (seen.insert(extra.ValueOrDie().first).second) {
-          expr.disjuncts.push_back(std::move(extra.ValueOrDie().first));
-        }
-      }
-      conj.expr = std::move(expr);
+      conj.expr.disjuncts.push_back(std::move(first.first));
     } else {
       GMARK_ASSIGN_OR_RETURN(auto walk, RandomWalk(from, len, rng));
-      TypeId end_type = graph_.nodes()[walk.second].type;
-      anchor[w] = graph_.StartNode(end_type);
-      RegularExpression expr;
-      std::set<PathExpr> seen;
-      seen.insert(walk.first);
-      expr.disjuncts.push_back(std::move(walk.first));
-      for (int attempt = 1; attempt < d * 3 &&
-                            static_cast<int>(expr.disjuncts.size()) < d;
-           ++attempt) {
-        auto extra = SamplePathToType(from, end_type, len, tables, rng);
-        if (!extra.ok()) break;
-        if (seen.insert(extra.ValueOrDie().first).second) {
-          expr.disjuncts.push_back(std::move(extra.ValueOrDie().first));
-        }
-      }
-      conj.expr = std::move(expr);
+      trg_type = graph_.nodes()[walk.second].type;
+      anchor[w] = graph_.StartNode(trg_type);
+      conj.expr.disjuncts.push_back(std::move(walk.first));
     }
+    AddDistinctDisjuncts(
+        d, d * 3 - 1,
+        [&]() -> Result<PathExpr> {
+          GMARK_ASSIGN_OR_RETURN(
+              auto extra, SamplePathToType(from, trg_type, len, tables, rng));
+          return std::move(extra.first);
+        },
+        &conj.expr);
     rule.body.push_back(std::move(conj));
   }
   return rule;

@@ -127,25 +127,28 @@ TEST(GraphTest, IndexBytesCountsOnlyTheEndpointRanges) {
             2 * (4 * sizeof(uint32_t) + 3 * sizeof(uint32_t)));
 }
 
-/// The Builder over `edges` with no node-range hints: every CSR spans
-/// the whole layout.
+/// The stream build over `edges` with node-range hints [0, n): every
+/// CSR spans the whole layout.
 Graph WholeLayoutBuild(const NodeLayout& layout, size_t predicate_count,
                        const std::vector<Edge>& edges) {
   std::vector<std::vector<Edge>> per_pred(predicate_count);
   for (const Edge& e : edges) per_pred[e.predicate].push_back(e);
-  Graph::Builder builder(NodeLayout(layout), predicate_count);
+  const auto n = static_cast<NodeId>(layout.total_nodes());
+  std::vector<Graph::StreamSpec> streams(predicate_count);
   for (PredicateId p = 0; p < predicate_count; ++p) {
     if (per_pred[p].empty()) continue;
-    Graph::Builder::StreamSpec spec;
-    spec.chunk_count = 1;
+    Graph::StreamSpec& spec = streams[p];
+    spec.chunk_edges = {per_pred[p].size()};
+    spec.source_end = spec.target_end = n;
     spec.stream = [&per_pred, p](size_t, size_t,
                                  const Graph::EdgeBlockVisitor& visit) {
       return visit(per_pred[p]);
     };
-    builder.SetChunkedStream(p, std::move(spec));
   }
   Executor inline_executor(1);
-  return std::move(builder).Build(&inline_executor).ValueOrDie();
+  return Graph::Build(NodeLayout(layout), std::move(streams),
+                      &inline_executor)
+      .ValueOrDie();
 }
 
 TEST(GraphTest, TightHintsMatchAWholeLayoutBuild) {
@@ -214,9 +217,9 @@ TEST(GraphTest, OverLimitLayoutFailsBeforeAnyReplay) {
   ASSERT_EQ(layout.OffsetOf(2), far);
   std::vector<Edge> edges{{0, 0, far}};
   bool replayed = false;
-  Graph::Builder builder(NodeLayout(layout), 1);
-  Graph::Builder::StreamSpec spec;
-  spec.chunk_count = 1;
+  std::vector<Graph::StreamSpec> streams(1);
+  Graph::StreamSpec& spec = streams[0];
+  spec.chunk_edges = {1};
   spec.source_begin = 0;
   spec.source_end = 1;
   spec.target_begin = far;
@@ -225,9 +228,9 @@ TEST(GraphTest, OverLimitLayoutFailsBeforeAnyReplay) {
     replayed = true;
     return visit(edges);
   };
-  builder.SetChunkedStream(0, std::move(spec));
   Executor inline_executor(1);
-  Result<Graph> built = std::move(builder).Build(&inline_executor);
+  Result<Graph> built =
+      Graph::Build(NodeLayout(layout), std::move(streams), &inline_executor);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(replayed);

@@ -1,4 +1,4 @@
-// The indexed-generation contract (Graph::Builder over re-emitted
+// The indexed-generation contract (Graph::Build over re-emitted
 // chunks): the CSRs of ParallelGenerateGraph are a pure function of
 // the canonical edge stream — identical node by node at 1/2/8 threads,
 // with the forward CSR matching a seed-style pair-scatter counting sort
@@ -80,7 +80,7 @@ TEST(ParallelBuildTest, CsrIdenticalAcrossThreadCounts) {
 
   // Reference: the canonical edge stream (thread-count independent,
   // pinned by determinism_test) indexed with the seed path's
-  // pair-scatter — independently of Graph::Builder.
+  // pair-scatter — independently of Graph::Build.
   VectorSink stream;
   ASSERT_TRUE(
       ParallelGenerateToSink(config, &stream, BuildOptions(1)).ok());
