@@ -2,7 +2,8 @@
 // (product-graph BFS, the reference evaluator's fast path) versus
 // conjunct-at-a-time join evaluation with materialized intermediates.
 // This design choice is what makes counting quadratic queries on
-// 10K+-node instances feasible (DESIGN.md section 2.3).
+// 10K+-node instances feasible: the composed BFS never materializes
+// the quadratic intermediate relations the join plan builds.
 
 #include <benchmark/benchmark.h>
 

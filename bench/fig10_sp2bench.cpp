@@ -3,7 +3,7 @@
 // gMark-generated queries of the same shape/size/selectivity, across
 // graph sizes.
 //
-// Substitution note (DESIGN.md §3): SP2Bench's own generator and stack
+// Substitution note: SP2Bench's own generator and stack
 // are proprietary to that benchmark; the "org" side is a fixed set of
 // hand-written queries mirroring SP2Bench query shapes per class,
 // evaluated on our SP schema encoding. Both sides run on the reference

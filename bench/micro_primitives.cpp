@@ -121,8 +121,9 @@ void BM_CsrNeighborScan(benchmark::State& state) {
 BENCHMARK(BM_CsrNeighborScan)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_HashJoin(benchmark::State& state) {
-  const int64_t n = state.range(0);
+/// Join inputs (?0, ?1) and (?1, ?2) of `n` random rows each, ?1 drawn
+/// from [0, n]: the output is about n rows.
+std::pair<VarRelation, VarRelation> JoinInputs(int64_t n) {
   RandomEngine rng(3);
   std::vector<std::pair<NodeId, NodeId>> left, right;
   for (int64_t i = 0; i < n; ++i) {
@@ -131,8 +132,13 @@ void BM_HashJoin(benchmark::State& state) {
     right.emplace_back(static_cast<NodeId>(rng.UniformInt(0, n)),
                        static_cast<NodeId>(rng.UniformInt(0, n / 4)));
   }
-  VarRelation a = VarRelation::FromPairs(0, 1, left);
-  VarRelation b = VarRelation::FromPairs(1, 2, right);
+  return {VarRelation::FromPairs(0, 1, left),
+          VarRelation::FromPairs(1, 2, right)};
+}
+
+void BM_HashJoin(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const auto [a, b] = JoinInputs(n);
   for (auto _ : state) {
     BudgetTracker budget(ResourceBudget::Unlimited());
     auto joined = HashJoin(a, b, &budget);
@@ -142,6 +148,26 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+/// A join killed by a tuple ceiling of `state.range(0)` (pipebench's
+/// eval workloads use 100k): BM_HashJoin's inputs at twice the ceiling,
+/// whose output is about twice the ceiling.
+void BM_HashJoinKilled(benchmark::State& state) {
+  const auto ceiling = static_cast<size_t>(state.range(0));
+  const int64_t n = 2 * state.range(0);
+  const auto [a, b] = JoinInputs(n);
+  for (auto _ : state) {
+    BudgetTracker budget(ResourceBudget::Limited(60.0, ceiling));
+    auto joined = HashJoin(a, b, &budget);
+    benchmark::DoNotOptimize(joined.ok());
+    if (joined.ok()) {
+      state.SkipWithError("join output fits the ceiling");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HashJoinKilled)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 /// `n` random rows of `width` columns, each drawn from [0, range].
 VarRelation RandomRelation(std::vector<VarId> vars, int64_t n,

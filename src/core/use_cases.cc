@@ -205,7 +205,7 @@ GraphConfiguration MakeWdConfig(int64_t num_nodes, uint64_t seed) {
 
   // WatDiv is deliberately dense: an order of magnitude more edges per
   // node than Bib (§6.2 notes two orders for the original; we scale the
-  // density down so laptop-scale sweeps finish — see DESIGN.md §7).
+  // density down so laptop-scale sweeps finish).
   MustAddEdge(&s, "user", "follows", "user", Z(2.0), Z(2.0));
   MustAddEdge(&s, "user", "friendOf", "user", G(10.0, 3.0), G(10.0, 3.0));
   MustAddEdge(&s, "user", "likes", "product", G(8.8, 3.0), U(1, 10));

@@ -49,7 +49,8 @@ GraphConfiguration MakeLsnConfig(int64_t num_nodes, uint64_t seed = 42);
 GraphConfiguration MakeSpConfig(int64_t num_nodes, uint64_t seed = 42);
 
 /// \brief WatDiv default-schema encoding (users/products/reviews with
-/// deliberately dense predicates; see DESIGN.md for the density note).
+/// deliberately dense predicates, an order of magnitude more edges per
+/// node than Bib).
 GraphConfiguration MakeWdConfig(int64_t num_nodes, uint64_t seed = 42);
 
 }  // namespace gmark

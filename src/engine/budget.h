@@ -153,6 +153,9 @@ class BudgetTracker {
   }
 
   size_t tuples_used() const { return tuples_; }
+  /// \brief Whether this is a ConcurrentBudgetScope worker tracker,
+  /// whose own balance is only its share of the enforced total.
+  bool is_worker() const { return shared_ != nullptr; }
   /// \brief High-water mark of simultaneously charged tuples — the
   /// working-memory peak the max_tuples budget is enforced against.
   /// For a base tracker that hosted a parallel section this includes

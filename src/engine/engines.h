@@ -1,6 +1,7 @@
 // The four query-processing systems of the paper's §7 evaluation,
-// simulated as in-process engines (see DESIGN.md §3 for the
-// substitution rationale):
+// simulated as in-process engines. The real systems are not embedded;
+// each is reproduced by its evaluation strategy, so its §7 failure
+// modes come from real work against the resource budget:
 //
 //   P — RelationalEngine: PostgreSQL-style conjunct-at-a-time hash
 //       joins with full materialization; Kleene star via NAIVE

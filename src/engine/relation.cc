@@ -1,6 +1,7 @@
 #include "engine/relation.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "engine/flat_table.h"
 
@@ -141,9 +142,18 @@ Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
     for (uint32_t j = 0; j < b_rows; ++j) order[next[group_of[j]]++] = j;
   }
 
-  // Probe with a, in a order.
+  // Count: probe with a, in a order, recording each row's group and
+  // summing the output size. A sum past the headroom is killed with one
+  // charge of headroom + 1, which leaves the tracker (balance, peak,
+  // message) as charging row by row up to the failing row would. The
+  // headroom is exact only on a base tracker, whose balance is within
+  // the ceiling here because every charge past it fails.
+  assert(!budget->is_worker() && "HashJoin on a worker tracker");
+  assert(budget->tuples_used() <= budget->budget().max_tuples);
+  const size_t headroom = budget->budget().max_tuples - budget->tuples_used();
   PeriodicTimeCheck clock(budget);
-  std::vector<NodeId> row_buf(out_vars.size());
+  std::vector<uint32_t> probe_group(a.row_count(), FlatRowTable::kNone);
+  size_t total = 0;
   for (size_t i = 0; i < a.row_count(); ++i) {
     GMARK_RETURN_NOT_OK(clock.Check());
     const std::span<const NodeId> row = a.row(i);
@@ -151,15 +161,29 @@ Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
       return KeyEquals(b.row(r), b_pos, row, a_pos);
     });
     if (first == FlatRowTable::kNone) continue;
-    std::copy(row.begin(), row.end(), row_buf.begin());
     const uint32_t g = group_of[first];
+    const size_t size = bounds[g + 1] - bounds[g];
+    if (size > headroom - total) return charge.Charge(headroom + 1);
+    total += size;
+    probe_group[i] = g;
+  }
+  GMARK_RETURN_NOT_OK(charge.Charge(total));
+
+  // Emit: each a row's group, in b order.
+  out.Reserve(total);
+  std::vector<NodeId> row_buf(out_vars.size());
+  for (size_t i = 0; i < a.row_count(); ++i) {
+    GMARK_RETURN_NOT_OK(clock.Check());
+    const uint32_t g = probe_group[i];
+    if (g == FlatRowTable::kNone) continue;
+    const std::span<const NodeId> row = a.row(i);
+    std::copy(row.begin(), row.end(), row_buf.begin());
     for (uint32_t k = bounds[g]; k < bounds[g + 1]; ++k) {
       GMARK_RETURN_NOT_OK(clock.Check());
       const std::span<const NodeId> match = b.row(order[k]);
       for (size_t e = 0; e < b_extra.size(); ++e) {
         row_buf[row.size() + e] = match[static_cast<size_t>(b_extra[e])];
       }
-      GMARK_RETURN_NOT_OK(charge.Charge(1));
       out.AppendRow(row_buf);
     }
   }

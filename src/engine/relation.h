@@ -37,6 +37,9 @@ class VarRelation {
     return {data_.data() + i * width(), width()};
   }
 
+  /// \brief Reserve room for `rows` rows in all.
+  void Reserve(size_t rows) { data_.reserve(rows * width()); }
+
   void AppendRow(std::span<const NodeId> values) {
     data_.insert(data_.end(), values.begin(), values.end());
   }
@@ -85,11 +88,23 @@ Result<bool> AppendDistinctRow(std::span<const NodeId> row, VarRelation* rel,
 /// product. Output schema: `a`'s variables, then `b`'s others.
 ///
 /// Row order: `a` order, and within one `a` row its matches in `b`
-/// order. Charges: exactly one tuple per output row, charged as the row
-/// is produced, so a tuple ceiling kills at the same row on every run.
+/// order. Charges: one tuple per output row, decided before any row is
+/// written. A first pass over `a` counts the output from the sizes of
+/// `b`'s key groups. When the count fits the ceiling it is charged
+/// once and the rows are emitted. When it does not, the join charges
+/// the headroom plus one and fails, which leaves the tracker's balance,
+/// peak and message exactly as charging row by row up to the first
+/// row past the ceiling would. `budget` must be a base tracker, not a
+/// ConcurrentBudgetScope worker.
+///
 /// The deadline is read through a PeriodicTimeCheck ticked once per
-/// `a` row and once per output row. ResourceExhausted when `b` holds
-/// 2^32 - 1 rows or more (the row-id limit of flat_table.h).
+/// `a` row in each pass and once per output row. So a join that fits
+/// can still be a time kill while its rows are emitted, but a join past
+/// the ceiling is a tuple kill even where writing its rows up to the
+/// ceiling would have outlasted the deadline.
+///
+/// ResourceExhausted when `b` holds 2^32 - 1 rows or more (the row-id
+/// limit of flat_table.h).
 Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
                                  BudgetTracker* budget);
 

@@ -8,6 +8,7 @@
 
 #include "parallel/executor.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace gmark {
 
@@ -55,11 +56,10 @@ Result<Workload> ParallelGenerateWorkload(
         if (one.ok()) {
           slots[i].query = std::move(one).ValueOrDie();
         } else {
-          slots[i].skip =
-              "q" + std::to_string(i) + " " +
-              std::string(QueryShapeName(shape)) + "/" +
-              (target.has_value() ? QuerySelectivityName(*target) : "any") +
-              ": " + one.status().message();
+          slots[i].skip = StrCat(
+              "q", i, " ", QueryShapeName(shape), "/",
+              target.has_value() ? QuerySelectivityName(*target) : "any",
+              ": ", one.status().message());
         }
       }
     });
@@ -75,7 +75,7 @@ Result<Workload> ParallelGenerateWorkload(
   for (size_t i = 0; i < num_queries; ++i) {
     if (slots[i].query.has_value()) {
       GeneratedQuery gq = std::move(*slots[i].query);
-      gq.query.name = "q" + std::to_string(i);
+      gq.query.name = StrCat("q", i);
       workload.queries.push_back(std::move(gq));
     } else {
       workload.skipped.push_back(std::move(slots[i].skip));

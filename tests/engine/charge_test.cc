@@ -164,10 +164,10 @@ TEST(TupleChargeTest, BudgetExhaustionUnwindsThroughOperators) {
   // HashJoin dies mid-output on a 3-tuple ceiling; everything it
   // charged must unwind with no over-release and an honest peak.
   BudgetTracker tracker(ResourceBudget::Limited(60.0, 3));
-  VarRelation r({0});
-  for (NodeId v : {1, 2}) r.AppendRow({&v, 1});
-  VarRelation s({1});
-  for (NodeId v : {7, 8, 9}) s.AppendRow({&v, 1});
+  // Unary relations ?0 = {1, 2} and ?1 = {7, 8, 9}: FromPairs keeps
+  // the reflexive pairs of a repeated variable.
+  VarRelation r = VarRelation::FromPairs(0, 0, {{1, 1}, {2, 2}});
+  VarRelation s = VarRelation::FromPairs(1, 1, {{7, 7}, {8, 8}, {9, 9}});
   EXPECT_TRUE(HashJoin(r, s, &tracker).status().IsResourceExhausted());
   EXPECT_EQ(tracker.tuples_used(), 0u);
   EXPECT_EQ(tracker.peak_tuples(), 4u);  // 3 allowed + the rejected 4th.

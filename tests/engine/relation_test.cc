@@ -221,6 +221,126 @@ TEST(RelationTest, TupleCeilingMidJoinUnwinds) {
   ExpectCleanKill(HashJoin(a, b, &budget).status(), budget, 4);
 }
 
+// The join's count pass decides the kill against the headroom left by
+// charges already held (the accumulator's, in a rule plan). Ceiling 10
+// with 3 tuples held leaves a headroom of 7.
+constexpr size_t kCeiling = 10;
+constexpr size_t kPrior = 3;
+
+// 3 x {7, 8} on ?1 = 5, then 1 x {9} on ?1 = 6: 7 rows.
+VarRelation JoinLeft() {
+  return MakeRelation({0, 1}, {{1, 5}, {2, 5}, {3, 5}, {4, 6}});
+}
+VarRelation JoinRight() {
+  return MakeRelation({1, 2}, {{5, 7}, {5, 8}, {6, 9}});
+}
+
+TEST(RelationTest, HashJoinFillingTheHeadroomSucceeds) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, kCeiling));
+  TupleCharge prior(&budget);
+  ASSERT_TRUE(prior.Charge(kPrior).ok());
+  Result<ChargedRelation> joined = HashJoin(JoinLeft(), JoinRight(), &budget);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->value.row_count(), kCeiling - kPrior);
+  EXPECT_EQ(joined->charge.count(), kCeiling - kPrior);
+  EXPECT_EQ(budget.peak_tuples(), kCeiling);
+}
+
+// A kill leaves the tracker as charging row by row would: the peak is
+// the rejected row, the message names it, and only the prior charge
+// is still held.
+void ExpectKillPastHeadroom(const Status& status, const BudgetTracker& budget) {
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_EQ(status.message(), "tuple budget exceeded (11 > 10)");
+  EXPECT_EQ(budget.peak_tuples(), kCeiling + 1);
+  EXPECT_EQ(budget.tuples_used(), kPrior);
+  EXPECT_EQ(budget.over_releases(), 0u);
+}
+
+TEST(RelationTest, HashJoinOneRowPastTheHeadroomIsKilled) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, kCeiling));
+  TupleCharge prior(&budget);
+  ASSERT_TRUE(prior.Charge(kPrior).ok());
+  VarRelation b = JoinRight();
+  b.AppendRow(std::vector<NodeId>{6, 10});  // 8 rows
+  ExpectKillPastHeadroom(HashJoin(JoinLeft(), b, &budget).status(), budget);
+}
+
+TEST(RelationTest, CrossProductPastTheHeadroomIsKilled) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, kCeiling));
+  TupleCharge prior(&budget);
+  ASSERT_TRUE(prior.Charge(kPrior).ok());
+  VarRelation a = MakeRelation({0}, {{1}, {2}, {3}, {4}});
+  VarRelation b = MakeRelation({1}, {{7}, {8}, {9}});  // 12 rows
+  ExpectKillPastHeadroom(HashJoin(a, b, &budget).status(), budget);
+}
+
+TEST(RelationTest, UnlimitedHashJoinDoesNotWrap) {
+  for (size_t prior_count : {size_t{0}, kPrior}) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    TupleCharge prior(&budget);
+    ASSERT_TRUE(prior.Charge(prior_count).ok());
+    Result<ChargedRelation> joined =
+        HashJoin(JoinLeft(), JoinRight(), &budget);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(joined->value.row_count(), 7u);
+    EXPECT_EQ(joined->charge.count(), 7u);
+    EXPECT_EQ(budget.peak_tuples(), prior_count + 7);
+  }
+}
+
+// Row-at-a-time reference: a nested-loop join charging each output
+// row as it is produced, the kill semantics HashJoin must keep.
+Status NestedLoopJoinCharges(const VarRelation& a, const VarRelation& b,
+                             BudgetTracker* budget, size_t* rows) {
+  TupleCharge charge(budget);
+  *rows = 0;
+  for (size_t i = 0; i < a.row_count(); ++i) {
+    for (size_t j = 0; j < b.row_count(); ++j) {
+      if (a.row(i)[1] != b.row(j)[0]) continue;
+      GMARK_RETURN_NOT_OK(charge.Charge(1));
+      ++*rows;
+    }
+  }
+  return Status::OK();
+}
+
+TEST(RelationTest, HashJoinKillsMatchRowAtATimeCharging) {
+  uint64_t state = 12345;
+  auto next = [&](uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    VarRelation a({0, 1}), b({1, 2});
+    for (uint64_t i = next(12); i > 0; --i) {
+      a.AppendRow(std::vector<NodeId>{next(4), next(4)});
+    }
+    for (uint64_t i = next(12); i > 0; --i) {
+      b.AppendRow(std::vector<NodeId>{next(4), next(4)});
+    }
+    const size_t ceiling = next(30);
+    const size_t prior_count = next(ceiling + 1);
+    BudgetTracker reference(ResourceBudget::Limited(60.0, ceiling));
+    BudgetTracker budget(ResourceBudget::Limited(60.0, ceiling));
+    TupleCharge reference_prior(&reference), prior(&budget);
+    ASSERT_TRUE(reference_prior.Charge(prior_count).ok());
+    ASSERT_TRUE(prior.Charge(prior_count).ok());
+    size_t rows = 0;
+    const Status expected = NestedLoopJoinCharges(a, b, &reference, &rows);
+    SCOPED_TRACE(trial);
+    {
+      const Result<ChargedRelation> joined = HashJoin(a, b, &budget);
+      EXPECT_EQ(joined.status().ToString(), expected.ToString());
+      if (joined.ok()) {
+        EXPECT_EQ(joined->value.row_count(), rows);
+      }
+    }
+    EXPECT_EQ(budget.peak_tuples(), reference.peak_tuples());
+    EXPECT_EQ(budget.tuples_used(), reference.tuples_used());
+  }
+}
+
 TEST(RelationTest, TupleCeilingMidDistinctUnwinds) {
   VarRelation r = MakeRelation({0, 1}, {{1, 2}, {1, 2}, {3, 4}, {5, 6},
                                         {3, 4}, {7, 8}, {9, 10}});

@@ -30,6 +30,7 @@
 #include "query/query_xml.h"
 #include "selectivity/schema_graph.h"
 #include "translate/translator.h"
+#include "util/string_util.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -225,7 +226,8 @@ std::string TranslateAll(const Workload& workload, const GraphSchema& schema,
   std::string all;
   for (const GeneratedQuery& gq : workload.queries) {
     Result<std::string> text = TranslateQuery(gq.query, schema, lang, options);
-    all += text.ok() ? text.ValueOrDie() : "!" + text.status().ToString();
+    all += text.ok() ? text.ValueOrDie()
+                     : StrCat("!", text.status().ToString());
     all += '\n';
   }
   return all;

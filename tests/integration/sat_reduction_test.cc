@@ -11,6 +11,7 @@
 
 #include "core/graph_config.h"
 #include "parallel/parallel_generator.h"
+#include "util/string_util.h"
 
 namespace gmark {
 namespace {
@@ -28,37 +29,31 @@ GraphConfiguration Phi0Config() {
   auto fixed1 = OccurrenceConstraint::Fixed(1);
   EXPECT_TRUE(s.AddType("A", fixed1).ok());
   for (int i = 1; i <= k; ++i) {
-    EXPECT_TRUE(s.AddType("C" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(StrCat("C", i), fixed1).ok());
   }
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddType("B" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(StrCat("B", i), fixed1).ok());
   }
   // Ti / Fi: at most one of each exists; the proof gives them "?" out
   // of A, so we declare them with one node each (the generator's
   // relaxation decides which get used).
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddType("T" + std::to_string(i), fixed1).ok());
-    EXPECT_TRUE(s.AddType("F" + std::to_string(i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(StrCat("T", i), fixed1).ok());
+    EXPECT_TRUE(s.AddType(StrCat("F", i), fixed1).ok());
   }
   for (int i = 1; i <= k; ++i) {
-    EXPECT_TRUE(s.AddPredicate("c" + std::to_string(i)).ok());
+    EXPECT_TRUE(s.AddPredicate(StrCat("c", i)).ok());
   }
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(s.AddPredicate("b" + std::to_string(i)).ok());
-    EXPECT_TRUE(s.AddPredicate("t" + std::to_string(i)).ok());
-    EXPECT_TRUE(s.AddPredicate("f" + std::to_string(i)).ok());
+    EXPECT_TRUE(s.AddPredicate(StrCat("b", i)).ok());
+    EXPECT_TRUE(s.AddPredicate(StrCat("t", i)).ok());
+    EXPECT_TRUE(s.AddPredicate(StrCat("f", i)).ok());
   }
 
   // eta(A, Ti, ti) = eta(A, Fi, fi) = "?".
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(
-        s.AddEdgeOptional("A", "t" + std::to_string(i),
-                          "T" + std::to_string(i))
-            .ok());
-    EXPECT_TRUE(
-        s.AddEdgeOptional("A", "f" + std::to_string(i),
-                          "F" + std::to_string(i))
-            .ok());
+    EXPECT_TRUE(s.AddEdgeOptional("A", StrCat("t", i), StrCat("T", i)).ok());
+    EXPECT_TRUE(s.AddEdgeOptional("A", StrCat("f", i), StrCat("F", i)).ok());
   }
   // Positive literal occurrences: eta(Ti, Cl, cl) = 1; plus
   // eta(Ti, Bi, bi) = 1.
@@ -73,10 +68,8 @@ GraphConfiguration Phi0Config() {
   one("F1", "c2", "C2");  // -x1 in C2
   one("F4", "c2", "C2");  // -x4 in C2
   for (int i = 1; i <= 4; ++i) {
-    one("T" + std::to_string(i), "b" + std::to_string(i),
-        "B" + std::to_string(i));
-    one("F" + std::to_string(i), "b" + std::to_string(i),
-        "B" + std::to_string(i));
+    one(StrCat("T", i), StrCat("b", i), StrCat("B", i));
+    one(StrCat("F", i), StrCat("b", i), StrCat("B", i));
   }
   return config;
 }
@@ -101,9 +94,9 @@ TEST(SatReductionTest, GeneratorAlwaysEmitsAGraphWithoutBacktracking) {
   // Structural soundness: all bi edges end in the matching Bi node.
   for (int i = 1; i <= 4; ++i) {
     PredicateId bi =
-        config.schema.PredicateIdOf("b" + std::to_string(i)).ValueOrDie();
+        config.schema.PredicateIdOf(StrCat("b", i)).ValueOrDie();
     TypeId type_bi =
-        config.schema.TypeIdOf("B" + std::to_string(i)).ValueOrDie();
+        config.schema.TypeIdOf(StrCat("B", i)).ValueOrDie();
     graph->ForEachEdge(bi, [&](NodeId src, NodeId trg) {
       (void)src;
       EXPECT_EQ(graph->TypeOf(trg), type_bi);
@@ -122,7 +115,7 @@ TEST(SatReductionTest, RelaxationOverApproximatesValuations) {
   NodeId a_node = graph.layout().GlobalId(a, 0);
   for (int i = 1; i <= 4; ++i) {
     PredicateId ti =
-        config.schema.PredicateIdOf("t" + std::to_string(i)).ValueOrDie();
+        config.schema.PredicateIdOf(StrCat("t", i)).ValueOrDie();
     EXPECT_LE(graph.OutNeighbors(ti, a_node).size(), 1u);
   }
 }

@@ -12,6 +12,7 @@
 
 #include "core/use_cases.h"
 #include "query/query_xml.h"
+#include "util/string_util.h"
 #include "workload/presets.h"
 
 namespace gmark {
@@ -75,7 +76,7 @@ TEST(ParallelWorkloadTest, GenerateMatchesTheDocumentedPerIndexContract) {
     auto one = generator.GenerateOne(wconfig, shape, target, tables, &rng);
     if (!one.ok()) continue;
     GeneratedQuery gq = std::move(one).ValueOrDie();
-    gq.query.name = "q" + std::to_string(i);
+    gq.query.name = StrCat("q", i);
     expected.queries.push_back(std::move(gq));
   }
   ASSERT_FALSE(expected.queries.empty());
