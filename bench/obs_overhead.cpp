@@ -1,8 +1,8 @@
 // Observability overhead ablation: the same pipeline (parallel graph
-// generation + shard-native CSR indexing + engine shootout) timed with
-// the metric registry and tracer OFF (global pointers null — every
-// instrumentation site is a load-and-branch) and ON (registry + tracer
-// installed, spans recording, query profiles filled on cold runs).
+// generation + CSR indexing + engine shootout) timed with the metric
+// registry and tracer OFF (global pointers null — every instrumentation
+// site is a load-and-branch) and ON (registry + tracer installed, spans
+// recording, query profiles filled on cold runs).
 //
 // Trials alternate off/on and each mode keeps its BEST time (min), the
 // standard way to strip scheduler noise from a paired comparison. The

@@ -35,7 +35,7 @@ TimingResult TimeQuery(const QueryEngine& engine, const Graph& graph,
   };
   auto record_failure = [&] {
     if (metrics != nullptr) {
-      metrics->Add(metrics->Counter("query.failures"), 1);
+      metrics->Add("query.failures", 1);
     }
   };
 
@@ -66,8 +66,7 @@ TimingResult TimeQuery(const QueryEngine& engine, const Graph& graph,
     }
     times.push_back(t);
     if (metrics != nullptr) {
-      metrics->Observe(metrics->Histogram("query.warm_run_nanos"),
-                       static_cast<uint64_t>(t * 1e9));
+      metrics->Observe("query.warm_run_nanos", static_cast<uint64_t>(t * 1e9));
     }
   }
   std::sort(times.begin(), times.end());

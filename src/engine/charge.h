@@ -27,10 +27,10 @@ namespace gmark {
 /// materialization (a pair vector, a relation, a DFS result set).
 ///
 /// Charges accumulate through Charge() and are released exactly once,
-/// by the destructor (or by handing them to another guard via
-/// Transfer/Adopt). A failed Charge() is still recorded — the tracker
-/// counts the tuples before rejecting them, so the unwind must release
-/// them too or the tracker would never return to zero.
+/// by the destructor (or by a move-assignment over the guard). A failed
+/// Charge() is still recorded — the tracker counts the tuples before
+/// rejecting them, so the unwind must release them too or the tracker
+/// would never return to zero.
 ///
 /// The guard must not outlive the BudgetTracker it charges against;
 /// use Disarm() when a charged value's ownership genuinely leaves the
@@ -96,21 +96,6 @@ class TupleCharge {
     count_ += count;
     return budget_->ChargeTuples(count);
   }
-
-  /// \brief Move this guard's whole charge into `to` (same tracker, or
-  /// `to` disarmed). Use when a value's tuples live on inside another
-  /// guarded value — e.g. a relation absorbed into an accumulator.
-  void Transfer(TupleCharge& to) {
-    assert((to.budget_ == nullptr || to.budget_ == budget_) &&
-           "Transfer between guards of different trackers");
-    if (to.budget_ == nullptr) to.budget_ = budget_;
-    to.count_ += count_;
-    count_ = 0;
-  }
-
-  /// \brief Receiving-side spelling of Transfer: take over `from`'s
-  /// charge in addition to any already held.
-  void Adopt(TupleCharge&& from) { from.Transfer(*this); }
 
   /// \brief Forget the held charge without releasing it; returns the
   /// forgotten count. The tuples stay charged on the tracker — for

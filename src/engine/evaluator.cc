@@ -143,16 +143,15 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
 }
 
 /// Post-merge metric update, main thread only — the hot loops touch no
-/// registry; one registration lookup per query is noise.
+/// registry; four locked name lookups per query are noise.
 void RecordEvalMetrics(uint64_t sources, size_t chunks,
                        const BfsStatsShard& stats) {
   MetricRegistry* metrics = GlobalMetrics();
   if (metrics == nullptr) return;
-  metrics->Add(metrics->Counter("eval.sources"), sources);
-  metrics->Add(metrics->Counter("eval.chunks"), chunks);
-  metrics->Add(metrics->Counter("eval.bfs_pops"), stats.pops);
-  metrics->GaugeMax(metrics->Gauge("eval.peak_frontier"),
-                    stats.peak_frontier);
+  metrics->Add("eval.sources", sources);
+  metrics->Add("eval.chunks", chunks);
+  metrics->Add("eval.bfs_pops", stats.pops);
+  metrics->GaugeMax("eval.peak_frontier", stats.peak_frontier);
 }
 
 /// Merged result of the per-source driver: the total accepted-pair
@@ -198,7 +197,9 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
                                materialize, /*section=*/nullptr, scratch,
                                budget, &charge, &out);
     if (profile != nullptr) profile->AddBfs(out.stats);
-    RecordEvalMetrics(n, num_chunks, out.stats);
+    // The serial branch runs every source as one chunk, whatever the
+    // planned chunking.
+    RecordEvalMetrics(n, n == 0 ? 0 : 1, out.stats);
     GMARK_RETURN_NOT_OK(st);
     merged.count = out.count;
     merged.pairs = std::move(out.pairs);

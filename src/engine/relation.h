@@ -63,10 +63,9 @@ class VarRelation {
 };
 
 /// \brief A relation whose rows are charged against a BudgetTracker:
-/// the charge releases when the relation is destroyed (or is handed on
-/// via the guard's Transfer/Adopt). Every materializing operator below
-/// returns one, so a relation can never outlive — or predate — its
-/// budget accounting.
+/// the charge releases when the relation is destroyed. Every
+/// materializing operator below returns one, so a relation can never
+/// outlive — or predate — its budget accounting.
 using ChargedRelation = Charged<VarRelation>;
 
 /// \brief Charge `rel`'s rows against `budget` and bind the charge to

@@ -1,11 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 
 #include "obs/json_util.h"
-#include "parallel/thread_pool.h"
 #include "util/string_util.h"
 
 namespace gmark {
@@ -120,124 +120,64 @@ std::string MetricsSnapshot::ToTable() const {
   return out;
 }
 
-MetricRegistry::MetricRegistry(size_t shard_count) {
-  if (shard_count == 0) {
-    shard_count = static_cast<size_t>(ThreadPool::DefaultThreads()) + 1;
+std::optional<size_t> MetricRegistry::IndexOf(const std::string& name,
+                                              Kind kind) {
+  auto it = slots_.find(name);
+  if (it != slots_.end()) {
+    assert(it->second.kind == kind &&
+           "metric updated under a different kind");
+    if (it->second.kind != kind) return std::nullopt;
+    return it->second.index;
   }
-  shards_ = std::vector<Shard>(shard_count);
-  for (Shard& shard : shards_) {
-    shard.scalars = std::vector<std::atomic<uint64_t>>(kMaxScalars);
-    shard.histograms = std::vector<HistogramCells>(kMaxHistograms);
+  size_t index = 0;
+  switch (kind) {
+    case Kind::kCounter:
+      index = values_.counters.size();
+      values_.counters.emplace_back(name, 0);
+      break;
+    case Kind::kGauge:
+      index = values_.gauges.size();
+      values_.gauges.emplace_back(name, 0);
+      break;
+    case Kind::kHistogram:
+      index = values_.histograms.size();
+      values_.histograms.emplace_back();
+      values_.histograms.back().name = name;
+      values_.histograms.back().buckets.assign(kHistogramBuckets, 0);
+      break;
   }
+  slots_.emplace(name, Slot{kind, index});
+  return index;
 }
 
-MetricRegistry::MetricId MetricRegistry::Register(const std::string& name,
-                                                  Kind kind) {
-  MutexLock lock(reg_mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    const Def& existing = defs_[it->second];
-    assert(existing.kind == kind &&
-           "metric re-registered under a different kind");
-    return EncodeId(existing.kind, existing.slot);
-  }
-  Def def;
-  def.name = name;
-  def.kind = kind;
-  if (kind == Kind::kHistogram) {
-    assert(histogram_slots_ < kMaxHistograms && "histogram capacity");
-    def.slot = std::min<uint32_t>(histogram_slots_, kMaxHistograms - 1);
-    if (histogram_slots_ < kMaxHistograms) ++histogram_slots_;
-  } else {
-    assert(scalar_slots_ < kMaxScalars && "scalar metric capacity");
-    def.slot = std::min<uint32_t>(scalar_slots_, kMaxScalars - 1);
-    if (scalar_slots_ < kMaxScalars) ++scalar_slots_;
-  }
-  MetricId id = EncodeId(kind, def.slot);
-  defs_.push_back(std::move(def));
-  by_name_.emplace(name, defs_.size() - 1);
-  return id;
-}
-
-MetricRegistry::MetricId MetricRegistry::Counter(const std::string& name) {
-  return Register(name, Kind::kCounter);
-}
-MetricRegistry::MetricId MetricRegistry::Gauge(const std::string& name) {
-  return Register(name, Kind::kGauge);
-}
-MetricRegistry::MetricId MetricRegistry::Histogram(const std::string& name) {
-  return Register(name, Kind::kHistogram);
-}
-
-MetricRegistry::Shard& MetricRegistry::LocalShard() {
-  const size_t id = static_cast<size_t>(ThreadPool::CurrentWorkerId());
-  return shards_[id % shards_.size()];
-}
-
-void MetricRegistry::Add(MetricId id, uint64_t delta) {
-  assert(KindOf(id) == Kind::kCounter);
-  LocalShard().scalars[SlotOf(id)].fetch_add(delta,
-                                             std::memory_order_relaxed);
-}
-
-void MetricRegistry::GaugeMax(MetricId id, uint64_t value) {
-  assert(KindOf(id) == Kind::kGauge);
-  std::atomic<uint64_t>& cell = LocalShard().scalars[SlotOf(id)];
-  uint64_t current = cell.load(std::memory_order_relaxed);
-  while (value > current &&
-         !cell.compare_exchange_weak(current, value,
-                                     std::memory_order_relaxed)) {
+void MetricRegistry::Add(const std::string& name, uint64_t delta) {
+  MutexLock lock(mu_);
+  if (auto i = IndexOf(name, Kind::kCounter)) {
+    values_.counters[*i].second += delta;
   }
 }
 
-void MetricRegistry::Observe(MetricId id, uint64_t value) {
-  assert(KindOf(id) == Kind::kHistogram);
-  HistogramCells& h = LocalShard().histograms[SlotOf(id)];
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.fetch_add(value, std::memory_order_relaxed);
-  h.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+void MetricRegistry::GaugeMax(const std::string& name, uint64_t value) {
+  MutexLock lock(mu_);
+  if (auto i = IndexOf(name, Kind::kGauge)) {
+    uint64_t& gauge = values_.gauges[*i].second;
+    gauge = std::max(gauge, value);
+  }
+}
+
+void MetricRegistry::Observe(const std::string& name, uint64_t value) {
+  MutexLock lock(mu_);
+  if (auto i = IndexOf(name, Kind::kHistogram)) {
+    HistogramSnapshot& h = values_.histograms[*i];
+    ++h.count;
+    h.sum += value;
+    ++h.buckets[BucketIndex(value)];
+  }
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
-  std::vector<Def> defs;
-  {
-    MutexLock lock(reg_mu_);
-    defs = defs_;
-  }
-  MetricsSnapshot snap;
-  for (const Def& def : defs) {
-    if (def.kind == Kind::kHistogram) {
-      HistogramSnapshot h;
-      h.name = def.name;
-      h.buckets.assign(kHistogramBuckets, 0);
-      // Worker order 0..N-1: bucket-wise integer merge, exact and
-      // order-independent, but the fixed order is part of the contract.
-      for (const Shard& shard : shards_) {
-        const HistogramCells& cells = shard.histograms[def.slot];
-        h.count += cells.count.load(std::memory_order_relaxed);
-        h.sum += cells.sum.load(std::memory_order_relaxed);
-        for (size_t i = 0; i < kHistogramBuckets; ++i) {
-          h.buckets[i] += cells.buckets[i].load(std::memory_order_relaxed);
-        }
-      }
-      snap.histograms.push_back(std::move(h));
-    } else {
-      uint64_t sum = 0;
-      uint64_t max = 0;
-      for (const Shard& shard : shards_) {
-        const uint64_t v =
-            shard.scalars[def.slot].load(std::memory_order_relaxed);
-        sum += v;
-        max = std::max(max, v);
-      }
-      if (def.kind == Kind::kCounter) {
-        snap.counters.emplace_back(def.name, sum);
-      } else {
-        snap.gauges.emplace_back(def.name, max);
-      }
-    }
-  }
-  return snap;
+  MutexLock lock(mu_);
+  return values_;
 }
 
 size_t MetricRegistry::BucketIndex(uint64_t value) {

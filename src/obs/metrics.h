@@ -1,16 +1,15 @@
-// Sharded metric registry: named counters, gauges, and log2-bucketed
-// histograms whose hot-path updates go to per-worker shards.
+// Metric registry: named counters, gauges, and log2-bucketed histograms
+// behind one mutex.
 //
-// Design. A metric is registered once (mutex-protected, returns a dense
-// id) and updated many times. Updates route to the shard indexed by
-// ThreadPool::CurrentWorkerId(), so two pool workers never contend on
-// the same cache lines; cells are relaxed atomics, so a thread that has
-// no worker id (or a worker id beyond the shard count) can still share
-// a shard safely — lock-free either way, and never a perturbation of
-// the instrumented computation's output. Snapshot() merges the shards
-// deterministically in worker order (0..N-1); since counter cells are
-// integers the merged totals are exact and order-independent, and the
-// fixed order keeps the snapshot's derived views reproducible.
+// Design. Every update names its metric: the first update of a name
+// registers it under that update's kind, and later updates find it in
+// a name map. One lock guards the whole registry, which is cheap
+// because updates are per run or per query, never per element: the
+// instrumented code counts in its own locals (stats structs, profiles)
+// and records the totals once, on the calling thread, after its
+// parallel work has joined. There is no capacity: the registry grows
+// with the names it is given. Snapshot() copies the values under the
+// lock, so exports are exact whatever thread made the updates.
 //
 // Disabled path. Instrumented code reads the process-global registry
 // pointer (GlobalMetrics(), default nullptr) and skips every update
@@ -18,20 +17,23 @@
 // one branch per instrumentation site when off.
 //
 // Semantics per kind:
-//   counter    — monotone sum; merged by addition across shards.
-//   gauge      — level/peak value; each Set keeps the per-shard MAX and
-//                the merge takes the max across shards (the right fold
-//                for the peaks this repo tracks: peak tuples, peak
-//                resident bytes). Not a last-write-wins register.
+//   counter    — monotone sum.
+//   gauge      — peak value; GaugeMax keeps the max of every value it
+//                is given (the right fold for the peaks this repo
+//                tracks: peak tuples, peak resident bytes). Not a
+//                last-write-wins register.
 //   histogram  — log2 buckets: bucket 0 counts zeros, bucket i>=1
 //                counts values in [2^(i-1), 2^i); plus exact sum and
-//                count. Merged by bucket-wise addition.
+//                count.
+// A name belongs to the kind that first updated it. Updating it as
+// another kind is a programming error: it debug-asserts, and release
+// builds drop the update.
 
 #ifndef GMARK_OBS_METRICS_H_
 #define GMARK_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +43,7 @@
 
 namespace gmark {
 
-/// \brief Merged, immutable view of one histogram at snapshot time.
+/// \brief Immutable view of one histogram at snapshot time.
 struct HistogramSnapshot {
   std::string name;
   uint64_t count = 0;
@@ -59,7 +61,7 @@ struct HistogramSnapshot {
   uint64_t QuantileBound(double q) const;
 };
 
-/// \brief Merged, immutable view of a whole registry at snapshot time.
+/// \brief Immutable view of a whole registry at snapshot time.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;  // registration order
   std::vector<std::pair<std::string, uint64_t>> gauges;
@@ -72,41 +74,23 @@ struct MetricsSnapshot {
   std::string ToTable() const;
 };
 
-/// \brief Registry of named metrics with per-worker update shards.
+/// \brief Registry of named metrics, one lock for all of them.
 class MetricRegistry {
  public:
-  /// Encodes kind (top byte) and cell slot (low bytes) so hot-path
-  /// updates decode their target cell with arithmetic alone — no name
-  /// lookup, no lock, no shared read of registration state.
-  using MetricId = uint32_t;
-
-  /// \brief `shard_count` 0 means one shard per default pool worker
-  /// plus one for non-pool threads.
-  explicit MetricRegistry(size_t shard_count = 0);
-
+  MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  /// \brief Register (or look up) a metric. Idempotent per name within
-  /// a kind; registering the same name under two kinds is a programming
-  /// error and returns the first registration.
-  MetricId Counter(const std::string& name);
-  MetricId Gauge(const std::string& name);
-  MetricId Histogram(const std::string& name);
+  /// \brief Updates; each registers `name` under its kind on first use.
+  void Add(const std::string& name, uint64_t delta = 1)
+      EXCLUDES(mu_);  // counter += delta
+  void GaugeMax(const std::string& name, uint64_t value)
+      EXCLUDES(mu_);  // gauge = max(gauge, value)
+  void Observe(const std::string& name, uint64_t value)
+      EXCLUDES(mu_);  // histogram sample
 
-  /// \brief Hot-path updates. `id` must come from the matching
-  /// registration call on this registry.
-  void Add(MetricId id, uint64_t delta = 1);      // counter += delta
-  void GaugeMax(MetricId id, uint64_t value);     // gauge = max(gauge, value)
-  void Observe(MetricId id, uint64_t value);      // histogram sample
-
-  /// \brief Merge all shards in worker order into one immutable view.
-  /// Safe to call concurrently with updates (relaxed reads — a snapshot
-  /// taken mid-update sees each cell either before or after); exact
-  /// when callers quiesce first (e.g. after Executor::Wait()).
-  MetricsSnapshot Snapshot() const EXCLUDES(reg_mu_);
-
-  size_t shard_count() const { return shards_.size(); }
+  /// \brief Copy of every metric, each kind in registration order.
+  MetricsSnapshot Snapshot() const EXCLUDES(mu_);
 
   /// \brief log2 bucket index of `value` (0 for 0; else bit_width).
   static size_t BucketIndex(uint64_t value);
@@ -117,62 +101,22 @@ class MetricRegistry {
 
   /// Histogram bucket count: zeros bucket + one per possible bit width.
   static constexpr size_t kHistogramBuckets = 65;
-  /// Fixed per-shard cell capacity, allocated at construction so that
-  /// registration never reallocates shard storage concurrently with
-  /// updates. Registration past capacity folds into the last slot
-  /// (asserted in debug builds) — raise the constants if a subsystem
-  /// ever needs more names.
-  static constexpr size_t kMaxScalars = 512;
-  static constexpr size_t kMaxHistograms = 64;
 
  private:
-  struct HistogramCells {
-    // SAFETY: each cell belongs to one worker's shard; only that worker
-    // writes it (relaxed RMW), and readers run after Executor::Wait or
-    // tolerate torn snapshots (documented on Snapshot()).
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> buckets[kHistogramBuckets] = {};
-  };
-  struct Shard {
-    // SAFETY: sized kMaxScalars / kMaxHistograms once in the
-    // constructor and never resized, so cell addresses stay stable for
-    // lock-free updates; per-worker ownership as on HistogramCells.
-    std::vector<std::atomic<uint64_t>> scalars;
-    std::vector<HistogramCells> histograms;
-  };
-  enum class Kind : uint32_t { kCounter = 1, kGauge = 2, kHistogram = 3 };
-  struct Def {
-    std::string name;
+  enum class Kind { kCounter, kGauge, kHistogram };
+  struct Slot {
     Kind kind;
-    uint32_t slot;  // index into Shard::scalars or Shard::histograms
+    size_t index;  // into the matching section of values_
   };
 
-  static MetricId EncodeId(Kind kind, uint32_t slot) {
-    return (static_cast<uint32_t>(kind) << 24) | slot;
-  }
-  static uint32_t SlotOf(MetricId id) { return id & 0xffffff; }
-  static Kind KindOf(MetricId id) { return static_cast<Kind>(id >> 24); }
+  /// Index of `name` in the `kind` section of values_, appended there
+  /// on first use; nullopt when the name belongs to another kind.
+  std::optional<size_t> IndexOf(const std::string& name, Kind kind)
+      REQUIRES(mu_);
 
-  MetricId Register(const std::string& name, Kind kind) EXCLUDES(reg_mu_);
-  Shard& LocalShard();
-
-  mutable Mutex reg_mu_;
-  std::vector<Def> defs_ GUARDED_BY(reg_mu_);
-  // Metric names are unique across kinds (debug-asserted): the value
-  // is an index into defs_, from which the encoded id is rebuilt.
-  std::unordered_map<std::string, size_t> by_name_ GUARDED_BY(reg_mu_);
-  // SAFETY: shards_ (the vector and each shard's cell vectors) is
-  // sized once in the constructor and never resized, so cell addresses
-  // are stable for the registry's lifetime; all post-construction
-  // access is through the std::atomic cells with relaxed ordering.
-  // Register hands out only slots whose cells already exist (capacity
-  // is fixed at kMaxScalars/kMaxHistograms), so updates never race a
-  // reallocation — the invariant reg_mu_ cannot express and the one
-  // the TSan job exercises.
-  std::vector<Shard> shards_;
-  uint32_t scalar_slots_ GUARDED_BY(reg_mu_) = 0;
-  uint32_t histogram_slots_ GUARDED_BY(reg_mu_) = 0;
+  mutable Mutex mu_;
+  MetricsSnapshot values_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, Slot> slots_ GUARDED_BY(mu_);
 };
 
 /// \brief Process-global registry used by instrumented code paths.

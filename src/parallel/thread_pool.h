@@ -48,8 +48,9 @@ class ThreadPool {
   /// \brief Dense id of the calling thread: pool workers are numbered
   /// 1..size() for the lifetime of their pool; every other thread
   /// (including the main thread and inline executors) reads 0. The
-  /// observability layer keys its per-worker metric/trace shards on
-  /// this, so hot-path updates never share a cell across threads.
+  /// tracer keys its span shards on this, and the parallel evaluator
+  /// its per-worker budget trackers and scratch, so no two threads
+  /// write the same slot.
   static int CurrentWorkerId();
 
  private:

@@ -14,7 +14,7 @@
 //     REQUIRES(mu); helpers that must NOT hold it get EXCLUDES(mu).
 //   * Lock-free invariants the capability system cannot express —
 //     single-writer shard slots, relaxed-atomic counters, phase-based
-//     hand-off ("no PutShard after Finish") — are documented at the
+//     hand-off ("set once in the constructor") — are documented at the
 //     field or function with a `// SAFETY:` contract instead. A SAFETY
 //     contract states WHO may touch the data WHEN, and which barrier
 //     (task completion, Executor::Wait, Reset-before-tasks) publishes

@@ -14,6 +14,11 @@ namespace gmark {
 
 namespace {
 
+/// Query indices per task. Queries are coarse units (each one walks the
+/// schema graph many times), so small chunks load-balance well; the
+/// value has no effect on the generated workload.
+constexpr size_t kQueriesPerTask = 4;
+
 /// Per-request result slot: exactly one of `query` / `skip` is set.
 /// Tasks write disjoint slots, so the vector needs no locking.
 struct QuerySlot {
@@ -34,12 +39,10 @@ Result<Workload> ParallelGenerateWorkload(
 
   const size_t num_queries = config.num_queries;
   std::vector<QuerySlot> slots(num_queries);
-  const size_t chunk =
-      options.chunk_size < 1 ? 1 : static_cast<size_t>(options.chunk_size);
 
   Executor executor(options.num_threads);
-  for (size_t lo = 0; lo < num_queries; lo += chunk) {
-    const size_t hi = std::min(num_queries, lo + chunk);
+  for (size_t lo = 0; lo < num_queries; lo += kQueriesPerTask) {
+    const size_t hi = std::min(num_queries, lo + kQueriesPerTask);
     executor.Submit([&generator, &config, &slots, &tables, lo, hi] {
       for (size_t i = lo; i < hi; ++i) {
         const QueryShape shape = config.shapes[i % config.shapes.size()];

@@ -10,10 +10,10 @@
 // tables when selectivity control is on) are built once up front, and
 // results merge back in request-index order.
 // The output is therefore a pure function of the configuration — byte-
-// identical at any thread count and any chunk size, including the
-// 1-thread inline path that QueryGenerator::Generate now delegates to.
+// identical at any thread count, including the 1-thread inline path
+// that QueryGenerator::Generate now delegates to.
 //
-// Unlike the graph generator, chunk size is NOT part of the output
+// Unlike the graph generator, chunking is NOT part of the output
 // contract here: seeds are derived per query index, never per chunk,
 // so chunking only controls task granularity.
 
@@ -26,17 +26,12 @@
 
 namespace gmark {
 
-/// \brief Tuning knobs for parallel workload generation. None of these
-/// affect the generated workload, only how the work is scheduled.
+/// \brief Scheduling options for parallel workload generation. They
+/// never affect the generated workload, only how the work runs.
 struct ParallelWorkloadOptions {
   /// Worker threads: 0 means hardware concurrency, 1 runs inline on
   /// the calling thread (the serial path).
   int num_threads = 1;
-
-  /// Query indices per task. Queries are coarse units (each one walks
-  /// the schema graph many times), so small chunks load-balance well;
-  /// the value has no effect on the generated workload.
-  int chunk_size = 4;
 };
 
 /// \brief Run Fig. 6 with options.num_threads workers: generate

@@ -76,41 +76,6 @@ TEST(TupleChargeTest, MoveAssignmentReleasesTheReplacedCharge) {
   EXPECT_EQ(tracker.over_releases(), 0u);
 }
 
-TEST(TupleChargeTest, TransferMergesIntoTheReceiver) {
-  BudgetTracker tracker(ResourceBudget::Unlimited());
-  TupleCharge from(&tracker);
-  TupleCharge to(&tracker);
-  ASSERT_TRUE(from.Charge(7).ok());
-  ASSERT_TRUE(to.Charge(2).ok());
-  from.Transfer(to);
-  EXPECT_EQ(from.count(), 0u);
-  EXPECT_EQ(to.count(), 9u);
-  EXPECT_EQ(tracker.tuples_used(), 9u);  // Handoff, not a release.
-}
-
-TEST(TupleChargeTest, TransferArmsADisarmedReceiver) {
-  BudgetTracker tracker(ResourceBudget::Unlimited());
-  TupleCharge to;  // Disarmed: no tracker yet.
-  {
-    TupleCharge from(&tracker);
-    ASSERT_TRUE(from.Charge(3).ok());
-    from.Transfer(to);
-  }  // from dies empty: nothing releases here.
-  EXPECT_EQ(to.count(), 3u);
-  EXPECT_EQ(tracker.tuples_used(), 3u);
-}
-
-TEST(TupleChargeTest, AdoptIsTheReceivingSideOfTransfer) {
-  BudgetTracker tracker(ResourceBudget::Unlimited());
-  TupleCharge to(&tracker);
-  ASSERT_TRUE(to.Charge(1).ok());
-  TupleCharge from(&tracker);
-  ASSERT_TRUE(from.Charge(5).ok());
-  to.Adopt(std::move(from));
-  EXPECT_EQ(to.count(), 6u);
-  EXPECT_EQ(tracker.tuples_used(), 6u);
-}
-
 TEST(TupleChargeTest, DisarmForgetsWithoutReleasing) {
   BudgetTracker tracker(ResourceBudget::Unlimited());
   {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/use_cases.h"
+#include "obs/metrics.h"
 #include "parallel/parallel_generator.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
@@ -280,6 +282,40 @@ TEST(RpqEvaluatorTest, MaterializePairsSingleSource) {
   EXPECT_EQ(from_four, (std::vector<NodeId>{0, 1, 2, 3, 4}));
   EXPECT_EQ(pairs.charge.count(), pairs.value.size());
   EXPECT_EQ(budget.tuples_used(), pairs.value.size());
+}
+
+TEST(RpqEvaluatorTest, SerialCountPairsRecordsOneChunk) {
+  // A 300-node ring: large enough that the parallel chunk plan would
+  // split it (chunks of max(16, n/8) sources), yet the serial branch
+  // runs every source as one chunk and must say so.
+  const NodeId n = 300;
+  GraphConfiguration config;
+  config.num_nodes = n;
+  ASSERT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(n)).ok());
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < n; ++i) edges.push_back(Edge{i, 0, (i + 1) % n});
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  Graph g = Graph::Build(std::move(layout), 1, std::move(edges)).ValueOrDie();
+
+  MetricRegistry registry;
+  ScopedGlobalMetrics scoped(&registry);
+  RpqEvaluator rpq(&g);
+  Nfa nfa =
+      Nfa::FromRegex(RegularExpression::Atom(Symbol::Fwd(0))).ValueOrDie();
+  BudgetTracker budget(ResourceBudget::Unlimited());
+  EXPECT_EQ(rpq.CountPairs(nfa, &budget).ValueOrDie(), uint64_t{n});
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  auto counter = [&snap](const std::string& name) -> uint64_t {
+    for (const auto& [metric, value] : snap.counters) {
+      if (metric == name) return value;
+    }
+    ADD_FAILURE() << "counter " << name << " not in snapshot";
+    return 0;
+  };
+  EXPECT_EQ(counter("eval.sources"), uint64_t{n});
+  EXPECT_EQ(counter("eval.chunks"), 1u);
 }
 
 }  // namespace

@@ -74,31 +74,81 @@ TEST(MetricsTest, BucketBoundaries) {
   }
 }
 
-TEST(MetricsTest, RegistrationIsIdempotent) {
-  MetricRegistry registry(2);
-  const auto c = registry.Counter("hits");
-  EXPECT_EQ(registry.Counter("hits"), c);
-  const auto g = registry.Gauge("peak");
-  EXPECT_EQ(registry.Gauge("peak"), g);
-  const auto h = registry.Histogram("lat");
-  EXPECT_EQ(registry.Histogram("lat"), h);
-  // Names are unique across kinds (re-registering one under another
-  // kind debug-asserts); distinct names get distinct ids.
-  EXPECT_NE(registry.Counter("hits"), registry.Counter("misses"));
-  EXPECT_NE(registry.Gauge("peak"), registry.Gauge("valley"));
+TEST(MetricsTest, FirstUpdateRegistersInOrder) {
+  MetricRegistry registry;
+  registry.Add("misses");
+  registry.Add("hits");
+  registry.Add("misses");
+  registry.GaugeMax("valley", 1);
+  registry.GaugeMax("peak", 2);
+  registry.Observe("lat", 3);
+  registry.Observe("lat", 4);
+  // One entry per name, each kind in first-update order.
+  MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].first, "misses");
+  EXPECT_EQ(snap.counters[0].second, 2u);
+  EXPECT_EQ(snap.counters[1].first, "hits");
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].first, "valley");
+  EXPECT_EQ(snap.gauges[1].first, "peak");
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].count, 2u);
+}
+
+TEST(MetricsTest, UpdateUnderAnotherKindIsDropped) {
+  MetricRegistry registry;
+  registry.Add("hits", 3);
+  // A name belongs to the kind that first updated it: debug builds
+  // assert on a second kind, release builds drop the update.
+  EXPECT_DEBUG_DEATH(registry.GaugeMax("hits", 7), "different kind");
+  EXPECT_DEBUG_DEATH(registry.Observe("hits", 7), "different kind");
+  MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(CounterValue(snap, "hits"), 3u);
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.histograms.empty());
+}
+
+TEST(MetricsTest, ManyNamesStayDistinct) {
+  // No capacity: every name keeps its own value, however many there
+  // are.
+  constexpr uint64_t kScalars = 600;
+  constexpr uint64_t kHistograms = 70;
+  MetricRegistry registry;
+  for (uint64_t i = 0; i < kScalars; ++i) {
+    registry.Add("c" + std::to_string(i), i + 1);
+    registry.GaugeMax("g" + std::to_string(i), 2 * i + 1);
+  }
+  for (uint64_t i = 0; i < kHistograms; ++i) {
+    registry.Observe("h" + std::to_string(i), i + 1);
+  }
+  MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.counters.size(), kScalars);
+  ASSERT_EQ(snap.gauges.size(), kScalars);
+  ASSERT_EQ(snap.histograms.size(), kHistograms);
+  for (uint64_t i = 0; i < kScalars; ++i) {
+    EXPECT_EQ(CounterValue(snap, "c" + std::to_string(i)), i + 1);
+    EXPECT_EQ(GaugeValue(snap, "g" + std::to_string(i)), 2 * i + 1);
+  }
+  for (uint64_t i = 0; i < kHistograms; ++i) {
+    const HistogramSnapshot* hist =
+        FindHistogram(snap, "h" + std::to_string(i));
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->count, 1u);
+    EXPECT_EQ(hist->sum, i + 1);
+    EXPECT_EQ(hist->buckets[MetricRegistry::BucketIndex(i + 1)], 1u);
+  }
 }
 
 TEST(MetricsTest, CounterGaugeHistogramSemantics) {
-  MetricRegistry registry(2);
-  const auto c = registry.Counter("edges");
-  registry.Add(c);
-  registry.Add(c, 9);
-  const auto g = registry.Gauge("peak");
-  registry.GaugeMax(g, 100);
-  registry.GaugeMax(g, 40);  // lower value must not stick
-  registry.GaugeMax(g, 250);
-  const auto h = registry.Histogram("lat");
-  for (uint64_t v : {0, 1, 3, 1024}) registry.Observe(h, v);
+  MetricRegistry registry;
+  registry.Add("edges");
+  registry.Add("edges", 9);
+  registry.GaugeMax("peak", 100);
+  registry.GaugeMax("peak", 40);  // lower value must not stick
+  registry.GaugeMax("peak", 250);
+  for (uint64_t v : {0, 1, 3, 1024}) registry.Observe("lat", v);
 
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(CounterValue(snap, "edges"), 10u);
@@ -115,11 +165,10 @@ TEST(MetricsTest, CounterGaugeHistogramSemantics) {
 }
 
 TEST(MetricsTest, QuantileBound) {
-  MetricRegistry registry(1);
-  const auto h = registry.Histogram("q");
+  MetricRegistry registry;
   // 100 samples of 1 and one sample of 1 000 000.
-  for (int i = 0; i < 100; ++i) registry.Observe(h, 1);
-  registry.Observe(h, 1000000);
+  for (int i = 0; i < 100; ++i) registry.Observe("q", 1);
+  registry.Observe("q", 1000000);
   MetricsSnapshot snap = registry.Snapshot();
   const HistogramSnapshot* hist = FindHistogram(snap, "q");
   ASSERT_NE(hist, nullptr);
@@ -132,31 +181,28 @@ TEST(MetricsTest, QuantileBound) {
 }
 
 // The TSan target: hammer one registry from every pool worker plus the
-// main thread and require exact totals. Worker shards make the hot
-// path race-free by construction; this test is compiled into the
+// main thread and require exact totals. The registry's one mutex makes
+// every update race-free; this test is compiled into the
 // thread-sanitizer CI job to prove it.
 TEST(MetricsTest, ConcurrentUpdatesFromPoolWorkersSumExactly) {
   constexpr int kThreads = 4;
   constexpr int kTasks = 64;
   constexpr int kIncrementsPerTask = 1000;
-  MetricRegistry registry;  // default shards: pool workers + others
-  const auto c = registry.Counter("concurrent.hits");
-  const auto g = registry.Gauge("concurrent.peak");
-  const auto h = registry.Histogram("concurrent.lat");
+  MetricRegistry registry;
   {
     ThreadPool pool(kThreads);
     for (int t = 0; t < kTasks; ++t) {
-      pool.Submit([&registry, c, g, h, t] {
+      pool.Submit([&registry, t] {
         for (int i = 0; i < kIncrementsPerTask; ++i) {
-          registry.Add(c);
-          registry.Observe(h, static_cast<uint64_t>(i));
+          registry.Add("concurrent.hits");
+          registry.Observe("concurrent.lat", static_cast<uint64_t>(i));
         }
-        registry.GaugeMax(g, static_cast<uint64_t>(t));
+        registry.GaugeMax("concurrent.peak", static_cast<uint64_t>(t));
       });
     }
     pool.Wait();
   }
-  registry.Add(c, 5);  // main thread shard merges too
+  registry.Add("concurrent.hits", 5);  // main thread updates count too
 
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(CounterValue(snap, "concurrent.hits"),
@@ -169,29 +215,28 @@ TEST(MetricsTest, ConcurrentUpdatesFromPoolWorkersSumExactly) {
 }
 
 TEST(MetricsTest, GoldenJsonSnapshot) {
-  MetricRegistry registry(2);
+  MetricRegistry registry;
   // Registration order deliberately differs from the sorted export
   // order to pin the sort.
-  registry.Add(registry.Counter("query.failures"), 2);
-  registry.Add(registry.Counter("gen.total_edges"), 12345);
-  registry.GaugeMax(registry.Gauge("peak_bytes"), 4096);
-  const auto h = registry.Histogram("latency_nanos");
-  for (uint64_t v : {0, 1, 3, 1024}) registry.Observe(h, v);
+  registry.Add("query.failures", 2);
+  registry.Add("gen.total_edges", 12345);
+  registry.GaugeMax("peak_bytes", 4096);
+  for (uint64_t v : {0, 1, 3, 1024}) registry.Observe("latency_nanos", v);
   EXPECT_EQ(registry.Snapshot().ToJson(),
             ReadGolden("obs/golden/metrics_snapshot.json"));
 }
 
 TEST(MetricsTest, EmptySectionsRenderEmptyObjects) {
-  MetricRegistry registry(1);
+  MetricRegistry registry;
   EXPECT_EQ(registry.Snapshot().ToJson(),
             "{\n  \"counters\": {},\n  \"gauges\": {},\n"
             "  \"histograms\": {}\n}\n");
 }
 
 TEST(MetricsTest, ToTableListsEveryMetric) {
-  MetricRegistry registry(1);
-  registry.Add(registry.Counter("gen.index_nanos"), 1500000000);
-  registry.Observe(registry.Histogram("lat"), 8);
+  MetricRegistry registry;
+  registry.Add("gen.index_nanos", 1500000000);
+  registry.Observe("lat", 8);
   const std::string table = registry.Snapshot().ToTable();
   EXPECT_NE(table.find("gen.index_nanos"), std::string::npos);
   EXPECT_NE(table.find("1.500s"), std::string::npos);  // *_nanos annotation
@@ -202,11 +247,11 @@ TEST(MetricsTest, ToTableListsEveryMetric) {
 TEST(MetricsTest, GlobalRegistryDefaultsOffAndScopesRestore) {
   EXPECT_EQ(GlobalMetrics(), nullptr);
   {
-    MetricRegistry outer(1);
+    MetricRegistry outer;
     ScopedGlobalMetrics scoped_outer(&outer);
     EXPECT_EQ(GlobalMetrics(), &outer);
     {
-      MetricRegistry inner(1);
+      MetricRegistry inner;
       ScopedGlobalMetrics scoped_inner(&inner);
       EXPECT_EQ(GlobalMetrics(), &inner);
     }

@@ -1,7 +1,7 @@
 // The parallel workload generator's contract: the workload is a pure
 // function of the configuration — byte-identical XML (queries, names,
-// AND skip records) at 1/2/8 threads and any chunk size, with the
-// serial QueryGenerator::Generate being the 1-thread special case.
+// AND skip records) at 1/2/8 threads, with the serial
+// QueryGenerator::Generate being the 1-thread special case.
 
 #include "workload/parallel_workload.h"
 
@@ -18,10 +18,9 @@
 namespace gmark {
 namespace {
 
-ParallelWorkloadOptions WithThreads(int num_threads, int chunk_size = 4) {
+ParallelWorkloadOptions WithThreads(int num_threads) {
   ParallelWorkloadOptions options;
   options.num_threads = num_threads;
-  options.chunk_size = chunk_size;
   return options;
 }
 
@@ -171,20 +170,6 @@ TEST(ParallelWorkloadTest, SkipRecordsIdenticalAcrossThreadCounts) {
             .ValueOrDie();
     EXPECT_EQ(base.ToXml(config.schema), w.ToXml(config.schema))
         << "skips reordered at " << threads << " threads";
-  }
-}
-
-TEST(ParallelWorkloadTest, ChunkSizeDoesNotAffectOutput) {
-  // Unlike the graph generator, seeds are derived per query index, so
-  // chunking is pure scheduling.
-  GraphConfiguration config = MakeBibConfig(10000);
-  WorkloadConfiguration wconfig =
-      MakePresetWorkload(WorkloadPreset::kCon, 12, 7);
-  const std::string base =
-      GenerateXml(config.schema, wconfig, WithThreads(4, 1));
-  for (int chunk : {2, 5, 100}) {
-    EXPECT_EQ(base, GenerateXml(config.schema, wconfig, WithThreads(4, chunk)))
-        << "chunk size " << chunk << " changed the workload";
   }
 }
 
