@@ -347,9 +347,9 @@ int main(int argc, char** argv) {
   }
   std::optional<Graph> indexed;
   Status gen_status;
+  // Stats publish the gen.* metrics.
+  GenerateStats gen_stats;
   if (want_graph) {
-    // Stats publish the gen.* metrics.
-    GenerateStats gen_stats;
     Result<Graph> graph =
         ParallelGenerateGraph(config, gen_options, &gen_stats, sink);
     if (graph.ok()) {
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
       gen_status = graph.status();
     }
   } else if (sink != nullptr) {
-    gen_status = ParallelGenerateToSink(config, sink, gen_options);
+    gen_status = ParallelGenerateToSink(config, sink, gen_options, &gen_stats);
   }
   if (out.has_value()) {
     // Flush before testing the stream: a failure in the final buffered

@@ -32,35 +32,18 @@ namespace gmark {
 /// rejecting them, so the unwind must release them too or the tracker
 /// would never return to zero.
 ///
-/// The guard must not outlive the BudgetTracker it charges against;
-/// use Disarm() when a charged value's ownership genuinely leaves the
-/// tracker's scope.
+/// The guard must not outlive the BudgetTracker it charges against.
 ///
 /// SAFETY: same single-writer contract as the BudgetTracker it wraps —
-/// guards belong to the one thread that owns their tracker. In the
-/// frontier-parallel evaluator that means a guard over a
-/// ConcurrentBudgetScope worker tracker lives and dies on that worker;
-/// charges that outlive the parallel section are Disarm()ed onto the
-/// worker tracker, folded into the base tracker by the scope, and
-/// re-guarded on the base via Assume().
+/// guards belong to the one thread that owns their tracker. The
+/// evaluator's parallel section holds no guard in its tasks; it
+/// charges the tracker through one guard after Executor::Wait().
 class TupleCharge {
  public:
-  /// \brief Disarmed guard: holds no tracker and no charge.
+  /// \brief Empty guard: holds no tracker and no charge.
   TupleCharge() = default;
   /// \brief Armed guard with zero charge against `budget`.
   explicit TupleCharge(BudgetTracker* budget) : budget_(budget) {}
-
-  /// \brief Guard over `count` tuples ALREADY charged on `budget` —
-  /// the inverse of Disarm(), and the only way charges cross a
-  /// ConcurrentBudgetScope fold without leaking: the scope's Fold()
-  /// moves the workers' outstanding balances onto the base tracker and
-  /// returns the total, which the caller immediately re-guards here so
-  /// the unwind path still releases exactly what is charged.
-  static TupleCharge Assume(BudgetTracker* budget, size_t count) {
-    TupleCharge charge(budget);
-    charge.count_ = count;
-    return charge;
-  }
 
   TupleCharge(TupleCharge&& other) noexcept
       : budget_(other.budget_), count_(other.count_) {
@@ -92,21 +75,9 @@ class TupleCharge {
   /// counts before rejecting), so unwinding releases it and the
   /// tracker's balance — and its over_releases counter — stay exact.
   Status Charge(size_t count) {
-    assert(budget_ != nullptr && "Charge() on a disarmed TupleCharge");
+    assert(budget_ != nullptr && "Charge() on a TupleCharge with no tracker");
     count_ += count;
     return budget_->ChargeTuples(count);
-  }
-
-  /// \brief Forget the held charge without releasing it; returns the
-  /// forgotten count. The tuples stay charged on the tracker — for
-  /// values whose ownership leaves the tracker's scope, and for tests
-  /// constructing precise accounting states. Not an error-path tool:
-  /// failed charges should unwind through the destructor, which keeps
-  /// the tracker's balance exact.
-  size_t Disarm() {
-    size_t forgotten = count_;
-    count_ = 0;
-    return forgotten;
   }
 
   /// \brief Tuples currently held by this guard.

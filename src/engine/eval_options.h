@@ -13,8 +13,8 @@ class Planner;
 
 /// \brief How an evaluation may use threads. Results are byte-identical
 /// at every setting — parallelism only reorders which thread runs which
-/// source chunk; chunk results merge in source order and the budget
-/// fold is deterministic (see ConcurrentBudgetScope).
+/// source chunk; chunk results merge in source order and the budget is
+/// charged once with their total after the fan-out.
 struct EvalOptions {
   /// Selectivity-driven planner (plan/planner.h); null evaluates the
   /// identity plan (written order, forward traversal). Not owned; must

@@ -1,6 +1,8 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <utility>
 
 #include "engine/engine_common.h"
@@ -32,27 +34,32 @@ struct BfsShardFlush {
 };
 
 /// One chunk's private output: its sources' accepted-pair count (and
-/// the pairs themselves when materializing) and its BFS statistics.
-/// Written by exactly one task; read by the merging thread after
-/// Executor::Wait().
+/// the pairs themselves when materializing) and its BFS statistics; in
+/// a parallel section also its Status and the section's tuple sum at
+/// its last charge. Written by exactly one task; read by the merging
+/// thread after Executor::Wait().
 struct SourceChunk {
   uint64_t count = 0;
   NodePairs pairs;
   BfsStatsShard stats;
+  Status status;
+  size_t seen = 0;
 };
 
-/// Evaluates sources [begin, end) against `nfa`, charging each source's
-/// accepted targets on `charge` (a guard over the chunk's tracker,
-/// `budget`), which the caller keeps or releases. `section`, when
-/// given, is polled before every source: once it has failed the chunk
-/// stops and returns OK, as the failed section discards its result.
-/// Statistics reach out->stats on every exit path.
+/// Evaluates sources [begin, end) against `nfa`, handing each source's
+/// accepted-target count to `charge_targets`, whose error ends the
+/// chunk. The deadline is read from `budget`, which the chunk never
+/// writes. `stop`, when given, is polled before every source: once set
+/// the chunk stops and returns OK, as the failed section discards its
+/// result. Statistics reach out->stats on every exit path.
+template <typename ChargeTargets>
 Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
                       const std::vector<NfaTransition>& start_transitions,
                       size_t begin, size_t end, bool materialize,
-                      const ConcurrentBudgetScope* section,
-                      EvalScratch& scratch, BudgetTracker* budget,
-                      TupleCharge* charge, SourceChunk* out) {
+                      const BudgetTracker& budget,
+                      const std::atomic<bool>* stop,
+                      ChargeTargets&& charge_targets, EvalScratch& scratch,
+                      SourceChunk* out) {
   const size_t n = static_cast<size_t>(graph.num_nodes());
   const size_t k = nfa.state_count();
   const uint32_t accept = nfa.accept();
@@ -79,9 +86,9 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
   // Amortized wall-clock enforcement inside the per-source BFS: the
   // per-source check alone would let one dense source overshoot the
   // timeout unboundedly (its whole product-graph traversal runs
-  // between two checks). One checker per chunk — time checkers are
-  // single-owner like the trackers they wrap.
-  PeriodicTimeCheck time_check(budget);
+  // between two checks). One checker per chunk — a checker's countdown
+  // is single-owner.
+  PeriodicTimeCheck time_check(&budget);
   // Profile statistics accumulate in locals (registers) and flush once
   // on scope exit, so a null or live profile costs the BFS loop nothing.
   uint64_t pops = 0;
@@ -89,11 +96,13 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
   BfsShardFlush flush{&out->stats, &pops, &peak_frontier};
 
   for (size_t si = begin; si < end; ++si) {
-    if (section != nullptr && section->failed()) return Status::OK();
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      return Status::OK();
+    }
     const NodeId source = static_cast<NodeId>(si);
     const bool starts = has_start_edge(source);
     if (!starts && !epsilon) continue;
-    GMARK_RETURN_NOT_OK(budget->CheckTime());
+    GMARK_RETURN_NOT_OK(budget.CheckTime());
 
     targets.clear();
     visited.Reset();
@@ -134,7 +143,7 @@ Status RunSourceChunk(const Graph& graph, const Nfa& nfa,
       }
     }
     out->count += targets.size();
-    GMARK_RETURN_NOT_OK(charge->Charge(targets.size()));
+    GMARK_RETURN_NOT_OK(charge_targets(targets.size()));
     if (materialize) {
       for (NodeId t : targets) out->pairs.emplace_back(source, t);
     }
@@ -165,10 +174,10 @@ struct MergedSources {
 
 /// Shared driver behind CountPairs/MaterializePairs: runs every source
 /// through the product-graph BFS, serially or chunked over
-/// opts.executor. Chunk results merge in source order and per-worker
-/// budget charges fold deterministically, so the returned value — and
-/// the tracker/profile accounting on the success path — is identical at
-/// any thread or chunk count.
+/// opts.executor. Chunk results merge in source order and the tracker
+/// is charged once with their total, so the returned value — and the
+/// tracker/profile accounting on the success path — is identical at any
+/// thread or chunk count.
 Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
                                     const EvalOptions& opts, bool materialize,
                                     BudgetTracker* budget,
@@ -193,9 +202,11 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
     EvalScratch scratch;
     SourceChunk out;
     TupleCharge charge(budget);
-    Status st = RunSourceChunk(graph, nfa, start_transitions, 0, n,
-                               materialize, /*section=*/nullptr, scratch,
-                               budget, &charge, &out);
+    Status st = RunSourceChunk(
+        graph, nfa, start_transitions, 0, n, materialize, *budget,
+        /*stop=*/nullptr,
+        [&charge](size_t count) { return charge.Charge(count); }, scratch,
+        &out);
     if (profile != nullptr) profile->AddBfs(out.stats);
     // The serial branch runs every source as one chunk, whatever the
     // planned chunking.
@@ -207,58 +218,69 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
     return merged;
   }
 
-  // Parallel: one task per chunk; each task charges the tracker of the
+  // Parallel: one task per chunk, each reusing the scratch of the
   // worker it lands on (ThreadPool::CurrentWorkerId(): pool workers are
-  // 1..workers, so the scope holds workers+1 trackers) and reuses that
-  // worker's scratch. Chunks are independent, so results depend only on
-  // the [begin, end) partition — never on scheduling. A chunk that
-  // returns OK disarms its charge onto its worker tracker, so the
-  // cross-chunk peak reproduces the serial evaluator's; the fold below
-  // re-guards it.
+  // 1..workers). Chunks are independent, so results depend only on the
+  // [begin, end) partition — never on scheduling. The tracker is only
+  // read until Wait(): chunks check its deadline through the const
+  // CheckTime() and count their targets against the headroom it had at
+  // the fan-out, which is exact because the tracker is within its
+  // ceiling here (every charge past it fails).
   //
   // Once any chunk fails the section's result is decided, so chunks
   // that have not started skip their sources and running ones stop
-  // before their next source, reporting nothing: no chunk climbs back
-  // to the ceiling a failing chunk just hit. Their parked charges
-  // release with the section's. Success paths never see the flag.
-  ConcurrentBudgetScope scope(budget, workers + 1);
+  // before their next source. Success paths never see the flag.
+  assert(budget->tuples_used() <= budget->budget().max_tuples);
+  const size_t headroom = budget->budget().max_tuples - budget->tuples_used();
+  // SAFETY: relaxed multi-writer cells. Every chunk fetch_adds its
+  // sources' target counts into `used`, whose running sum is only
+  // compared against the immutable `headroom`; `failed` is set by a
+  // failing chunk and only polled. Neither orders other memory: each
+  // chunk's result, Status and seen sum sit in its own slot, read after
+  // Executor::Wait() joins every task. A chunk that reads `failed` late
+  // only does work the failed section discards.
+  std::atomic<size_t> used{0};
+  std::atomic<bool> failed{false};
   std::vector<SourceChunk> chunks(num_chunks);
   std::vector<EvalScratch> scratch(static_cast<size_t>(workers) + 1);
   for (size_t ci = 0; ci < num_chunks; ++ci) {
     opts.executor->Submit([&, ci, chunk] {
-      if (scope.failed()) return;
-      const int wid = ThreadPool::CurrentWorkerId();
+      if (failed.load(std::memory_order_relaxed)) return;
+      SourceChunk& out = chunks[ci];
       const size_t begin = ci * chunk;
       const size_t end = std::min(n, begin + chunk);
-      BudgetTracker* tracker = &scope.worker(wid);
-      TupleCharge charge(tracker);
-      Status st = RunSourceChunk(graph, nfa, start_transitions, begin, end,
-                                 materialize, &scope,
-                                 scratch[static_cast<size_t>(wid)], tracker,
-                                 &charge, &chunks[ci]);
-      // Report before `charge` releases, so the headroom the release
-      // frees is not taken by a chunk that has not seen the failure.
-      if (!st.ok()) {
-        scope.ReportFailure(ci, std::move(st));
-      } else {
-        charge.Disarm();
-      }
+      auto count_targets = [&](size_t count) {
+        out.seen = used.fetch_add(count, std::memory_order_relaxed) + count;
+        // The tracker writes the real message when charged below.
+        return out.seen > headroom
+                   ? Status::ResourceExhausted("tuple budget exceeded")
+                   : Status::OK();
+      };
+      out.status = RunSourceChunk(
+          graph, nfa, start_transitions, begin, end, materialize, *budget,
+          &failed, count_targets,
+          scratch[static_cast<size_t>(ThreadPool::CurrentWorkerId())], &out);
+      if (!out.status.ok()) failed.store(true, std::memory_order_relaxed);
     });
   }
   opts.executor->Wait();
-
-  // Fold the per-worker accounting into the base tracker and re-guard
-  // the surviving charges there; if the section failed, destroying the
-  // guard on return releases them, restoring the pre-call balance
-  // exactly as the serial unwind does.
-  const size_t outstanding = scope.Fold();
-  merged.charge = TupleCharge::Assume(budget, outstanding);
 
   BfsStatsShard stats;
   for (const SourceChunk& c : chunks) stats.Merge(c.stats);
   if (profile != nullptr) profile->AddBfs(stats);
   RecordEvalMetrics(n, num_chunks, stats);
-  GMARK_RETURN_NOT_OK(scope.first_failure());
+
+  // The lowest-index failed chunk decides. Charging the sum it saw
+  // makes the tracker record the peak and, past the headroom, the
+  // `tuple budget exceeded` message, as a serial charge of that many
+  // tuples would; the guard releases it on return, restoring the
+  // balance the call started with.
+  merged.charge = TupleCharge(budget);
+  for (const SourceChunk& c : chunks) {
+    if (c.status.ok()) continue;
+    GMARK_RETURN_NOT_OK(merged.charge.Charge(c.seen));
+    return c.status;
+  }
 
   if (materialize) {
     size_t total = 0;
@@ -275,6 +297,7 @@ Result<MergedSources> ForEachSource(const Graph& graph, const Nfa& nfa,
       NodePairs().swap(c.pairs);
     }
   }
+  GMARK_RETURN_NOT_OK(merged.charge.Charge(merged.count));
   return merged;
 }
 

@@ -14,9 +14,10 @@
 //
 // Per-source BFS runs are independent, so when an EvalOptions carries a
 // multi-worker Executor the source loop is chunked across it: each
-// worker reuses private EvalScratch and charges a private
-// ConcurrentBudgetScope tracker, and chunk results merge in source
-// order — counts, pairs, profiles, and budget accounting are
+// worker reuses private EvalScratch, the chunks count their targets
+// into one atomic against the tracker's headroom, and after the
+// fan-out the tracker is charged once and chunk results merge in
+// source order — counts, pairs, profiles, and budget accounting are
 // byte-identical at any thread or chunk count (parallel_eval_test pins
 // this).
 

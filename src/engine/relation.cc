@@ -146,9 +146,8 @@ Result<ChargedRelation> HashJoin(const VarRelation& a, const VarRelation& b,
   // summing the output size. A sum past the headroom is killed with one
   // charge of headroom + 1, which leaves the tracker (balance, peak,
   // message) as charging row by row up to the failing row would. The
-  // headroom is exact only on a base tracker, whose balance is within
-  // the ceiling here because every charge past it fails.
-  assert(!budget->is_worker() && "HashJoin on a worker tracker");
+  // headroom is exact: the balance is within the ceiling here because
+  // every charge past it fails.
   assert(budget->tuples_used() <= budget->budget().max_tuples);
   const size_t headroom = budget->budget().max_tuples - budget->tuples_used();
   PeriodicTimeCheck clock(budget);

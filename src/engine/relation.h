@@ -93,8 +93,7 @@ Result<bool> AppendDistinctRow(std::span<const NodeId> row, VarRelation* rel,
 /// once and the rows are emitted. When it does not, the join charges
 /// the headroom plus one and fails, which leaves the tracker's balance,
 /// peak and message exactly as charging row by row up to the first
-/// row past the ceiling would. `budget` must be a base tracker, not a
-/// ConcurrentBudgetScope worker.
+/// row past the ceiling would.
 ///
 /// The deadline is read through a PeriodicTimeCheck ticked once per
 /// `a` row in each pass and once per output row. So a join that fits

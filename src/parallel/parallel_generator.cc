@@ -475,7 +475,10 @@ Graph::StreamSpec PredicateStream(std::vector<ReadyConstraint>* kept) {
 Status ParallelGenerateToSink(const GraphConfiguration& config,
                               EdgeSink* sink, const GeneratorOptions& options,
                               GenerateStats* stats) {
+  WallTimer timer;
   GMARK_ASSIGN_OR_RETURN(NodeLayout layout, NodeLayout::Create(config));
+  const double layout_seconds = timer.ElapsedSeconds();
+  timer.Restart();
   Span generate_span = TraceSpan("gen.generate", "gen");
   GMARK_ASSIGN_OR_RETURN(std::vector<ConstraintPlan> plans,
                          PlanAll(config, layout, options));
@@ -489,8 +492,11 @@ Status ParallelGenerateToSink(const GraphConfiguration& config,
                                       }));
   generate_span.End();
   if (stats != nullptr) {
+    stats->layout_seconds = layout_seconds;
+    stats->generate_seconds = timer.ElapsedSeconds();
     stats->total_edges = drain.total_edges();
     stats->peak_resident_edge_bytes = drain.peak_bytes();
+    stats->Record(GlobalMetrics());
   }
   return Status::OK();
 }

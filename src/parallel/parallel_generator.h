@@ -38,7 +38,10 @@ namespace gmark {
 /// order on the calling thread. Emission runs in windows of one chunk
 /// per worker; each window is drained into `sink` and freed before the
 /// next starts, so resident edge memory stays ~ num_threads *
-/// chunk_size edges. (GenerateStats lives in graph/generator.h.)
+/// chunk_size edges. `stats`, when given, receives the edge count, the
+/// largest window's bytes and the layout and generate times, and is
+/// recorded into GlobalMetrics() as ParallelGenerateGraph records it.
+/// (GenerateStats lives in graph/generator.h.)
 Status ParallelGenerateToSink(const GraphConfiguration& config,
                               EdgeSink* sink,
                               const GeneratorOptions& options = {},

@@ -49,8 +49,7 @@ class ThreadPool {
   /// 1..size() for the lifetime of their pool; every other thread
   /// (including the main thread and inline executors) reads 0. The
   /// tracer keys its span shards on this, and the parallel evaluator
-  /// its per-worker budget trackers and scratch, so no two threads
-  /// write the same slot.
+  /// its per-worker scratch, so no two threads write the same slot.
   static int CurrentWorkerId();
 
  private:

@@ -38,7 +38,6 @@ struct PlanStep {
   /// closure runs over the (possibly reversed) base relation.
   bool backward = false;
   double est_rows = -1.0;  ///< Planner row estimate; -1 in identity plans.
-  double est_cost = -1.0;  ///< Planner direction cost; -1 in identity plans.
 
   bool operator==(const PlanStep&) const = default;
 };

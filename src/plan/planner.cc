@@ -73,12 +73,8 @@ QueryPlan Planner::PlanQuery(const Query& query,
         // from whichever endpoint has fewer nodes carrying a matching
         // edge. Strict < keeps forward on ties (identity-friendly).
         step.backward = est[i].backward_seeds < est[i].forward_seeds;
-        step.est_cost =
-            step.backward ? est[i].backward_seeds : est[i].forward_seeds;
       } else {
         step.backward = est[i].backward_cost < est[i].forward_cost;
-        step.est_cost =
-            step.backward ? est[i].backward_cost : est[i].forward_cost;
       }
     }
 

@@ -76,18 +76,6 @@ TEST(TupleChargeTest, MoveAssignmentReleasesTheReplacedCharge) {
   EXPECT_EQ(tracker.over_releases(), 0u);
 }
 
-TEST(TupleChargeTest, DisarmForgetsWithoutReleasing) {
-  BudgetTracker tracker(ResourceBudget::Unlimited());
-  {
-    TupleCharge charge(&tracker);
-    ASSERT_TRUE(charge.Charge(9).ok());
-    EXPECT_EQ(charge.Disarm(), 9u);
-    EXPECT_EQ(charge.count(), 0u);
-  }  // Destructor releases nothing: the charge was disowned.
-  EXPECT_EQ(tracker.tuples_used(), 9u);
-  EXPECT_EQ(tracker.over_releases(), 0u);
-}
-
 TEST(TupleChargeTest, ChargedBindsValueAndChargeLifetimes) {
   BudgetTracker tracker(ResourceBudget::Unlimited());
   {

@@ -1,156 +1,185 @@
-// ConcurrentBudgetScope: the per-worker-fold budget protocol behind the
-// frontier-parallel evaluator. These tests pin the fold semantics, the
-// shared-ceiling enforcement, the deterministic first-exceeded failure
-// report, and the time-base delegation — single-threaded, so every
-// assertion is about the protocol, not about scheduling. All charging
-// goes through TupleCharge guards (the raw protocol is banned outside
-// budget.h/charge.h).
-
-#include "engine/budget.h"
+// The parallel section of RpqEvaluator's source fan-out: chunks count
+// their targets into one atomic against the tracker's headroom, and the
+// tracker is charged once after the fan-out. These cases drive it
+// through RpqEvaluator at 2 and 8 threads with one source per chunk,
+// on a tracker that already holds a charge, as the S engine's later
+// conjuncts do: the ceiling must count that charge, a kill must return
+// the balance to it, and success must add exactly the count to it.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "engine/automaton.h"
 #include "engine/charge.h"
+#include "engine/evaluator.h"
+#include "parallel/executor.h"
 
 namespace gmark {
 namespace {
 
-TEST(ConcurrentBudgetScopeTest, FoldMovesWorkerCountersIntoBase) {
-  BudgetTracker base(ResourceBudget::Unlimited());
-  ConcurrentBudgetScope scope(&base, 3);
-  ASSERT_EQ(scope.worker_count(), 3);
+// A directed ring over predicate a: from every node, a* reaches all n
+// nodes, so every source costs the same BFS and charges n tuples.
+constexpr int64_t kRing = 400;
+constexpr size_t kAll = static_cast<size_t>(kRing * kRing);
 
-  {
-    TupleCharge c0(&scope.worker(0));
-    ASSERT_TRUE(c0.Charge(5).ok());
-    EXPECT_EQ(c0.Disarm(), 5u);
+Graph RingGraph() {
+  GraphConfiguration config;
+  config.num_nodes = kRing;
+  EXPECT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(kRing)).ok());
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < static_cast<NodeId>(kRing); ++i) {
+    edges.push_back(Edge{i, 0, (i + 1) % static_cast<NodeId>(kRing)});
   }
-  {
-    TupleCharge c1(&scope.worker(1));
-    ASSERT_TRUE(c1.Charge(7).ok());
-    EXPECT_EQ(c1.Disarm(), 7u);
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  return Graph::Build(std::move(layout), 1, std::move(edges)).ValueOrDie();
+}
+
+Nfa StarA() {
+  RegularExpression star;
+  star.disjuncts = {{Symbol::Fwd(0)}};
+  star.star = true;
+  return Nfa::FromRegex(star).ValueOrDie();
+}
+
+const int kThreadCounts[] = {2, 8};
+
+EvalOptions OneSourcePerChunk(Executor* executor) {
+  EvalOptions opts;
+  opts.executor = executor;
+  opts.chunk_sources = 1;
+  return opts;
+}
+
+TEST(ParallelSectionTest, CeilingCountsTuplesTheTrackerAlreadyHolds) {
+  // The ceiling fits the whole count, but the prior charge leaves room
+  // for four sources' targets only: the serial run dies on its fifth
+  // source, and the parallel run must die as early, not run every
+  // source against a headroom that forgot the prior charge.
+  Graph g = RingGraph();
+  Nfa nfa = StarA();
+  const size_t prior = kAll;
+  const ResourceBudget budget =
+      ResourceBudget::Limited(1e9, prior + 4 * static_cast<size_t>(kRing));
+
+  RpqEvaluator serial(&g);
+  BudgetTracker serial_tracker(budget);
+  TupleCharge serial_prior(&serial_tracker);
+  ASSERT_TRUE(serial_prior.Charge(prior).ok());
+  EvalProfile serial_profile;
+  ASSERT_TRUE(serial.CountPairs(nfa, &serial_tracker, &serial_profile)
+                  .status()
+                  .IsResourceExhausted());
+  ASSERT_GT(serial_profile.bfs_pops, 0u);
+
+  for (int threads : kThreadCounts) {
+    Executor executor(threads);
+    RpqEvaluator parallel(&g, OneSourcePerChunk(&executor));
+
+    // Without the prior charge the same ceiling fits every source.
+    BudgetTracker roomy(budget);
+    ASSERT_EQ(parallel.CountPairs(nfa, &roomy).ValueOrDie(), kAll);
+
+    BudgetTracker tracker(budget);
+    TupleCharge held(&tracker);
+    ASSERT_TRUE(held.Charge(prior).ok());
+    EvalProfile profile;
+    Status st = parallel.CountPairs(nfa, &tracker, &profile).status();
+    EXPECT_TRUE(st.IsResourceExhausted())
+        << threads << " threads: " << st.ToString();
+    // At most four sources held plus about one in flight per thread.
+    EXPECT_LE(profile.bfs_pops, 6 * serial_profile.bfs_pops)
+        << threads << " threads";
+    EXPECT_LT(tracker.peak_tuples(), prior + kAll) << threads << " threads";
   }
-  scope.worker(2).ChargeScan(11);
-
-  // The base tracker sees nothing until the fold...
-  EXPECT_EQ(base.tuples_used(), 0u);
-  EXPECT_EQ(base.tuples_scanned(), 0u);
-
-  const size_t outstanding = scope.Fold();
-  EXPECT_EQ(outstanding, 12u);
-  EXPECT_EQ(base.tuples_used(), 12u);
-  EXPECT_EQ(base.peak_tuples(), 12u);
-  EXPECT_EQ(base.tuples_scanned(), 11u);
-  EXPECT_EQ(base.over_releases(), 0u);
-
-  // Fold is idempotent: a second call moves nothing.
-  EXPECT_EQ(scope.Fold(), 0u);
-
-  // The protocol's last step: re-guard the outstanding total on the
-  // base so the balance returns to zero when the value dies.
-  TupleCharge assumed = TupleCharge::Assume(&base, outstanding);
-  EXPECT_EQ(assumed.count(), 12u);
 }
 
-TEST(ConcurrentBudgetScopeTest, CeilingEnforcedAgainstCrossWorkerTotal) {
-  BudgetTracker base(ResourceBudget::Limited(1e9, 10));
-  ConcurrentBudgetScope scope(&base, 2);
+TEST(ParallelSectionTest, TupleKillRestoresThePriorCharge) {
+  Graph g = RingGraph();
+  Nfa nfa = StarA();
+  const size_t prior = 7;
+  const size_t ceiling = prior + 4 * static_cast<size_t>(kRing);
 
-  TupleCharge c0(&scope.worker(0));
-  ASSERT_TRUE(c0.Charge(6).ok());
+  for (int threads : kThreadCounts) {
+    Executor executor(threads);
+    RpqEvaluator parallel(&g, OneSourcePerChunk(&executor));
+    BudgetTracker tracker(ResourceBudget::Limited(1e9, ceiling));
+    TupleCharge held(&tracker);
+    ASSERT_TRUE(held.Charge(prior).ok());
 
-  {
-    // Worker 1 alone is under its own budget, but the shared total
-    // (6 + 6 = 12) exceeds the ceiling — the scope must reject it.
-    TupleCharge c1(&scope.worker(1));
-    Status st = c1.Charge(6);
-    EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-    // Charge-before-reject: the failed charge is recorded until the
-    // guard unwinds it (here, at scope exit).
-    EXPECT_EQ(scope.worker(1).tuples_used(), 6u);
+    Status st = parallel.CountPairs(nfa, &tracker).status();
+    ASSERT_TRUE(st.IsResourceExhausted())
+        << threads << " threads: " << st.ToString();
+    // The tracker wrote the message: the observed total past the
+    // ceiling, prior charge included.
+    const std::string tail = " > " + std::to_string(ceiling) + ")";
+    const std::string message = st.ToString();
+    EXPECT_NE(message.find("tuple budget exceeded ("), std::string::npos)
+        << message;
+    EXPECT_EQ(message.substr(message.size() - tail.size()), tail) << message;
+
+    EXPECT_EQ(tracker.tuples_used(), prior) << threads << " threads";
+    EXPECT_EQ(tracker.over_releases(), 0u);
+    // Documented bound: past the ceiling, within the unlimited peak.
+    EXPECT_GT(tracker.peak_tuples(), ceiling) << threads << " threads";
+    EXPECT_LE(tracker.peak_tuples(), prior + kAll) << threads << " threads";
   }
-  EXPECT_EQ(scope.worker(1).tuples_used(), 0u);
-
-  EXPECT_EQ(c0.Disarm(), 6u);
-  const size_t outstanding = scope.Fold();
-  EXPECT_EQ(outstanding, 6u);
-  // The rejected-then-released charge still counted toward the peak
-  // (it was briefly live), and left no over-release behind.
-  EXPECT_EQ(base.peak_tuples(), 12u);
-  EXPECT_EQ(base.over_releases(), 0u);
-  TupleCharge assumed = TupleCharge::Assume(&base, outstanding);
 }
 
-TEST(ConcurrentBudgetScopeTest, SharedBalanceSeedsFromBaseOutstanding) {
-  BudgetTracker base(ResourceBudget::Limited(1e9, 10));
-  TupleCharge serial(&base);
-  ASSERT_TRUE(serial.Charge(4).ok());
+TEST(ParallelSectionTest, TimeKillRestoresThePriorCharge) {
+  // A negative timeout is expired before evaluation starts, so every
+  // chunk's first deadline read fails at any clock resolution.
+  Graph g = RingGraph();
+  Nfa nfa = StarA();
+  for (int threads : kThreadCounts) {
+    Executor executor(threads);
+    RpqEvaluator parallel(&g, OneSourcePerChunk(&executor));
+    BudgetTracker tracker(ResourceBudget::Limited(-1.0, 2 * kAll));
+    TupleCharge held(&tracker);
+    ASSERT_TRUE(held.Charge(7).ok());
 
-  ConcurrentBudgetScope scope(&base, 1);
-  TupleCharge c0(&scope.worker(0));
-  // 4 (pre-existing, serial) + 7 = 11 > 10: earlier charges count
-  // against the parallel section's ceiling.
-  Status st = c0.Charge(7);
-  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-}
-
-TEST(ConcurrentBudgetScopeTest, PeakFoldsAsMaxNotSum) {
-  BudgetTracker base(ResourceBudget::Unlimited());
-  ConcurrentBudgetScope scope(&base, 2);
-
-  TupleCharge c0(&scope.worker(0));
-  ASSERT_TRUE(c0.Charge(5).ok());
-  {
-    TupleCharge c1(&scope.worker(1));
-    ASSERT_TRUE(c1.Charge(3).ok());
-    // Live total briefly 8; c1 releases on scope exit.
+    Status st = parallel.CountPairs(nfa, &tracker).status();
+    EXPECT_TRUE(st.IsResourceExhausted())
+        << threads << " threads: " << st.ToString();
+    EXPECT_NE(st.ToString().find("timed out"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(tracker.tuples_used(), 7u);
+    EXPECT_EQ(tracker.over_releases(), 0u);
   }
-  EXPECT_EQ(c0.Disarm(), 5u);
-
-  const size_t outstanding = scope.Fold();
-  EXPECT_EQ(outstanding, 5u);
-  EXPECT_EQ(base.tuples_used(), 5u);
-  // The peak is the high-water mark of the shared balance (8), not the
-  // sum of per-worker peaks and not the folded balance.
-  EXPECT_EQ(base.peak_tuples(), 8u);
-  TupleCharge assumed = TupleCharge::Assume(&base, outstanding);
 }
 
-TEST(ConcurrentBudgetScopeTest, FirstExceededWinsByTaskIndex) {
-  BudgetTracker base(ResourceBudget::Unlimited());
-  ConcurrentBudgetScope scope(&base, 1);
+TEST(ParallelSectionTest, SuccessLeavesThePriorChargePlusTheCount) {
+  Graph g = RingGraph();
+  Nfa nfa = StarA();
+  const size_t prior = 7;
+  // Exactly enough room: a headroom off by one either way shows.
+  const ResourceBudget budget = ResourceBudget::Limited(1e9, prior + kAll);
 
-  // Reports arrive in arbitrary (scheduling-dependent) order; the
-  // lowest task index must win so the surfaced error is deterministic.
-  scope.ReportFailure(5, Status::ResourceExhausted("task 5"));
-  scope.ReportFailure(2, Status::ResourceExhausted("task 2"));
-  scope.ReportFailure(7, Status::ResourceExhausted("task 7"));
-  scope.ReportFailure(2, Status::ResourceExhausted("task 2 again"));
+  for (int threads : kThreadCounts) {
+    Executor executor(threads);
+    RpqEvaluator parallel(&g, OneSourcePerChunk(&executor));
+    BudgetTracker tracker(budget);
+    TupleCharge held(&tracker);
+    ASSERT_TRUE(held.Charge(prior).ok());
 
-  Status winner = scope.first_failure();
-  EXPECT_TRUE(winner.IsResourceExhausted());
-  EXPECT_NE(winner.ToString().find("task 2"), std::string::npos);
-  EXPECT_EQ(winner.ToString().find("task 2 again"), std::string::npos);
-}
+    {
+      Result<ChargedPairs> pairs = parallel.MaterializePairs(nfa, &tracker);
+      ASSERT_TRUE(pairs.ok()) << threads << " threads: " << pairs.status();
+      EXPECT_EQ(pairs.ValueOrDie().value.size(), kAll);
+      EXPECT_EQ(pairs.ValueOrDie().charge.count(), kAll);
+      EXPECT_EQ(tracker.tuples_used(), prior + kAll);
+    }
+    EXPECT_EQ(tracker.tuples_used(), prior);
+    EXPECT_EQ(tracker.peak_tuples(), prior + kAll);
 
-TEST(ConcurrentBudgetScopeTest, NoFailureReportsOk) {
-  BudgetTracker base(ResourceBudget::Unlimited());
-  ConcurrentBudgetScope scope(&base, 1);
-  EXPECT_TRUE(scope.first_failure().ok());
-}
-
-TEST(ConcurrentBudgetScopeTest, WorkerTimeChecksUseBaseDeadline) {
-  // A negative timeout is already expired at construction, so the check
-  // fires deterministically regardless of clock resolution. The worker
-  // tracker holds no clock of its own — it must see the base's.
-  BudgetTracker base(ResourceBudget::Limited(-1.0, 1000));
-  ConcurrentBudgetScope scope(&base, 2);
-  EXPECT_TRUE(scope.worker(0).CheckTime().IsResourceExhausted());
-  EXPECT_TRUE(scope.worker(1).CheckTime().IsResourceExhausted());
-
-  BudgetTracker roomy(ResourceBudget::Limited(1e9, 1000));
-  ConcurrentBudgetScope roomy_scope(&roomy, 1);
-  EXPECT_TRUE(roomy_scope.worker(0).CheckTime().ok());
+    ASSERT_EQ(parallel.CountPairs(nfa, &tracker).ValueOrDie(), kAll);
+    EXPECT_EQ(tracker.tuples_used(), prior);
+    EXPECT_EQ(tracker.peak_tuples(), prior + kAll);
+    EXPECT_EQ(tracker.over_releases(), 0u);
+  }
 }
 
 }  // namespace

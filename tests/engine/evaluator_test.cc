@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/use_cases.h"
+#include "engine/engines.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_generator.h"
+#include "parallel/thread_pool.h"
 #include "workload/presets.h"
 #include "workload/query_generator.h"
 
@@ -316,6 +319,83 @@ TEST(RpqEvaluatorTest, SerialCountPairsRecordsOneChunk) {
   };
   EXPECT_EQ(counter("eval.sources"), uint64_t{n});
   EXPECT_EQ(counter("eval.chunks"), 1u);
+}
+
+TEST(RpqEvaluatorTest, SerialEvaluationInsideAPoolTaskMatchesCaller) {
+  // An evaluation with no executor runs the serial branch, which never
+  // reads ThreadPool::CurrentWorkerId(), so it may run inside another
+  // pool's task (worker id >= 1) with the same results and accounting
+  // as on the calling thread (worker id 0).
+  const NodeId n = 300;
+  GraphConfiguration config;
+  config.num_nodes = n;
+  ASSERT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(n)).ok());
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < n; ++i) edges.push_back(Edge{i, 0, (i + 1) % n});
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  Graph g = Graph::Build(std::move(layout), 1, std::move(edges)).ValueOrDie();
+  const RegularExpression a = RegularExpression::Atom(Symbol::Fwd(0));
+  RegularExpression a_star;
+  a_star.disjuncts = {{Symbol::Fwd(0)}};
+  a_star.star = true;
+  const Nfa nfa = Nfa::FromRegex(a_star).ValueOrDie();
+  const Query query = BinaryChain({a, a_star});
+
+  struct Run {
+    int worker = -1;
+    uint64_t pairs = 0;
+    size_t pairs_peak = 0;
+    EvalProfile pairs_profile;
+    uint64_t sparql = 0;
+    EvalProfile sparql_profile;
+  };
+  auto run = [&](Run* out) {
+    out->worker = ThreadPool::CurrentWorkerId();
+    RpqEvaluator rpq(&g);
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    out->pairs =
+        rpq.CountPairs(nfa, &budget, &out->pairs_profile).ValueOrDie();
+    out->pairs_peak = budget.peak_tuples();
+    EvalContext ctx;
+    ctx.profile = &out->sparql_profile;
+    out->sparql = MakeEngine(EngineKind::kSparql)
+                      ->Evaluate(g, query, ResourceBudget::Unlimited(), &ctx)
+                      .ValueOrDie();
+  };
+
+  Run caller;
+  run(&caller);
+  Run task;
+  {
+    ThreadPool pool(2);
+    pool.Submit([&] { run(&task); });
+    pool.Wait();
+  }
+
+  EXPECT_EQ(caller.worker, 0);
+  EXPECT_GE(task.worker, 1);
+  EXPECT_EQ(task.pairs, uint64_t{n} * n);
+  EXPECT_EQ(task.pairs, caller.pairs);
+  EXPECT_EQ(task.pairs_peak, caller.pairs_peak);
+  EXPECT_EQ(task.sparql, uint64_t{n} * n);
+  EXPECT_EQ(task.sparql, caller.sparql);
+  for (const auto& [label, got, want] :
+       {std::tuple{"CountPairs", &task.pairs_profile, &caller.pairs_profile},
+        std::tuple{"S", &task.sparql_profile, &caller.sparql_profile}}) {
+    EXPECT_EQ(got->peak_tuples, want->peak_tuples) << label;
+    EXPECT_EQ(got->tuples_scanned, want->tuples_scanned) << label;
+    EXPECT_EQ(got->over_releases, want->over_releases) << label;
+    EXPECT_EQ(got->bfs_pops, want->bfs_pops) << label;
+    EXPECT_EQ(got->bfs_peak_frontier, want->bfs_peak_frontier) << label;
+    EXPECT_EQ(got->fixpoint_rounds, want->fixpoint_rounds) << label;
+    EXPECT_EQ(got->plan_steps, want->plan_steps) << label;
+    ASSERT_EQ(got->conjuncts.size(), want->conjuncts.size()) << label;
+    for (size_t i = 0; i < got->conjuncts.size(); ++i) {
+      EXPECT_EQ(got->conjuncts[i].rows, want->conjuncts[i].rows) << label;
+    }
+  }
+  EXPECT_GT(caller.sparql_profile.bfs_pops, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 Checks that `-g` writes the same bytes with no --threads, with
 --threads 1 and with --threads 2, each also with --stats (which builds
 the indexed graph from the same generation), that every run walks the
-generator exactly once (one `gen.generate` span in its trace), and that
+generator exactly once (one `gen.generate` span in its trace), that
+`-g` alone exports the generator's `gen.total_edges` metric, and that
 invalid sizes, thread counts and retired flags fail with the usage
 error instead of being ignored or wrapped. No run starts more than 2
 worker threads: the out-of-range inputs write nothing, so a CLI that
@@ -15,6 +16,7 @@ Usage: gmark_cli_test.py <path to gmark_cli>   (also `ctest -R cli`)
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -74,6 +76,26 @@ def main():
             if data != reference:
                 failures.append("%s: graph bytes differ from no --threads" %
                                 label)
+
+        # `-g` alone still publishes the generator's metrics: the
+        # snapshot's edge count is the CLI's own "wrote N triples".
+        path = os.path.join(tmp, "alone.nt")
+        metrics = os.path.join(tmp, "alone.json")
+        proc = run(cli, ["-n", NODES, "-g", path, "--metrics-json", metrics])
+        if proc.returncode != 0:
+            failures.append("-g --metrics-json: exit %d: %s" %
+                            (proc.returncode, proc.stderr))
+        else:
+            wrote = re.search(r"wrote (\d+) triples", proc.stdout)
+            with open(metrics) as f:
+                counters = json.load(f)["counters"]
+            if wrote is None:
+                failures.append("-g --metrics-json: no triple count printed")
+            elif counters.get("gen.total_edges") != int(wrote.group(1)):
+                failures.append("-g --metrics-json: gen.total_edges %s, "
+                                "wrote %s triples" %
+                                (counters.get("gen.total_edges"),
+                                 wrote.group(1)))
 
     # Rejected inputs: each must exit non-zero. Without -g, -q, -o or
     # --stats nothing is generated, so even a regressed check starts no

@@ -1,7 +1,7 @@
 // Fixture: the concurrent-budget-scope shape with its protection
 // stripped. The shared fold state's atomics carry no SAFETY comment,
 // and the failure slot sits next to a Mutex with no GUARDED_BY — the
-// exact mistakes the real engine/budget.h SAFETY contracts exist to
+// exact mistakes the real SAFETY contracts exist to
 // prevent. All three fields must be flagged.
 #include "decls.h"
 

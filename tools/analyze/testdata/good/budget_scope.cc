@@ -1,5 +1,5 @@
 // Fixture: the concurrent-budget-scope shape with its protection
-// stated, mirroring the real engine/budget.h — the shared fold
+// stated, in the style of the real SAFETY contracts — the shared fold
 // counters sit under a `// SAFETY:` block naming the relaxed-RMW
 // protocol, and the failure slot is GUARDED_BY the scope mutex.
 #include "decls.h"
