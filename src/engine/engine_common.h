@@ -58,6 +58,11 @@ Result<ChargedPairs> ComposePathPairs(const Graph& graph,
 /// \brief Union of the disjunct relations of a regular expression
 /// (without applying the star), deduplicated.
 ///
+/// One walk over the sources merges the disjuncts, which are grouped by
+/// source. A bitset deduplicates each source's targets; when they lie
+/// close together they are read back from its words in ascending order,
+/// and only a sparse run is sorted.
+///
 /// Order: sorted and distinct. Charges: each disjunct as
 /// ComposePathPairs charges it, released before the union is charged
 /// once, in full.
@@ -128,7 +133,10 @@ Result<ChargedRelation> ExecuteRulePlan(const QueryRule& rule,
 
 /// \brief The plan executor: every rule through ExecuteRulePlan, then
 /// the distinct count of their union — |Q(G)| under the paper's
-/// count(distinct ...) semantics.
+/// count(distinct ...) semantics. A rule's relation is already
+/// distinct, so one rule is counted by CountDistinctRows, with no
+/// table; two or more go through CountDistinctUnion. Both charge the
+/// same.
 Result<uint64_t> ExecutePlan(const Query& query, const QueryPlan& plan,
                              const ConjunctStrategy& strategy,
                              BudgetTracker* budget, EvalProfile* profile);

@@ -10,6 +10,7 @@
 #ifndef GMARK_ENGINE_EVAL_SCRATCH_H_
 #define GMARK_ENGINE_EVAL_SCRATCH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,6 +46,21 @@ class ResettableBitset {
 
   void Reset() {
     for (size_t w : touched_) words_[w] = 0;
+    touched_.clear();
+  }
+
+  /// \brief Calls `fn(i)` for every set bit `i` in words
+  /// [first_word, last_word], ascending, clearing each word as it is
+  /// read. The caller guarantees that no bit is set outside that range,
+  /// so the bitset ends reset without a pass over the touched words.
+  template <typename Fn>
+  void Drain(size_t first_word, size_t last_word, Fn&& fn) {
+    for (size_t w = first_word; w <= last_word; ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
+      words_[w] = 0;
+    }
     touched_.clear();
   }
 

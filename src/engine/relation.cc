@@ -50,6 +50,7 @@ VarRelation VarRelation::FromPairs(
     return rel;
   }
   VarRelation rel({x, y});
+  rel.Reserve(pairs.size());
   for (const auto& [s, t] : pairs) {
     NodeId row[2] = {s, t};
     rel.AppendRow({row, 2});
@@ -250,6 +251,22 @@ Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
     GMARK_RETURN_NOT_OK(budget->CheckTime());
   }
   return static_cast<uint64_t>(distinct.row_count());
+}
+
+Result<uint64_t> CountDistinctRows(const VarRelation& rel,
+                                   BudgetTracker* budget) {
+  const size_t rows = rel.row_count();
+  if (rel.width() == 0) return static_cast<uint64_t>(rows);
+  // Charged once, as CountDistinctUnion would charge it row by row:
+  // past the headroom, headroom + 1 leaves the same balance, peak and
+  // message as the first row past the ceiling. The headroom is exact:
+  // every charge past the ceiling fails, so the balance is within it.
+  assert(budget->tuples_used() <= budget->budget().max_tuples);
+  const size_t headroom = budget->budget().max_tuples - budget->tuples_used();
+  TupleCharge charge(budget);
+  GMARK_RETURN_NOT_OK(charge.Charge(rows > headroom ? headroom + 1 : rows));
+  GMARK_RETURN_NOT_OK(budget->CheckTime());
+  return static_cast<uint64_t>(rows);
 }
 
 }  // namespace gmark

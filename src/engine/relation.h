@@ -125,6 +125,16 @@ Result<ChargedRelation> ProjectDistinct(const VarRelation& rel,
 Result<uint64_t> CountDistinctUnion(const std::vector<VarRelation>& rels,
                                     BudgetTracker* budget);
 
+/// \brief CountDistinctUnion of the one relation `rel`, whose rows are
+/// already distinct (ProjectDistinct output), counted with no table.
+///
+/// Charges: the rows at once, held until the count returns; past the
+/// ceiling, the headroom plus one, which leaves the tracker's balance,
+/// peak and message exactly as CountDistinctUnion's row-by-row charge
+/// would. A width-0 relation counts 1 or 0 and charges nothing.
+Result<uint64_t> CountDistinctRows(const VarRelation& rel,
+                                   BudgetTracker* budget);
+
 }  // namespace gmark
 
 #endif  // GMARK_ENGINE_RELATION_H_

@@ -157,6 +157,57 @@ TEST(EngineCommonTest, RegexBasePairsAreSortedAndDistinct) {
   }
 }
 
+// A 100k-node layout over predicates a, b, c where the union walk takes
+// both of its ordering branches: hubs 0 and 7 have dense runs of
+// targets, read back from the dedup bitset, and source 5 has two
+// targets ~1500 words apart, which are sorted. Hub 7 reuses the words
+// hub 0 drained, so a drain that left a word set would show there.
+Graph UnionWalkGraph() {
+  constexpr NodeId kNodes = 100000;
+  GraphConfiguration config;
+  config.num_nodes = kNodes;
+  EXPECT_TRUE(
+      config.schema.AddType("t", OccurrenceConstraint::Fixed(kNodes)).ok());
+  NodeLayout layout = NodeLayout::Create(config).ValueOrDie();
+  constexpr PredicateId a = 0, b = 1, c = 2;
+  std::vector<Edge> edges;
+  // Hub 0: a to 200..1, b to 100..300 (overlapping a), and a.c reaching
+  // 50 twice (a duplicate under bag semantics).
+  for (NodeId t = 200; t >= 1; --t) edges.push_back({0, a, t});
+  for (NodeId t = 100; t <= 300; ++t) edges.push_back({0, b, t});
+  edges.push_back({1, c, 50});
+  edges.push_back({2, c, 50});
+  // Source 5: b to the far end and to 10, a to 10 again.
+  edges.push_back({5, b, kNodes - 1});
+  edges.push_back({5, b, 10});
+  edges.push_back({5, a, 10});
+  // Hub 7: a to 70..3, b to 64..130, inside hub 0's words.
+  for (NodeId t = 70; t >= 3; --t) edges.push_back({7, a, t});
+  for (NodeId t = 64; t <= 130; ++t) edges.push_back({7, b, t});
+  return Graph::Build(layout, 3, edges).ValueOrDie();
+}
+
+TEST(EngineCommonTest, RegexBasePairsDrainDenseRunsAndSortSparseOnes) {
+  Graph g = UnionWalkGraph();
+  RegularExpression expr;
+  expr.disjuncts = {{Symbol::Fwd(0)},
+                    {Symbol::Fwd(1)},
+                    {Symbol::Fwd(0), Symbol::Fwd(2)}};
+  for (bool set_semantics : {false, true}) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    BudgetTracker reference_budget(ResourceBudget::Unlimited());
+    auto base = RegexBasePairs(g, expr, set_semantics, &budget);
+    auto reference = testing_legacy::RegexBasePairs(g, expr, set_semantics,
+                                                    &reference_budget);
+    ASSERT_TRUE(base.ok());
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(base->value, reference->value) << set_semantics;
+    EXPECT_EQ(base->charge.count(), reference->value.size());
+    // 300 targets of hub 0, two of source 5, 128 of hub 7 (3..130).
+    EXPECT_EQ(base->value.size(), 300u + 2u + 128u) << set_semantics;
+  }
+}
+
 TEST(EngineCommonTest, ClosureOfPathGraphIsFullUpperTriangle) {
   Graph g = PathGraph();
   BudgetTracker budget(ResourceBudget::Unlimited());

@@ -352,6 +352,107 @@ TEST(RelationTest, TupleCeilingMidDistinctUnwinds) {
                   union_budget, 5);
 }
 
+// CountDistinctRows counts a relation that is already distinct: seven
+// rows, the headroom left by kPrior under kCeiling.
+VarRelation SevenDistinctRows() {
+  return MakeRelation({0, 1}, {{1, 2}, {1, 3}, {2, 2}, {3, 1}, {3, 2},
+                               {4, 4}, {5, 0}});
+}
+
+TEST(RelationTest, CountDistinctRowsFillingTheHeadroomSucceeds) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, kCeiling));
+  TupleCharge prior(&budget);
+  ASSERT_TRUE(prior.Charge(kPrior).ok());
+  Result<uint64_t> count = CountDistinctRows(SevenDistinctRows(), &budget);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, kCeiling - kPrior);
+  EXPECT_EQ(budget.peak_tuples(), kCeiling);
+  EXPECT_EQ(budget.tuples_used(), kPrior);
+
+  BudgetTracker exact(ResourceBudget::Limited(60.0, 7));
+  EXPECT_EQ(CountDistinctRows(SevenDistinctRows(), &exact).ValueOrDie(), 7u);
+  EXPECT_EQ(exact.peak_tuples(), 7u);
+  EXPECT_EQ(exact.tuples_used(), 0u);
+}
+
+TEST(RelationTest, CountDistinctRowsOneRowPastTheHeadroomIsKilled) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, kCeiling));
+  TupleCharge prior(&budget);
+  ASSERT_TRUE(prior.Charge(kPrior).ok());
+  VarRelation rel = SevenDistinctRows();
+  rel.AppendRow(std::vector<NodeId>{6, 6});
+  ExpectKillPastHeadroom(CountDistinctRows(rel, &budget).status(), budget);
+
+  BudgetTracker alone(ResourceBudget::Limited(60.0, 6));
+  ExpectCleanKill(CountDistinctRows(SevenDistinctRows(), &alone).status(),
+                  alone, 6);
+}
+
+TEST(RelationTest, UnlimitedCountDistinctRowsDoesNotWrap) {
+  for (size_t prior_count : {size_t{0}, kPrior}) {
+    BudgetTracker budget(ResourceBudget::Unlimited());
+    TupleCharge prior(&budget);
+    ASSERT_TRUE(prior.Charge(prior_count).ok());
+    Result<uint64_t> count = CountDistinctRows(SevenDistinctRows(), &budget);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, 7u);
+    EXPECT_EQ(budget.peak_tuples(), prior_count + 7);
+    EXPECT_EQ(budget.tuples_used(), prior_count);
+  }
+}
+
+TEST(RelationTest, CountDistinctRowsOfABooleanRuleChargesNothing) {
+  BudgetTracker budget(ResourceBudget::Limited(60.0, 0));
+  VarRelation empty;
+  EXPECT_EQ(CountDistinctRows(empty, &budget).ValueOrDie(), 0u);
+  VarRelation nonempty;
+  nonempty.SetNonEmpty();
+  EXPECT_EQ(CountDistinctRows(nonempty, &budget).ValueOrDie(), 1u);
+  EXPECT_EQ(budget.peak_tuples(), 0u);
+}
+
+// On distinct relations, one charge must leave the tracker exactly as
+// CountDistinctUnion's row-by-row charge does: same status text, peak
+// and balance, at every ceiling and prior charge.
+TEST(RelationTest, CountDistinctRowsMatchesCountDistinctUnion) {
+  uint64_t state = 54321;
+  auto next = [&](uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t width = 1 + next(3);
+    std::vector<VarId> vars;
+    for (size_t v = 0; v < width; ++v) vars.push_back(static_cast<VarId>(v));
+    VarRelation bag(vars);
+    std::vector<NodeId> row(width);
+    for (uint64_t i = next(25); i > 0; --i) {
+      for (NodeId& value : row) value = static_cast<NodeId>(next(4));
+      bag.AppendRow(row);
+    }
+    BudgetTracker unlimited(ResourceBudget::Unlimited());
+    const VarRelation rel =
+        ProjectDistinct(bag, vars, &unlimited).ValueOrDie().value;
+    const size_t ceiling = next(30);
+    const size_t prior_count = next(ceiling + 1);
+    BudgetTracker reference(ResourceBudget::Limited(60.0, ceiling));
+    BudgetTracker budget(ResourceBudget::Limited(60.0, ceiling));
+    TupleCharge reference_prior(&reference), prior(&budget);
+    ASSERT_TRUE(reference_prior.Charge(prior_count).ok());
+    ASSERT_TRUE(prior.Charge(prior_count).ok());
+    SCOPED_TRACE(trial);
+    const Result<uint64_t> expected = CountDistinctUnion({rel}, &reference);
+    const Result<uint64_t> count = CountDistinctRows(rel, &budget);
+    EXPECT_EQ(count.status().ToString(), expected.status().ToString());
+    if (count.ok() && expected.ok()) {
+      EXPECT_EQ(*count, *expected);
+    }
+    EXPECT_EQ(budget.peak_tuples(), reference.peak_tuples());
+    EXPECT_EQ(budget.tuples_used(), reference.tuples_used());
+    EXPECT_EQ(budget.over_releases(), 0u);
+  }
+}
+
 TEST(BudgetTest, TupleAccounting) {
   BudgetTracker budget(ResourceBudget::Limited(60.0, 10));
   EXPECT_TRUE(budget.ChargeTuples(6).ok());

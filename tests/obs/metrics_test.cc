@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.h"
+#include "util/string_util.h"
 
 namespace gmark {
 namespace {
@@ -117,23 +118,22 @@ TEST(MetricsTest, ManyNamesStayDistinct) {
   constexpr uint64_t kHistograms = 70;
   MetricRegistry registry;
   for (uint64_t i = 0; i < kScalars; ++i) {
-    registry.Add("c" + std::to_string(i), i + 1);
-    registry.GaugeMax("g" + std::to_string(i), 2 * i + 1);
+    registry.Add(StrCat("c", i), i + 1);
+    registry.GaugeMax(StrCat("g", i), 2 * i + 1);
   }
   for (uint64_t i = 0; i < kHistograms; ++i) {
-    registry.Observe("h" + std::to_string(i), i + 1);
+    registry.Observe(StrCat("h", i), i + 1);
   }
   MetricsSnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.counters.size(), kScalars);
   ASSERT_EQ(snap.gauges.size(), kScalars);
   ASSERT_EQ(snap.histograms.size(), kHistograms);
   for (uint64_t i = 0; i < kScalars; ++i) {
-    EXPECT_EQ(CounterValue(snap, "c" + std::to_string(i)), i + 1);
-    EXPECT_EQ(GaugeValue(snap, "g" + std::to_string(i)), 2 * i + 1);
+    EXPECT_EQ(CounterValue(snap, StrCat("c", i)), i + 1);
+    EXPECT_EQ(GaugeValue(snap, StrCat("g", i)), 2 * i + 1);
   }
   for (uint64_t i = 0; i < kHistograms; ++i) {
-    const HistogramSnapshot* hist =
-        FindHistogram(snap, "h" + std::to_string(i));
+    const HistogramSnapshot* hist = FindHistogram(snap, StrCat("h", i));
     ASSERT_NE(hist, nullptr);
     EXPECT_EQ(hist->count, 1u);
     EXPECT_EQ(hist->sum, i + 1);
